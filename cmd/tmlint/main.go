@@ -8,13 +8,11 @@
 //
 // Usage:
 //
-//	tmlint [-policy file] [-list] [-json] [-stats] [-cache] [-parallel n] [packages]
+//	tmlint [-policy file] [-list] [-json] [-stats] [-parallel n] [packages]
 //
 // Packages may be "./..." (everything under the module root, the default)
-// or individual package directories. Module-wide runs go through the
-// incremental fact cache under .tmlint-cache/ (disable with -cache=false);
-// explicit package arguments always analyze directly. Exit status: 0 clean,
-// 1 findings, 2 usage or load errors.
+// or individual package directories. Exit status: 0 clean, 1 findings, 2
+// usage or load errors.
 package main
 
 import (
@@ -24,18 +22,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"tokenmagic/internal/analysis"
 	"tokenmagic/internal/analysis/analyzers"
-	"tokenmagic/internal/analysis/cache"
 )
-
-// analyzerVersion namespaces the fact cache: bump it whenever an analyzer's
-// behaviour, message format, scope, or the driver's suppression semantics
-// change, so stale cached diagnostics can never survive an upgrade.
-const analyzerVersion = "tmlint-8"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -57,8 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	policyPath := fs.String("policy", "", "policy file (default: .tmlint.json at the module root)")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	stats := fs.Bool("stats", false, "print analyzed/cached package counters to stderr")
-	useCache := fs.Bool("cache", true, "use the incremental fact cache (module-wide runs only)")
+	stats := fs.Bool("stats", false, "print the analyzed package count and run time to stderr")
 	parallel := fs.Int("parallel", 0, "max packages analyzed concurrently (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -94,80 +84,52 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	wholeModule := len(patterns) == 1 && (patterns[0] == "./..." || patterns[0] == "...")
-
-	var diags []analysis.Diagnostic
-	relPath := moduleRel(root)
-	analyzed, cached := 0, 0
-
-	if wholeModule && *useCache {
-		policyData, _ := os.ReadFile(pp) // missing file hashes as empty
-		res, err := cache.Run(cache.Config{
-			Root:       root,
-			Version:    analyzerVersion,
-			PolicyData: policyData,
-			Policy:     policy,
-			// Lock-order cycles do not follow the import graph, so the
-			// lockorder scope is mutually invalidating (see cache doc).
-			CoupledScopes: analyzers.Lockorder.Scope,
-			Parallelism:   *parallel,
-		}, analyzers.All())
+	loader, err := analysis.NewLoader(root)
+	if err != nil {
+		fmt.Fprintln(stderr, "tmlint:", err)
+		return 2
+	}
+	var pkgs []*analysis.Package
+	seen := make(map[string]bool)
+	for _, pat := range patterns {
+		var batch []*analysis.Package
+		if pat == "./..." || pat == "..." {
+			batch, err = loader.LoadAll()
+		} else {
+			var pkg *analysis.Package
+			pkg, err = loader.LoadDir(pat)
+			batch = []*analysis.Package{pkg}
+		}
 		if err != nil {
 			fmt.Fprintln(stderr, "tmlint:", err)
 			return 2
 		}
-		diags = res.Diagnostics
-		analyzed, cached = res.Analyzed, res.Cached
-	} else {
-		loader, err := analysis.NewLoader(root)
-		if err != nil {
-			fmt.Fprintln(stderr, "tmlint:", err)
-			return 2
-		}
-		var pkgs []*analysis.Package
-		seen := make(map[string]bool)
-		for _, pat := range patterns {
-			var batch []*analysis.Package
-			if pat == "./..." || pat == "..." {
-				batch, err = loader.LoadAll()
-			} else {
-				var pkg *analysis.Package
-				pkg, err = loader.LoadDir(pat)
-				batch = []*analysis.Package{pkg}
-			}
-			if err != nil {
-				fmt.Fprintln(stderr, "tmlint:", err)
-				return 2
-			}
-			for _, p := range batch {
-				if !seen[p.Path] {
-					seen[p.Path] = true
-					pkgs = append(pkgs, p)
-				}
+		for _, p := range batch {
+			if !seen[p.Path] {
+				seen[p.Path] = true
+				pkgs = append(pkgs, p)
 			}
 		}
-		diags, err = analysis.RunWithOptions(pkgs, analyzers.All(), policy, loader.RelPath, analysis.RunOptions{
-			Parallelism: *parallel,
-			AllPackages: loader.Packages(),
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "tmlint:", err)
-			return 2
-		}
-		relPath = loader.RelPath
-		analyzed = len(pkgs)
+	}
+	diags, err := analysis.RunWithOptions(pkgs, analyzers.All(), policy, loader.RelPath, analysis.RunOptions{
+		Parallelism: *parallel,
+		AllPackages: loader.Packages(),
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, "tmlint:", err)
+		return 2
 	}
 
 	if *stats {
-		fmt.Fprintf(stderr, "tmlint: %d package(s) analyzed, %d from cache in %s\n",
-			analyzed, cached, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "tmlint: %d package(s) analyzed in %s\n",
+			len(pkgs), time.Since(start).Round(time.Millisecond))
 	}
 
 	if *jsonOut {
 		out := make([]jsonDiag, 0, len(diags))
 		for _, d := range diags {
 			out = append(out, jsonDiag{
-				File:     relPath(d.Position.Filename),
+				File:     loader.RelPath(d.Position.Filename),
 				Line:     d.Position.Line,
 				Column:   d.Position.Column,
 				Analyzer: d.Analyzer,
@@ -183,7 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		for _, d := range diags {
 			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n",
-				relPath(d.Position.Filename), d.Position.Line, d.Position.Column,
+				loader.RelPath(d.Position.Filename), d.Position.Line, d.Position.Column,
 				d.Analyzer, d.Message)
 		}
 	}
@@ -192,18 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// moduleRel mirrors Loader.RelPath without requiring a loader: file paths
-// render module-root-relative, slash-separated.
-func moduleRel(root string) func(string) string {
-	return func(filename string) string {
-		rel, err := filepath.Rel(root, filename)
-		if err != nil || strings.HasPrefix(rel, "..") {
-			return filename
-		}
-		return filepath.ToSlash(rel)
-	}
 }
 
 // findModuleRoot walks up from the working directory to the dir holding

@@ -44,14 +44,11 @@ type Analysis struct {
 	Observations []Observation
 	// Consumed is the set of tokens proven consumed.
 	Consumed chain.TokenSet
-	// Exact records whether the matching-based exact analysis ran (true)
-	// or the greedy cascade (false).
-	Exact bool
 }
 
-// pin applies side information: rings with a revealed pair collapse to a
+// Pinned applies side information: rings with a revealed pair collapse to a
 // single plausible token. Pairs naming tokens outside the ring are ignored.
-func pin(rings []chain.RingRecord, si SideInfo) []rsgraph.Ring {
+func Pinned(rings []chain.RingRecord, si SideInfo) []rsgraph.Ring {
 	out := make([]rsgraph.Ring, len(rings))
 	for i, r := range rings {
 		toks := r.Tokens
@@ -69,18 +66,18 @@ func pin(rings []chain.RingRecord, si SideInfo) []rsgraph.Ring {
 // ledger), the original token sets are reported untouched — an adversary
 // cannot derive sound facts from a contradictory view.
 func ChainReaction(rings []chain.RingRecord, si SideInfo, origin func(chain.TokenID) chain.TxID) Analysis {
-	in := rsgraph.NewInstance(pin(rings, si))
-	out := Analysis{Observations: make([]Observation, len(rings)), Exact: true}
+	in := rsgraph.NewInstance(Pinned(rings, si))
+	out := Analysis{Observations: make([]Observation, len(rings))}
 
 	if !in.HasAssignment() {
 		for i, r := range rings {
-			out.Observations[i] = observe(r.ID, in.Rings[i].Tokens, origin)
+			out.Observations[i] = Observe(r.ID, in.Rings[i].Tokens, origin)
 		}
 		return out
 	}
 	feas := in.FeasibleSpent()
 	for i, r := range rings {
-		out.Observations[i] = observe(r.ID, feas[i], origin)
+		out.Observations[i] = Observe(r.ID, feas[i], origin)
 	}
 	out.Consumed = in.ProvablyConsumed()
 	return out
@@ -92,7 +89,7 @@ func ChainReaction(rings []chain.RingRecord, si SideInfo, origin func(chain.Toke
 // tokens from every ring outside the collection. Weaker than ChainReaction
 // but linear-ish; used for the heuristic-vs-exact ablation.
 func Cascade(rings []chain.RingRecord, si SideInfo, origin func(chain.TokenID) chain.TxID) Analysis {
-	pinned := pin(rings, si)
+	pinned := Pinned(rings, si)
 	remaining := make([]chain.TokenSet, len(pinned))
 	for i, r := range pinned {
 		remaining[i] = r.Tokens.Clone()
@@ -132,7 +129,7 @@ func Cascade(rings []chain.RingRecord, si SideInfo, origin func(chain.TokenID) c
 
 	out := Analysis{Observations: make([]Observation, len(rings)), Consumed: consumed}
 	for i, r := range rings {
-		out.Observations[i] = observe(r.ID, remaining[i], origin)
+		out.Observations[i] = Observe(r.ID, remaining[i], origin)
 	}
 	return out
 }
@@ -190,10 +187,6 @@ func countMembers(members []bool) int {
 		}
 	}
 	return n
-}
-
-func observe(id chain.RSID, remaining chain.TokenSet, origin func(chain.TokenID) chain.TxID) Observation {
-	return Observe(id, remaining, origin)
 }
 
 // Observe derives one ring's Observation from its surviving plausible-token
@@ -306,8 +299,10 @@ func (ns *NeighborSets) WouldConsume(r chain.RingRecord) int {
 	return len(provablyConsumed(tmp))
 }
 
+// provablyConsumed is the exact consumed-token closure of rings, read off
+// the Dulmage–Mendelsohn decomposition.
 func provablyConsumed(rings []chain.RingRecord) chain.TokenSet {
-	return rsgraph.FromRecords(rings).ProvablyConsumed()
+	return rsgraph.FromRecords(rings).Decompose().ProvablyConsumed()
 }
 
 // ConsumedCount returns μ, the number of tokens provably consumed so far.

@@ -43,7 +43,7 @@ func (o ForcedOptions) maxPins() int {
 // partition attack: a pin only cascades inside its component, so each
 // hypothesis re-decomposes one component, not the ledger.
 func ForcedClosure(rings []chain.RingRecord, si adversary.SideInfo, origin func(chain.TokenID) chain.TxID, opts ForcedOptions) Report {
-	pr := pinned(rings, si)
+	pr := adversary.Pinned(rings, si)
 	base := rsgraph.NewInstance(pr).Decompose()
 	rep := Report{
 		Attack:       "forced_closure",
@@ -55,7 +55,7 @@ func ForcedClosure(rings []chain.RingRecord, si adversary.SideInfo, origin func(
 		// No combination at all: untouched sets, nothing proven, no
 		// hypotheses to force.
 		rep.Observations = observations(rings, base.Feasible(), origin)
-		rep.Metrics = summarise(rep.Observations, nil)
+		rep.Metrics = adversary.Summarise(adversary.Analysis{Observations: rep.Observations})
 		return rep
 	}
 
@@ -122,6 +122,6 @@ sweep:
 	// Consumption facts stay unconditional: only the side-information-free
 	// closure is proven; hypothesis-conditional consumption is not.
 	rep.Consumed = base.ProvablyConsumed()
-	rep.Metrics = summarise(rep.Observations, rep.Consumed)
+	rep.Metrics = adversary.Summarise(adversary.Analysis{Observations: rep.Observations, Consumed: rep.Consumed})
 	return rep
 }

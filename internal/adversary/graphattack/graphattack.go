@@ -89,21 +89,6 @@ type Pin struct {
 	NewlyTraced int
 }
 
-// pinned applies side information: rings with a revealed pair collapse to a
-// single plausible token (pairs naming tokens outside the ring are
-// ignored), mirroring the adversary package's Definition-3 handling.
-func pinned(rings []chain.RingRecord, si adversary.SideInfo) []rsgraph.Ring {
-	out := make([]rsgraph.Ring, len(rings))
-	for i, r := range rings {
-		toks := r.Tokens
-		if tok, ok := si[r.ID]; ok && r.Tokens.Contains(tok) {
-			toks = chain.NewTokenSet(tok)
-		}
-		out[i] = rsgraph.Ring{ID: r.ID, Tokens: toks}
-	}
-	return out
-}
-
 // observations derives per-ring observations from survivor sets.
 func observations(rings []chain.RingRecord, sets []chain.TokenSet, origin func(chain.TokenID) chain.TxID) []adversary.Observation {
 	out := make([]adversary.Observation, len(rings))
@@ -116,7 +101,7 @@ func observations(rings []chain.RingRecord, sets []chain.TokenSet, origin func(c
 // DM runs the Dulmage–Mendelsohn decomposition attack: the exact
 // chain-reaction closure derived structurally from one maximum matching.
 func DM(rings []chain.RingRecord, si adversary.SideInfo, origin func(chain.TokenID) chain.TxID) Report {
-	in := rsgraph.NewInstance(pinned(rings, si))
+	in := rsgraph.NewInstance(adversary.Pinned(rings, si))
 	d := in.Decompose()
 	rep := Report{
 		Attack:       "dm",
@@ -126,7 +111,7 @@ func DM(rings []chain.RingRecord, si adversary.SideInfo, origin func(chain.Token
 		UnderRings:   d.UnderRings(),
 		Consumed:     d.ProvablyConsumed(),
 	}
-	rep.Metrics = summarise(rep.Observations, rep.Consumed)
+	rep.Metrics = adversary.Summarise(adversary.Analysis{Observations: rep.Observations, Consumed: rep.Consumed})
 	return rep
 }
 
@@ -142,12 +127,6 @@ func Cascade(rings []chain.RingRecord, si adversary.SideInfo, origin func(chain.
 		Metrics:      adversary.Summarise(a),
 		Consumed:     a.Consumed,
 	}
-}
-
-// summarise folds observations plus a consumed set into Metrics.
-func summarise(obs []adversary.Observation, consumed chain.TokenSet) adversary.Metrics {
-	m := adversary.Summarise(adversary.Analysis{Observations: obs, Consumed: consumed})
-	return m
 }
 
 // components partitions ring indices into connected components of the

@@ -33,8 +33,8 @@ type Func struct {
 
 	// Hotpath marks //tmlint:hotpath functions (hotalloc scope).
 	Hotpath bool
-	// Vartime marks //tmlint:vartime functions: their execution time
-	// depends on operand values (wNAF ladders, comb lookups), so cttime
+	// Vartime marks //tmlint:vartime functions: their execution time may
+	// depend on operand values (verification kernels), so cttime
 	// reports any secret-derived argument or receiver at their call sites.
 	Vartime bool
 	// SecretParams holds the zero-based parameter indices declared secret

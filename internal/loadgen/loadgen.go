@@ -84,11 +84,12 @@ type Latency struct {
 	MaxUS  int64   `json:"max_us"`
 }
 
-// StageStat is one pipeline stage's share of the measured window.
+// StageStat is one pipeline stage's share of the measured window. It has
+// no max: the collector keeps only a since-start running max, which cannot
+// be windowed.
 type StageStat struct {
 	Count  int64   `json:"count"`
 	MeanUS float64 `json:"mean_us"`
-	MaxUS  int64   `json:"max_us"`
 }
 
 // Result is one completed load run.
@@ -385,7 +386,6 @@ func stageDelta(before, after map[string]trace.StageStats) map[string]StageStat 
 		out[name] = StageStat{
 			Count:  count,
 			MeanUS: float64(total) / float64(count),
-			MaxUS:  a.MaxUS, // max is not invertible; report the running max
 		}
 	}
 	return out

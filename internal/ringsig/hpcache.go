@@ -99,6 +99,7 @@ func hashToPoint(p Point) Point {
 	seed := sha256.Sum256(append([]byte(hpDomain), p.Bytes()...))
 	x := new(big.Int).SetBytes(seed[:])
 	x.Mod(x, curveP)
+	one := big.NewInt(1)
 	var buf [33]byte
 	buf[0] = 2 // request the even root: the canonical choice
 	for i := 0; i < 1000; i++ {
@@ -106,7 +107,7 @@ func hashToPoint(p Point) Point {
 		if px, py := elliptic.UnmarshalCompressed(Curve, buf[:]); px != nil {
 			return Point{X: px, Y: py}
 		}
-		x.Add(x, small(1))
+		x.Add(x, one)
 		if x.Cmp(curveP) >= 0 {
 			x.Sub(x, curveP)
 		}

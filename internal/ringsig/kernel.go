@@ -7,47 +7,43 @@ package ringsig
 //	R = s·Hp + c·I   (two variable points)
 //
 // mulPairBase and mulPair are the only multiplication entry points the
-// verify path uses. On platforms whose P-256 implementation exposes the
-// fused CombinedMult (amd64/arm64 assembly backends), L costs one fused
-// call — the same price as a single ScalarMult — instead of
-// ScalarBaseMult + ScalarMult + Add. Elsewhere both pairs dispatch to the
-// Strauss/comb engine in jacobian.go, which beats the generic constant-time
-// ladder the stock fallback would run roughly threefold.
+// verify path uses. The standard library's P-256 exposes the fused
+// CombinedMult on every platform, so L costs one fused call — the same
+// price as a single ScalarMult — instead of ScalarBaseMult + ScalarMult +
+// Add.
 //
 // Scalars are encoded fixed-width via FillBytes: big.Int.Bytes() drops
 // leading zero bytes, and while the stock API tolerates short scalars, the
 // fixed 32-byte form is what the scheme specifies and what keeps encode
-// length independent of scalar value. The kernels are variable-time either
-// way (see DESIGN.md "Verification kernels" for the constant-time caveat);
-// they must only ever see public verification inputs.
+// length independent of scalar value. The kernels are treated as
+// variable-time (see DESIGN.md "Verification kernels" for the
+// constant-time caveat); they must only ever see public verification
+// inputs.
 
 import "math/big"
 
-// combinedMulter is the fused double-scalar interface the assembly-backed
-// P-256 implementation exports; discovered by type assertion at init so the
-// package keeps building against stock libraries that lack it.
+// combinedMulter is the fused double-scalar interface crypto/elliptic's
+// P-256 implements.
 type combinedMulter interface {
 	CombinedMult(bigX, bigY *big.Int, baseScalar, scalar []byte) (x, y *big.Int)
 }
 
-var p256Combined, p256HasCombined = Curve.(combinedMulter)
+// p256Combined is asserted once, single-valued: a toolchain whose P-256
+// lacks CombinedMult fails at init rather than verifying on a slower path.
+var p256Combined = Curve.(combinedMulter)
 
-// mulPairBase returns s·G + c·P for public verification scalars. The
-// underlying ladders branch on scalar digits, so secret scalars must never
-// reach this entry point (cttime enforces the annotation).
+// mulPairBase returns s·G + c·P for public verification scalars. Secret
+// scalars must never reach this entry point (cttime enforces the
+// annotation).
 //
 //tmlint:hotpath
 //tmlint:vartime
 func mulPairBase(s, c *big.Int, pub Point) Point {
-	if p256HasCombined {
-		var sb, cb [32]byte
-		s.FillBytes(sb[:])
-		c.FillBytes(cb[:])
-		x, y := p256Combined.CombinedMult(pub.X, pub.Y, sb[:], cb[:])
-		return Point{X: x, Y: y}
-	}
-	//lint:ignore hotalloc fallback Strauss/comb engine allocates big.Int temporaries by design; dispatched only on platforms without an assembly fused multiplier
-	return strausBaseVar(s, c, pub)
+	var sb, cb [32]byte
+	s.FillBytes(sb[:])
+	c.FillBytes(cb[:])
+	x, y := p256Combined.CombinedMult(pub.X, pub.Y, sb[:], cb[:])
+	return Point{X: x, Y: y}
 }
 
 // mulPair returns a·Q + b·R for public verification scalars. Same
@@ -56,17 +52,13 @@ func mulPairBase(s, c *big.Int, pub Point) Point {
 //tmlint:hotpath
 //tmlint:vartime
 func mulPair(a *big.Int, q Point, b *big.Int, r Point) Point {
-	if p256HasCombined {
-		var ab, bb [32]byte
-		a.FillBytes(ab[:])
-		b.FillBytes(bb[:])
-		qx, qy := Curve.ScalarMult(q.X, q.Y, ab[:])
-		rx, ry := Curve.ScalarMult(r.X, r.Y, bb[:])
-		x, y := Curve.Add(qx, qy, rx, ry)
-		return Point{X: x, Y: y}
-	}
-	//lint:ignore hotalloc fallback Strauss engine allocates big.Int temporaries by design; dispatched only on platforms without an assembly fused multiplier
-	return strausVarVar(a, q, b, r)
+	var ab, bb [32]byte
+	a.FillBytes(ab[:])
+	b.FillBytes(bb[:])
+	qx, qy := Curve.ScalarMult(q.X, q.Y, ab[:])
+	rx, ry := Curve.ScalarMult(r.X, r.Y, bb[:])
+	x, y := Curve.Add(qx, qy, rx, ry)
+	return Point{X: x, Y: y}
 }
 
 // ringStep computes c_{i+1} = H(msg, s·G + c·P, s·Hp(P) + c·I) through the

@@ -29,6 +29,14 @@ import (
 // Curve is the group all keys and signatures live in.
 var Curve = elliptic.P256()
 
+// Cached curve constants: the field prime, the group order and the b
+// coefficient of y² = x³ − 3x + b.
+var (
+	curveP = Curve.Params().P
+	curveN = Curve.Params().N
+	curveB = Curve.Params().B
+)
+
 // Point is an elliptic curve point in affine coordinates.
 type Point struct {
 	X, Y *big.Int

@@ -140,6 +140,14 @@ func stockRingStep(msg []byte, pub, image Point, s, c *big.Int) *big.Int {
 	return challenge(msg, Point{lx, ly}, Point{rx, ry})
 }
 
+// reduceScalar returns k mod N without copying when k is already in range.
+func reduceScalar(k *big.Int) *big.Int {
+	if k.Sign() >= 0 && k.Cmp(curveN) < 0 {
+		return k
+	}
+	return new(big.Int).Mod(k, curveN)
+}
+
 // stockHashToPoint is the reference hash-to-point: the same iterated
 // hash-and-increment as hashToPoint, with the square root computed by
 // big.Int ModSqrt and canonicalised to the even root. Must agree

@@ -358,6 +358,23 @@ func (d *DM) Feasible() []chain.TokenSet { return d.feasible }
 // Instance.ProvablyConsumed.
 func (d *DM) ProvablyConsumed() chain.TokenSet { return d.consumed }
 
+// AllAdmissible reports whether a token-RS combination exists and every
+// edge is admissible: no ring can have any of its tokens ruled out. This is
+// the paper's non-eliminated constraint (Definition 5). Saturated is
+// checked first because an unsaturated decomposition reports the token
+// sets untouched.
+func (d *DM) AllAdmissible() bool {
+	if !d.Saturated {
+		return false
+	}
+	for i, feas := range d.feasible {
+		if len(feas) != len(d.in.Rings[i].Tokens) {
+			return false
+		}
+	}
+	return true
+}
+
 // TracedRings returns the indices of rings whose admissible set is a single
 // token — the rings the decomposition fully de-anonymises.
 func (d *DM) TracedRings() []int {

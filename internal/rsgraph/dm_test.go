@@ -25,8 +25,9 @@ func randomInstance(rng *rand.Rand, nRings, nTokens, maxSize int) *Instance {
 
 // TestDMEquivalentToExactProbes is the load-bearing differential test: over
 // random instances, the DM-derived admissible sets must equal the exact
-// per-edge matching probes, and the DM square-region tokens must equal the
-// exact provably-consumed closure.
+// per-edge matching probes, the DM square-region tokens must equal the
+// exact provably-consumed closure, and AllAdmissible must equal the
+// probe-based non-eliminated constraint.
 func TestDMEquivalentToExactProbes(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 400; trial++ {
@@ -38,6 +39,17 @@ func TestDMEquivalentToExactProbes(t *testing.T) {
 		if d.Saturated != in.HasAssignment() {
 			t.Fatalf("trial %d: Saturated=%v, HasAssignment=%v\n%+v",
 				trial, d.Saturated, in.HasAssignment(), in.Rings)
+		}
+		exact := in.FeasibleSpent()
+		want := in.HasAssignment()
+		for i, r := range in.Rings {
+			if len(exact[i]) != len(r.Tokens) {
+				want = false
+			}
+		}
+		if got := d.AllAdmissible(); got != want {
+			t.Fatalf("trial %d: AllAdmissible=%v, exact=%v\nrings: %+v",
+				trial, got, want, in.Rings)
 		}
 		if !d.Saturated {
 			// Contract: untouched sets, nothing proven.
@@ -52,7 +64,6 @@ func TestDMEquivalentToExactProbes(t *testing.T) {
 			continue
 		}
 
-		exact := in.FeasibleSpent()
 		for i := range in.Rings {
 			if !d.Feasible()[i].Equal(exact[i]) {
 				t.Fatalf("trial %d ring %d: DM feasible %v != exact %v\nrings: %+v",

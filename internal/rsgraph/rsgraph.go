@@ -311,20 +311,6 @@ func (in *Instance) ProvablyConsumed() chain.TokenSet {
 	return out
 }
 
-// NonEliminated reports whether the instance satisfies the paper's
-// non-eliminated constraint: no token of any ring can be ruled out as that
-// ring's consumed token by chain-reaction analysis.
-func (in *Instance) NonEliminated() bool {
-	for i, r := range in.Rings {
-		for _, t := range r.Tokens {
-			if !in.feasibleWithForced(i, t) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // RelatedSet computes the related RS set of a candidate token set
 // (Definition 1): the transitive closure, over token sharing, of the rings
 // touching the candidate. The candidate itself is not included. Records must

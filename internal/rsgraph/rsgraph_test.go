@@ -149,15 +149,15 @@ func TestFeasibleSpentPaperExample2(t *testing.T) {
 	if !feas[4].Equal(chain.NewTokenSet(4, 5, 6)) {
 		t.Fatalf("r5 feasible = %v", feas[4])
 	}
-	if in.NonEliminated() {
+	if in.Decompose().AllAdmissible() {
 		t.Fatal("instance has an eliminated token (t1 in r1)")
 	}
 }
 
-func TestNonEliminatedPositive(t *testing.T) {
+func TestDMAllAdmissiblePositive(t *testing.T) {
 	// Example 1's "good" final state: r1={t1,t2}, r2={t1,t2}, r3={t3,t4}.
 	in := NewInstance([]Ring{ring(1, 1, 2), ring(2, 1, 2), ring(3, 3, 4)})
-	if !in.NonEliminated() {
+	if !in.Decompose().AllAdmissible() {
 		t.Fatal("want non-eliminated")
 	}
 }
@@ -262,5 +262,25 @@ func TestFromRecords(t *testing.T) {
 	in := FromRecords(records)
 	if len(in.Rings) != 1 || in.Rings[0].ID != 7 {
 		t.Fatalf("FromRecords = %+v", in.Rings)
+	}
+}
+
+// BenchmarkRelatedSetClosure times the related-set closure TM_B runs once
+// per candidate ring.
+func BenchmarkRelatedSetClosure(b *testing.B) {
+	rng := rand.New(rand.NewSource(99))
+	var records []chain.RingRecord
+	for i := 0; i < 400; i++ {
+		var toks []chain.TokenID
+		base := rng.Intn(4000)
+		for k := 0; k < 11; k++ {
+			toks = append(toks, chain.TokenID((base+k*7)%4000))
+		}
+		records = append(records, chain.RingRecord{ID: chain.RSID(i), Tokens: chain.NewTokenSet(toks...), Pos: i})
+	}
+	candidate := chain.NewTokenSet(1, 100, 2000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RelatedSet(records, candidate)
 	}
 }

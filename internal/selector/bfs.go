@@ -143,7 +143,7 @@ func eligible(p *ExactProblem, rs chain.TokenSet) (bool, error) {
 
 	// Non-eliminated constraint (lines 10–16): every token of every ring
 	// must be a feasible consumed token.
-	if !in.NonEliminated() {
+	if !in.Decompose().AllAdmissible() {
 		return false, nil
 	}
 
