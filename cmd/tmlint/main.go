@@ -1,14 +1,13 @@
 // Command tmlint is the repository's project-aware static-analysis suite:
-// twelve go/ast + go/types analyzers (cryptorand, lockcheck, atomiccheck,
-// errdrop, determinism, setmutation, secretflow, lockorder, ctxpoll,
-// hotalloc, tracecheck, cttime) that machine-check the invariants the
-// paper's anonymity guarantees rest on. CI runs `tmlint ./...` as a blocking step; see README
+// five go/ast + go/types analyzers (cryptorand, errdrop, determinism,
+// hotalloc, cttime) that machine-check invariants the paper's anonymity
+// guarantees rest on. CI runs `tmlint ./...` as a blocking step; see README
 // "Static analysis" for the policy file format and the //lint:ignore
 // suppression syntax.
 //
 // Usage:
 //
-//	tmlint [-policy file] [-list] [-json] [-stats] [-parallel n] [packages]
+//	tmlint [-policy file] [-list] [-stats] [packages]
 //
 // Packages may be "./..." (everything under the module root, the default)
 // or individual package directories. Exit status: 0 clean, 1 findings, 2
@@ -16,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -32,24 +30,12 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonDiag is the -json output shape; stable field names, module-relative
-// slash-separated file paths.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tmlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	policyPath := fs.String("policy", "", "policy file (default: .tmlint.json at the module root)")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	stats := fs.Bool("stats", false, "print the analyzed package count and run time to stderr")
-	parallel := fs.Int("parallel", 0, "max packages analyzed concurrently (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -111,10 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	diags, err := analysis.RunWithOptions(pkgs, analyzers.All(), policy, loader.RelPath, analysis.RunOptions{
-		Parallelism: *parallel,
-		AllPackages: loader.Packages(),
-	})
+	diags, err := analysis.Run(pkgs, loader.Packages(), analyzers.All(), policy, loader.RelPath)
 	if err != nil {
 		fmt.Fprintln(stderr, "tmlint:", err)
 		return 2
@@ -125,29 +108,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			len(pkgs), time.Since(start).Round(time.Millisecond))
 	}
 
-	if *jsonOut {
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiag{
-				File:     loader.RelPath(d.Position.Filename),
-				Line:     d.Position.Line,
-				Column:   d.Position.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(stderr, "tmlint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n",
-				loader.RelPath(d.Position.Filename), d.Position.Line, d.Position.Column,
-				d.Analyzer, d.Message)
-		}
+	for _, d := range diags {
+		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n",
+			loader.RelPath(d.Position.Filename), d.Position.Line, d.Position.Column,
+			d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "tmlint: %d finding(s)\n", len(diags))

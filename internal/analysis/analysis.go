@@ -3,9 +3,9 @@
 // golang.org/x/tools dependency), an Analyzer interface with positioned
 // diagnostics, a per-path allow/deny policy, and //lint:ignore suppression.
 //
-// The framework exists because the repository's correctness properties —
-// unlinkability of the ring-signature layer, the recursive (c, ℓ)-diversity
-// invariants, the lock and atomic discipline of the PR 1/PR 2 hot paths —
+// The framework exists because some of the repository's correctness
+// properties — constant-time handling of ring-signature secrets, signer
+// randomness, allocation-free diversity probes, seed-replayable solvers —
 // are exactly the properties that silent drift destroys without failing a
 // test. Each analyzer machine-checks one such invariant on every commit; the
 // cmd/tmlint binary wires them into CI.
@@ -58,9 +58,6 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// RelPath returns a file path relative to the module root (the form the
-	// policy matches against); it falls back to the raw path outside it.
-	RelPath func(filename string) string
 	// AllPackages is every package loaded for this run (the reported set
 	// plus its module-local dependency closure), sorted by import path.
 	// Whole-program analyzers build their call graph and summaries from it.
@@ -129,11 +126,6 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s",
 		d.Position.Filename, d.Position.Line, d.Position.Column, d.Analyzer, d.Message)
 }
-
-// SortDiagnostics orders findings by file, line, column, analyzer — the
-// driver's output order. The cache driver re-sorts after merging replayed
-// and fresh diagnostics.
-func SortDiagnostics(ds []Diagnostic) { sortDiagnostics(ds) }
 
 // sortDiagnostics orders findings by file, line, column, analyzer.
 func sortDiagnostics(ds []Diagnostic) {

@@ -1,8 +1,8 @@
 // Package analyzers holds tmlint's project-specific checks. Each analyzer
 // machine-checks one invariant the paper's guarantees rest on — signer
-// randomness quality, lock discipline on the solver hot paths, atomic
-// access consistency, error handling in the serving layer, benchmark
-// determinism, and the read-only delta-probe contract of PR 2.
+// randomness quality, error handling in the serving layer, seed-replayable
+// solvers and benchmarks, allocation-free diversity probes, and
+// constant-time handling of ring-signature secrets.
 package analyzers
 
 import (
@@ -16,16 +16,9 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Cryptorand,
-		Lockcheck,
-		Atomiccheck,
 		Errdrop,
 		Determinism,
-		Setmutation,
-		Secretflow,
-		Lockorder,
-		Ctxpoll,
 		Hotalloc,
-		Tracecheck,
 		Cttime,
 	}
 }
@@ -83,33 +76,4 @@ func returnsError(info *types.Info, call *ast.CallExpr) bool {
 	default:
 		return t != nil && types.Identical(t, errorType)
 	}
-}
-
-// funcBodies yields every function body of a file — declarations and
-// literals — each exactly once, so linear intra-procedural checks never mix
-// scopes. The enclosing declaration (nil for literals without one) names
-// the report.
-func funcBodies(f *ast.File, visit func(name string, body *ast.BlockStmt)) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			if fn.Body != nil {
-				visit(fn.Name.Name, fn.Body)
-			}
-		case *ast.FuncLit:
-			visit("func literal", fn.Body)
-		}
-		return true
-	})
-}
-
-// walkShallow walks the statement tree under root but does not descend into
-// nested function literals (they are separate scopes).
-func walkShallow(root ast.Node, visit func(ast.Node) bool) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok && n != root {
-			return false
-		}
-		return visit(n)
-	})
 }

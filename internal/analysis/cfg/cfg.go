@@ -1,8 +1,7 @@
 // Package cfg builds per-function control-flow graphs over go/ast function
 // bodies, using only the standard library. It is the path backbone of
-// tmlint's dataflow layer: the lockcheck release-on-every-path analysis and
-// the interprocedural analyzers walk these graphs instead of guessing at
-// source order.
+// tmlint's dataflow layer: the flow-sensitive cttime analysis walks these
+// graphs instead of guessing at source order.
 //
 // The graph is statement-granular: each basic block holds a run of
 // statements with no internal control transfer, and Succs lists the blocks

@@ -2,15 +2,13 @@ package dataflow
 
 // Constant-time discipline analysis (the cttime analyzer's engine).
 //
-// Secretflow's taint (taint.go) asks "does a secret ESCAPE into logs or
-// metrics?". This file asks a different question about the same secrets:
-// "does a secret-derived value influence TIMING?" — by reaching a branch,
-// loop or switch condition, a slice/array/map index, a variable-width
-// math/big accessor (Bytes, BitLen, …), or a function annotated
-// //tmlint:vartime (the verification kernels, whose ladder branch pattern
-// follows operand digits).
+// The question is "does a secret-derived value influence TIMING?" — by
+// reaching a branch, loop or switch condition, a slice/array/map index, a
+// variable-width math/big accessor (Bytes, BitLen, …), or a function
+// annotated //tmlint:vartime (the verification kernels, whose ladder branch
+// pattern follows operand digits).
 //
-// Two deliberate differences from the secretflow engine:
+// Two deliberate design choices:
 //
 //   - math/big is NOT a declassification boundary. Arithmetic results stay
 //     tainted (c·x is as secret as x for timing purposes), FillBytes taints
@@ -49,10 +47,22 @@ import (
 	"tokenmagic/internal/analysis/cfg"
 )
 
-// ctRecvBit marks "derived from the receiver" in cttime taint masks;
-// parameter i uses bit min(i, 61) and secretBit (bit 63) is shared with
-// taint.go.
-const ctRecvBit uint64 = 1 << 62
+// Taint masks: bit min(i, 61) means "derived from parameter i", ctRecvBit
+// "derived from the receiver", and secretBit "derived from a declared
+// secret" (a //tmlint:secret field, parameter, or result).
+const (
+	ctRecvBit uint64 = 1 << 62
+	secretBit uint64 = 1 << 63
+)
+
+// SinkFlow records that a parameter's value reaches a timing sink.
+type SinkFlow struct {
+	// Sink names the sink ("branch condition", "variable-width big.Int.Bytes").
+	Sink string
+	// Via names the intermediate module function when the flow is
+	// indirect, "" for a direct sink in the summarized function.
+	Via string
+}
 
 // CTSummary is the cttime fact for one function: which parameters reach
 // timing sinks (directly or through callees) and which flow to results.
@@ -135,25 +145,14 @@ func (p *Program) CTTime() []Finding {
 	return p.ctFindings
 }
 
-// CTSummaryOf returns the computed cttime summary for a module function
-// (computing all summaries on first use), or nil for non-module functions.
-func (p *Program) CTSummaryOf(obj *types.Func) *CTSummary {
-	p.CTTime()
-	if fn := p.Funcs[obj]; fn != nil {
-		return fn.ct
-	}
-	return nil
-}
-
 // ctFuncInfo caches the per-function structures the rounds reuse: the CFG,
 // the condition expressions (which the CFG wraps in synthetic ExprStmts),
-// the range statements keyed by their range expression, and nested function
-// literals with their own graphs.
+// the range statements keyed by their range expression, and the graphs of
+// nested function literals.
 type ctFuncInfo struct {
 	graph     *cfg.Graph
 	conds     map[ast.Expr]string
 	ranges    map[ast.Expr]*ast.RangeStmt
-	lits      []*ast.FuncLit
 	litGraphs []*cfg.Graph
 }
 
@@ -178,7 +177,6 @@ func buildCTInfo(fn *Func) *ctFuncInfo {
 		case *ast.RangeStmt:
 			info.ranges[n.X] = n
 		case *ast.FuncLit:
-			info.lits = append(info.lits, n)
 			info.litGraphs = append(info.litGraphs, cfg.New(n.Body))
 		}
 		return true
@@ -215,8 +213,7 @@ func mergeEnv(dst, src ctEnv) bool {
 func (p *Program) ctAnalyze(fn *Func, info *ctFuncInfo, record bool) (*CTSummary, []Finding) {
 	st := &ctState{prog: p, fn: fn, info: info, sum: newCTSummary(), record: record}
 	pool := st.run(info.graph, st.paramEnv())
-	for i, g := range info.litGraphs {
-		_ = info.lits[i]
+	for _, g := range info.litGraphs {
 		// A closure runs at unknown times with respect to the enclosing
 		// body, so it sees a conservative union of every state the
 		// enclosing analysis ever computed (plus earlier literals').
@@ -619,7 +616,7 @@ func (st *ctState) evalCall(call *ast.CallExpr) uint64 {
 		apply(-1, recvMask, recvExpr.Pos())
 	}
 	for i, m := range args {
-		pi := paramIndex(sig, i, call)
+		pi := paramIndex(sig, i)
 		if pi < 0 {
 			continue
 		}

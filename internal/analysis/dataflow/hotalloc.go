@@ -173,7 +173,7 @@ func checkInterfaceArgs(info *types.Info, call *ast.CallExpr, add func(token.Pos
 		return
 	}
 	for i, arg := range call.Args {
-		pi := paramIndex(sig, i, call)
+		pi := paramIndex(sig, i)
 		if pi < 0 {
 			continue
 		}
@@ -192,6 +192,10 @@ func checkInterfaceArgs(info *types.Info, call *ast.CallExpr, add func(token.Pos
 		}
 		add(arg.Pos(), "interface conversion (argument boxed)")
 	}
+}
+
+func isPackageLevel(v *types.Var) bool {
+	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
 func isUntypedNil(t types.Type) bool {

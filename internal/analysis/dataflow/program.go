@@ -1,8 +1,8 @@
 // Package dataflow is tmlint's whole-program layer: a module-local call
 // graph over the loader's typed packages, directive-declared facts
-// (//tmlint:secret, //tmlint:hotpath), and per-function summaries computed
-// to fixpoint — taint flows for secretflow, poll facts for ctxpoll, lock
-// effects for lockorder/lockcheck, and allocation facts for hotalloc.
+// (//tmlint:secret, //tmlint:vartime, //tmlint:hotpath), and per-function
+// facts computed on demand — constant-time summaries for cttime and
+// allocation facts for hotalloc.
 //
 // The Program is built once per driver run (memoized through
 // analysis.Shared) and is immutable afterwards, so concurrent per-package
@@ -12,6 +12,7 @@ package dataflow
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -44,12 +45,8 @@ type Func struct {
 	// a bare `//tmlint:secret` doc line (e.g. nonce generators).
 	SecretResults bool
 
-	taint      *TaintSummary
-	ct         *CTSummary
-	polls      bool
-	locks      *LockSummary
-	hotalloc   *AllocSummary
-	netRelease *NetRelease
+	ct       *CTSummary
+	hotalloc *AllocSummary
 }
 
 // Call is one resolved module-local call site.
@@ -58,10 +55,17 @@ type Call struct {
 	Callee *types.Func
 }
 
+// Finding is one whole-program diagnostic, attributed to the package that
+// owns its position.
+type Finding struct {
+	Pos     token.Pos
+	PkgPath string
+	Message string
+}
+
 // Program indexes every function of the loaded packages plus the
 // directive-declared facts, and lazily computes analyzer summaries.
 type Program struct {
-	Packages []*analysis.Package
 	// Funcs maps the type-checker's function objects to their bodies.
 	Funcs map[*types.Func]*Func
 	// SecretFields holds struct fields declared `//tmlint:secret`.
@@ -74,16 +78,10 @@ type Program struct {
 	// Fact computation is lazy and memoized; analyzer passes run
 	// concurrently across packages, so each fact family computes under its
 	// own Once. Results are immutable afterwards.
-	taintOnce    sync.Once
 	ctOnce       sync.Once
-	pollsOnce    sync.Once
-	locksOnce    sync.Once
 	hotallocOnce sync.Once
-	netOnce      sync.Once
 
-	taintFindings []Finding
-	ctFindings    []Finding
-	lockFindings  []Finding
+	ctFindings []Finding
 }
 
 const sharedKey = "dataflow.Program"
@@ -91,9 +89,6 @@ const sharedKey = "dataflow.Program"
 // Get returns the run-wide Program, building it on first use via the
 // pass's Shared table.
 func Get(pass *analysis.Pass) (*Program, error) {
-	if pass.Shared == nil {
-		return Build(pass.AllPackages)
-	}
 	v, err := pass.Shared.Get(sharedKey, func() (any, error) {
 		return Build(pass.AllPackages)
 	})
@@ -106,7 +101,6 @@ func Get(pass *analysis.Pass) (*Program, error) {
 // Build constructs the program over the given packages.
 func Build(pkgs []*analysis.Package) (*Program, error) {
 	p := &Program{
-		Packages:     pkgs,
 		Funcs:        make(map[*types.Func]*Func),
 		SecretFields: make(map[*types.Var]bool),
 	}
@@ -272,10 +266,21 @@ func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// posIn reports whether the function belongs to the given package path —
-// findings are attributed to the package that owns the source position so
-// the per-package driver (and the fact cache) stay consistent.
-func (fn *Func) posIn(pkgPath string) bool { return fn.Pkg.Path == pkgPath }
+// paramIndex maps argument index i to the callee's parameter index,
+// folding variadic tails onto the last parameter; -1 when there is none.
+func paramIndex(sig *types.Signature, i int) int {
+	n := sig.Params().Len()
+	if n == 0 {
+		return -1
+	}
+	if i >= n {
+		if sig.Variadic() {
+			return n - 1
+		}
+		return -1
+	}
+	return i
+}
 
 // Name returns a compact human name: "Type.Method" or "funcname".
 func (fn *Func) Name() string {

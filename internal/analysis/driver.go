@@ -83,53 +83,24 @@ func IgnoreLines(fset *token.FileSet, f *ast.File, analyzer string) map[int]bool
 	return lines
 }
 
-// RunOptions tunes a driver run.
-type RunOptions struct {
-	// Parallelism bounds the number of packages analyzed concurrently.
-	// Zero or negative means GOMAXPROCS.
-	Parallelism int
-	// AllPackages is the full loaded package set handed to passes for
-	// whole-program analysis. Nil means the reported set itself. It may be
-	// a superset of pkgs: the cache driver loads the dependency closure of
-	// the stale packages but only re-reports the stale ones.
-	AllPackages []*Package
-}
-
-// Run executes the analyzers over the packages, applying scope, policy and
-// //lint:ignore suppression. Diagnostics come back sorted by position.
-// The returned error reports analyzer failures, not findings.
-func Run(pkgs []*Package, analyzers []*Analyzer, policy *Policy, relPath func(string) string) ([]Diagnostic, error) {
-	return RunWithOptions(pkgs, analyzers, policy, relPath, RunOptions{})
-}
-
-// RunWithOptions is Run with explicit parallelism and whole-program package
-// set. Packages are analyzed concurrently (each package runs its analyzers
-// sequentially); output ordering is deterministic regardless of schedule
-// because diagnostics are merged per-package and then position-sorted.
-func RunWithOptions(pkgs []*Package, analyzers []*Analyzer, policy *Policy, relPath func(string) string, opts RunOptions) ([]Diagnostic, error) {
+// Run executes the analyzers over pkgs, applying scope, policy and
+// //lint:ignore suppression. all is the whole-program package set every
+// pass sees (pkgs plus their module-local dependency closure); the dataflow
+// program is built over it once per run. Up to GOMAXPROCS packages are
+// analyzed concurrently, each running its analyzers sequentially; the
+// output is still deterministic because diagnostics are merged per package
+// and then sorted by position. The returned error reports analyzer
+// failures, not findings.
+func Run(pkgs, all []*Package, analyzers []*Analyzer, policy *Policy, relPath func(string) string) ([]Diagnostic, error) {
 	if policy == nil {
 		policy = &Policy{}
-	}
-	all := opts.AllPackages
-	if all == nil {
-		all = pkgs
-	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	shared := NewShared()
 
 	perPkg := make([][]Diagnostic, len(pkgs))
 	errs := make([]error, len(pkgs))
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, pkg := range pkgs {
 		wg.Add(1)
 		sem <- struct{}{}
@@ -175,7 +146,6 @@ func runPackage(pkg *Package, analyzers []*Analyzer, policy *Policy, relPath fun
 			Files:       pkg.Files,
 			Pkg:         pkg.Types,
 			Info:        pkg.Info,
-			RelPath:     relPath,
 			AllPackages: all,
 			Shared:      shared,
 			report:      func(d Diagnostic) { raw = append(raw, d) },

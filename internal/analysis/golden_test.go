@@ -91,7 +91,7 @@ func runFixture(t *testing.T, dir, importPath, analyzer string) []analysis.Diagn
 	if err != nil {
 		t.Fatalf("load %s as %s: %v", dir, importPath, err)
 	}
-	diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{a}, nil, l.RelPath)
+	diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Package{pkg}, []*analysis.Analyzer{a}, nil, l.RelPath)
 	if err != nil {
 		t.Fatalf("run %s on %s: %v", analyzer, importPath, err)
 	}
@@ -120,28 +120,10 @@ func TestGolden(t *testing.T) {
 			importPath: "tokenmagic/internal/node/goldenfix", analyzer: "determinism", outOfScope: true},
 		{name: "errdrop", dir: "errdrop",
 			importPath: "tokenmagic/internal/analysis/testdata/errdrop", analyzer: "errdrop"},
-		{name: "lockcheck", dir: "lockcheck",
-			importPath: "tokenmagic/internal/analysis/testdata/lockcheck", analyzer: "lockcheck"},
-		{name: "atomiccheck", dir: "atomiccheck",
-			importPath: "tokenmagic/internal/analysis/testdata/atomiccheck", analyzer: "atomiccheck"},
-		{name: "setmutation", dir: "setmutation",
-			importPath: "tokenmagic/internal/analysis/testdata/setmutation", analyzer: "setmutation"},
 		{name: "suppress", dir: "suppress",
 			importPath: "tokenmagic/internal/wallet/goldenfix", analyzer: "cryptorand"},
-		{name: "secretflow", dir: "secretflow",
-			importPath: "tokenmagic/internal/ringsig/secretflowfix", analyzer: "secretflow"},
-		{name: "secretflow_out_of_scope", dir: "secretflow",
-			importPath: "tokenmagic/internal/chain/secretflowfix", analyzer: "secretflow", outOfScope: true},
-		{name: "lockorder", dir: "lockorder",
-			importPath: "tokenmagic/internal/tokenmagic/lockorderfix", analyzer: "lockorder"},
-		{name: "ctxpoll", dir: "ctxpoll",
-			importPath: "tokenmagic/internal/selector/ctxpollfix", analyzer: "ctxpoll"},
 		{name: "hotalloc", dir: "hotalloc",
 			importPath: "tokenmagic/internal/diversity/hotallocfix", analyzer: "hotalloc"},
-		{name: "tracecheck", dir: "tracecheck",
-			importPath: "tokenmagic/internal/selector/tracecheckfix", analyzer: "tracecheck"},
-		{name: "tracecheck_out_of_scope", dir: "tracecheck",
-			importPath: "tokenmagic/internal/chain/tracecheckfix", analyzer: "tracecheck", outOfScope: true},
 		{name: "cttime", dir: "cttime",
 			importPath: "tokenmagic/internal/ringsig/cttimefix", analyzer: "cttime"},
 		{name: "cttime_out_of_scope", dir: "cttime",

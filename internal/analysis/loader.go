@@ -94,9 +94,8 @@ func (l *Loader) RelPath(filename string) string {
 }
 
 // Packages returns every module-local package loaded so far (explicitly or
-// as a dependency of an explicit load), sorted by import path. The cache
-// driver uses this to hand whole-program analyzers the dependency closure
-// of the stale set.
+// as a dependency of an explicit load), sorted by import path: the
+// whole-program set Run hands to every pass.
 func (l *Loader) Packages() []*Package {
 	out := make([]*Package, 0, len(l.pkgs))
 	for _, p := range l.pkgs {

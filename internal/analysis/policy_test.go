@@ -22,7 +22,7 @@ func TestPolicyLongestPrefixWins(t *testing.T) {
 	if p.Allows("errdrop", "internal/benchmark/print.go") {
 		t.Error("prefix matching must respect path component boundaries")
 	}
-	if p.Allows("lockcheck", "internal/bench/print.go") {
+	if p.Allows("hotalloc", "internal/bench/print.go") {
 		t.Error("rules must only apply to their named analyzer")
 	}
 	if !p.Denies("cryptorand", "internal/chain/tokenset.go") {

@@ -40,7 +40,7 @@ func (fx *ignoreFixture) suppresses(analyzer string, line int) bool {
 func TestIgnoreMultipleAnalyzersOneLine(t *testing.T) {
 	src := `package p
 
-//lint:ignore lockcheck,errdrop,hotalloc reviewed: fixture exercises the scratch pattern
+//lint:ignore determinism,errdrop,hotalloc reviewed: fixture exercises the scratch pattern
 var x = 1
 
 var y = 2
@@ -52,7 +52,7 @@ var y = 2
 	if len(fx.dirs) != 1 {
 		t.Fatalf("got %d directives, want 1", len(fx.dirs))
 	}
-	for _, analyzer := range []string{"lockcheck", "errdrop", "hotalloc"} {
+	for _, analyzer := range []string{"determinism", "errdrop", "hotalloc"} {
 		if !fx.suppresses(analyzer, 3) {
 			t.Errorf("%s not suppressed on the directive's own line", analyzer)
 		}
@@ -77,7 +77,7 @@ func TestIgnoreListEdgeCases(t *testing.T) {
 //lint:ignore *,errdrop the wildcard already covers everything
 var x = 1
 
-//lint:ignore lockcheck, trailing comma leaves an empty entry
+//lint:ignore cttime, trailing comma leaves an empty entry
 var y = 2
 `
 	_, fx := parseFixture(t, src)
@@ -87,7 +87,7 @@ var y = 2
 	if !fx.suppresses("anything", 4) {
 		t.Error("wildcard entry must suppress every analyzer")
 	}
-	if !fx.suppresses("lockcheck", 7) {
+	if !fx.suppresses("cttime", 7) {
 		t.Error("named entry before the trailing comma must still work")
 	}
 	if fx.suppresses("errdrop", 7) {
@@ -100,7 +100,7 @@ var y = 2
 func TestIgnoreLinesMultiAnalyzer(t *testing.T) {
 	src := `package p
 
-//lint:ignore hotalloc,ctxpoll scratch warm-up, amortized
+//lint:ignore hotalloc,errdrop scratch warm-up, amortized
 var x = 1
 `
 	fset := token.NewFileSet()
@@ -108,13 +108,13 @@ var x = 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, analyzer := range []string{"hotalloc", "ctxpoll"} {
+	for _, analyzer := range []string{"hotalloc", "errdrop"} {
 		lines := IgnoreLines(fset, f, analyzer)
 		if !lines[3] || !lines[4] {
 			t.Errorf("IgnoreLines(%s) = %v, want lines 3 and 4", analyzer, lines)
 		}
 	}
-	if lines := IgnoreLines(fset, f, "lockcheck"); len(lines) != 0 {
+	if lines := IgnoreLines(fset, f, "cttime"); len(lines) != 0 {
 		t.Errorf("IgnoreLines for an unnamed analyzer = %v, want empty", lines)
 	}
 }

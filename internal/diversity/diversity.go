@@ -279,7 +279,6 @@ func (h *Histogram) Slack(req Requirement) float64 {
 // touching the underlying map, so it neither clones nor allocates (beyond
 // warm-up of a reusable scratch buffer).
 //
-//tmlint:readonly hts
 //tmlint:hotpath
 func (h *Histogram) SlackIfAdded(req Requirement, hts []chain.TxID) float64 {
 	h.probeTx = h.probeTx[:0]
@@ -306,7 +305,6 @@ func (h *Histogram) SlackIfAdded(req Requirement, hts []chain.TxID) float64 {
 // positive — exactly the footprint shape internal/selector precomputes per
 // module. Read-only: only map lookups, no mutation, no allocation.
 //
-//tmlint:readonly txs ns
 //tmlint:hotpath
 func (h *Histogram) SlackIfAddedN(req Requirement, txs []chain.TxID, ns []int) float64 {
 	f := len(txs)
@@ -408,9 +406,7 @@ func (h *Histogram) DistinctHTsNeeded(req Requirement) int {
 }
 
 // SatisfiesTokens is a convenience wrapper: it builds the histogram of the
-// token set and evaluates the predicate.
-//
-//tmlint:readonly tokens
+// token set and evaluates the predicate. tokens is not modified.
 func SatisfiesTokens(tokens chain.TokenSet, origin func(chain.TokenID) chain.TxID, req Requirement) bool {
 	return HistogramOf(tokens, origin).Satisfies(req)
 }

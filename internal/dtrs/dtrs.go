@@ -286,9 +286,7 @@ func ClosedFormSets(ringTokens chain.TokenSet, subsetCount int, origin func(chai
 // HT histogram: dropping T̃(h_j) is dropping one whole histogram class, which
 // Histogram.SlackWithout reads off the count-of-counts index without
 // materialising any ψ token set (the former path built one histogram and one
-// TokenSet per class).
-//
-//tmlint:readonly ringTokens
+// TokenSet per class). ringTokens is only read, never modified.
 func AllSatisfyClosedForm(ringTokens chain.TokenSet, subsetCount int, origin func(chain.TokenID) chain.TxID, req diversity.Requirement) bool {
 	h := diversity.HistogramOf(ringTokens, origin)
 	ok := true

@@ -128,7 +128,7 @@ func us32(d int64) int32 {
 // Span storage is a fixed table of lazily-allocated chunks: a slot is
 // claimed with one atomic add, then written only by the goroutine holding
 // the Span handle (the single-writer contract behind the bind-and-defer-End
-// idiom tracecheck enforces). No mutex, no realloc-and-copy growth — both
+// idiom). No mutex, no realloc-and-copy growth — both
 // matter at λ concurrent candidate spans per request. chunkSize×maxChunks
 // caps the span budget.
 const (
@@ -267,8 +267,7 @@ type Span struct {
 // span budget exhausted) it returns ctx unchanged and a no-op span.
 //
 // Every started span must be closed on all paths: `defer sp.End()` (directly
-// or inside one deferred function literal) is the required idiom, enforced by
-// the tracecheck analyzer.
+// or inside one deferred function literal) is the required idiom.
 func StartSpan(ctx context.Context, name string) (context.Context, Span) {
 	r := ref(ctx)
 	if r.t == nil {
@@ -286,7 +285,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, Span) {
 // nest further work under the span (the per-candidate solver invocations,
 // sign/verify). It skips StartSpan's context allocation, which matters λ
 // times per request. Lifecycle rules are identical: bind the span and defer
-// its End (enforced by tracecheck).
+// its End.
 func StartChild(ctx context.Context, name string) Span {
 	r := ref(ctx)
 	if r.t == nil {

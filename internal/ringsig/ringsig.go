@@ -64,7 +64,8 @@ func (p Point) Bytes() []byte {
 // PrivateKey is a scalar x with its public point P = x·G.
 type PrivateKey struct {
 	// D is the private scalar. Secret: it must never reach logs, error
-	// strings, JSON encoding or metric labels (secretflow enforces this).
+	// strings, JSON encoding or metric labels, and cttime keeps it off
+	// timing side channels.
 	//
 	//tmlint:secret
 	D      *big.Int

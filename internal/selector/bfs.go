@@ -68,7 +68,6 @@ func BFSCtx(ctx context.Context, p *ExactProblem) (res Result, err error) {
 	// allocation-free before any candidate ring is materialised or the
 	// exponential DTRS machinery runs.
 	hts := make([]chain.TxID, len(sigma))
-	//lint:ignore ctxpoll bounded warm-up over the universe (one Origin lookup per token), not the exponential frontier loop below, which polls every bfsCancelStride subsets
 	for i, t := range sigma {
 		hts[i] = p.Origin(t)
 	}

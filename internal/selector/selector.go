@@ -104,9 +104,7 @@ type Super struct {
 // least as large as r and a subset at most as large, so each check walks the
 // size-sorted candidates and exits as soon as sizes cross |r| — O(r log r)
 // for the sort plus only the size-admissible subset checks, instead of the
-// former all-pairs O(r²).
-//
-//tmlint:readonly rings universe
+// former all-pairs O(r²). Neither rings nor universe is modified.
 func Decompose(rings []chain.RingRecord, universe chain.TokenSet) (supers []Super, fresh chain.TokenSet) {
 	n := len(rings)
 	// Indices sorted by ring size, descending; sizeAsc is the same walk from
