@@ -18,8 +18,8 @@ import (
 
 // TestServeFullLoopTelemetry drives the whole deployment loop in-process —
 // the lightselect round-trip against the batch service, then a nodesvc
-// submit/mine cycle — and asserts the operator endpoints expose non-zero
-// solver-latency histograms, per-route HTTP request counts, and node
+// submit/mine cycle and a served spend — and asserts the operator endpoints
+// expose non-zero solver-latency histograms, per-route HTTP request counts, and node
 // accept/reject counters, exactly what `tokenmagic serve -metrics :8792`
 // serves on the operator port.
 func TestServeFullLoopTelemetry(t *testing.T) {
@@ -99,21 +99,27 @@ func TestServeFullLoopTelemetry(t *testing.T) {
 		t.Fatalf("status = %+v", st)
 	}
 
+	// --- a served spend: the node selects through its framework, which
+	// records the solver telemetry (client-side selection above records none).
+	if _, err := nc.Spend(nodesvc.SpendRequest{Target: lone, C: req.C, L: req.L}); err != nil {
+		t.Fatal(err)
+	}
+
 	// --- operator endpoints.
 	dump := getBody(t, operator.URL+"/debug/metrics")
 	for _, pattern := range []string{
-		`histogram selector\.TM_P\.latency_us count=[1-9]`,    // solver latency
-		`histogram selector\.TM_P\.ring_size count=[1-9]`,     // ring sizes
-		`counter http\.batchsvc\.v1_meta\.requests [1-9]`,     // per-route counts
-		`counter http\.batchsvc\.v1_rings\.requests [1-9]`,    //
-		`counter http\.nodesvc\.v1_submit\.requests 2`,        //
-		`counter http\.nodesvc\.v1_submit\.status_2xx 1`,      // status classes
-		`counter http\.nodesvc\.v1_submit\.status_4xx 1`,      //
-		`counter node\.submit\.accepted [1-9]`,                // node accepts
-		`counter node\.submit\.reject\.diversity [1-9]`,       // node rejects
-		`counter node\.mine\.rings [1-9]`,                     //
-		`counter framework\.verify\.admits [1-9]`,             // η-guard admits
-		`histogram http\.nodesvc\.v1_mine\.latency_us count=`, // HTTP latency
+		`histogram framework\.solve\.TM_P\.latency_us count=[1-9]`, // solver latency
+		`histogram framework\.ring_size count=[1-9]`,               // ring sizes
+		`counter http\.batchsvc\.v1_meta\.requests [1-9]`,          // per-route counts
+		`counter http\.batchsvc\.v1_rings\.requests [1-9]`,         //
+		`counter http\.nodesvc\.v1_submit\.requests 2`,             //
+		`counter http\.nodesvc\.v1_submit\.status_2xx 1`,           // status classes
+		`counter http\.nodesvc\.v1_submit\.status_4xx 1`,           //
+		`counter node\.submit\.accepted [1-9]`,                     // node accepts
+		`counter node\.submit\.reject\.diversity [1-9]`,            // node rejects
+		`counter node\.mine\.rings [1-9]`,                          //
+		`counter framework\.verify\.admits [1-9]`,                  // η-guard admits
+		`histogram http\.nodesvc\.v1_mine\.latency_us count=`,      // HTTP latency
 	} {
 		if !regexp.MustCompile(pattern).MatchString(dump) {
 			t.Errorf("metrics dump missing %q:\n%s", pattern, dump)

@@ -231,7 +231,7 @@ func printRow(r Row) {
 				parts = append(parts, fmt.Sprintf("%s %s×%d", name, us(st.MeanUS), st.Count))
 			}
 		}
-		fmt.Printf("  stages: %s\n", strings.Join(parts, "  "))
+		fmt.Printf("  stages: %s  dropped=%d\n", strings.Join(parts, "  "), r.DroppedSpans)
 	}
 }
 

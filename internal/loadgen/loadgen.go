@@ -118,6 +118,10 @@ type Result struct {
 	ShedRate      float64              `json:"shed_rate"`
 	Latency       Latency              `json:"latency"`
 	Stages        map[string]StageStat `json:"stages,omitempty"`
+	// DroppedSpans counts the spans the window's traces lost to the
+	// per-trace budget; stages past the budget are missing from Stages.
+	// Always 0 without cfg.Stages.
+	DroppedSpans int64 `json:"dropped_spans"`
 }
 
 // counters aggregates the measured window. Latency lands in an obs histogram
@@ -216,15 +220,20 @@ func Run(cfg Config) (Result, error) {
 	warmupEnd := start.Add(cfg.Warmup)
 	deadline := warmupEnd.Add(cfg.Duration)
 
-	// Stage aggregates are snapshotted at the warmup boundary (not run start)
-	// so the delta matches the measured window; the channel hand-off makes
-	// the boundary goroutine's write visible to the read at the end of Run.
-	var stagesBefore chan map[string]trace.StageStats
+	// Stage aggregates and the dropped-span total are snapshotted at the
+	// warmup boundary (not run start) so the delta matches the measured
+	// window; the channel hand-off makes the boundary goroutine's write
+	// visible to the read at the end of Run.
+	type collectorState struct {
+		stages  map[string]trace.StageStats
+		dropped int64
+	}
+	var before chan collectorState
 	if cfg.Stages != nil {
-		stagesBefore = make(chan map[string]trace.StageStats, 1)
+		before = make(chan collectorState, 1)
 		go func() {
 			time.Sleep(time.Until(warmupEnd))
-			stagesBefore <- cfg.Stages.StageSnapshot()
+			before <- collectorState{cfg.Stages.StageSnapshot(), cfg.Stages.DroppedSpans()}
 		}()
 	}
 
@@ -313,7 +322,9 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Stages != nil {
 		// The boundary goroutine finished long ago (the measure window sits
 		// entirely after the warmup deadline), so this receive is immediate.
-		res.Stages = stageDelta(<-stagesBefore, cfg.Stages.StageSnapshot())
+		b := <-before
+		res.Stages = stageDelta(b.stages, cfg.Stages.StageSnapshot())
+		res.DroppedSpans = cfg.Stages.DroppedSpans() - b.dropped
 	}
 	return res, nil
 }

@@ -3,10 +3,10 @@
 // consistent snapshot API, and HTTP telemetry endpoints.
 //
 // Metrics are identified by dotted names ("node.submit.accepted",
-// "selector.TM_P.latency_us"); lookups are get-or-create, so instrumented
-// code never has to pre-register anything. All mutation paths are single
-// atomic operations — safe for concurrent use and cheap enough for the
-// solver hot paths.
+// "framework.solve.TM_P.latency_us"); lookups are get-or-create, so
+// instrumented code never has to pre-register anything. All mutation paths
+// are single atomic operations — safe for concurrent use and cheap enough
+// for the solver hot paths.
 //
 // Telemetry is exported three ways:
 //
@@ -272,7 +272,7 @@ func (r *Registry) Snapshot() Snapshot {
 //
 //	counter node.submit.accepted 3
 //	gauge node.mempool.pending 0
-//	histogram selector.TM_P.latency_us count=6 sum=4521 mean=753.50 p50=312 p99=498 le250:2 le500:4 ...
+//	histogram framework.solve.TM_P.latency_us count=6 sum=4521 mean=753.50 p50=312 p99=498 le250:2 le500:4 ...
 //
 // p50/p99 are Quantile estimates (interpolated within buckets). Histogram
 // bucket fields are non-cumulative; only non-empty buckets print.

@@ -38,11 +38,12 @@ type Collector struct {
 	stages   atomic.Pointer[[]*stageAgg]
 	stagesMu sync.Mutex
 
-	mu    sync.Mutex
-	ring  []*Trace
-	next  int
-	total uint64
-	slow  map[string][]*Trace // route → slowest-first exemplars
+	mu      sync.Mutex
+	ring    []*Trace
+	next    int
+	total   uint64
+	dropped int64               // spans past the budget, over all finished traces
+	slow    map[string][]*Trace // route → slowest-first exemplars
 }
 
 // StageStats aggregates the ended spans of one name across all traces.
@@ -208,6 +209,7 @@ func (c *Collector) record(t *Trace) {
 	}
 	c.next = (c.next + 1) % c.ringSize
 	c.total++
+	c.dropped += int64(t.dropped.Load())
 
 	// Keep the slowest exemplars for the route, slowest first.
 	slow := c.slow[t.route]
@@ -229,6 +231,15 @@ func (c *Collector) record(t *Trace) {
 			"spans", t.spanCount(),
 			"breakdown", t.breakdown())
 	}
+}
+
+// DroppedSpans is the number of spans every finished trace so far lost to
+// the per-trace budget — unlike a trace's own count, it covers the traces
+// the ring and exemplars no longer retain.
+func (c *Collector) DroppedSpans() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dropped
 }
 
 // breakdown renders "name=totalµs" pairs aggregated per span name, sorted by
@@ -294,6 +305,7 @@ type TraceJSON struct {
 type DebugPayload struct {
 	Enabled bool                   `json:"enabled"`
 	Total   uint64                 `json:"total_traces"`
+	Dropped int64                  `json:"dropped_spans"`
 	Stages  map[string]StageJSON   `json:"stages"`
 	Slowest map[string][]TraceJSON `json:"slowest"`
 	Recent  []TraceJSON            `json:"recent"`
@@ -381,6 +393,7 @@ func (c *Collector) Snapshot(route string, n int) DebugPayload {
 
 	c.mu.Lock()
 	p.Total = c.total
+	p.Dropped = c.dropped
 	var recent []*Trace
 	// Ring order: oldest→newest is [next, len) then [0, next); export
 	// newest first.

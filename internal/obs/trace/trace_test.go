@@ -113,6 +113,26 @@ func TestSpanBudgetDropsAndCounts(t *testing.T) {
 	}
 }
 
+// A trace that overflows the default budget raises the collector-wide total,
+// which /debug/traces reports at the top level.
+func TestDroppedSpansTotal(t *testing.T) {
+	c := NewCollector()
+	for round := int64(1); round <= 2; round++ {
+		ctx, tr := New(context.Background(), c, "r")
+		for i := 0; i < defaultMaxSpans+3; i++ {
+			_, sp := StartSpan(ctx, "candidate")
+			sp.End()
+		}
+		tr.Finish("200")
+		if got := c.DroppedSpans(); got != 3*round {
+			t.Fatalf("after trace %d: dropped total = %d, want %d", round, got, 3*round)
+		}
+	}
+	if p := c.Snapshot("", 0); p.Dropped != 6 {
+		t.Errorf("payload dropped_spans = %d, want 6", p.Dropped)
+	}
+}
+
 func TestExemplarsKeepSlowestPerRoute(t *testing.T) {
 	c := NewCollector()
 	c.exemplars = 2

@@ -3,8 +3,6 @@ package selector
 import (
 	"context"
 	"math/rand"
-
-	"tokenmagic/internal/obs/trace"
 )
 
 // Smallest is the paper's TM_S baseline: repeatedly add the module with the
@@ -16,14 +14,7 @@ func Smallest(p *Problem) (Result, error) {
 
 // SmallestCtx is Smallest with cooperative cancellation, polled once per
 // greedy step.
-func SmallestCtx(ctx context.Context, p *Problem) (res Result, err error) {
-	defer solveObs("TM_S")(&res, &err)
-	sp := trace.StartChild(ctx, "solve")
-	sp.Annotate("solver", "TM_S")
-	defer func() {
-		sp.AnnotateInt("ring_size", int64(res.Size()))
-		sp.End()
-	}()
+func SmallestCtx(ctx context.Context, p *Problem) (Result, error) {
 	st := newState(p)
 	for !st.hist.Satisfies(p.Req) {
 		if cancelled(ctx) {
@@ -57,14 +48,7 @@ func Random(p *Problem, rng *rand.Rand) (Result, error) {
 // RandomCtx is Random with cooperative cancellation, polled once per greedy
 // step. The rng is consumed in a deterministic order regardless of
 // cancellation timing: a cancelled solve simply stops drawing.
-func RandomCtx(ctx context.Context, p *Problem, rng *rand.Rand) (res Result, err error) {
-	defer solveObs("TM_R")(&res, &err)
-	sp := trace.StartChild(ctx, "solve")
-	sp.Annotate("solver", "TM_R")
-	defer func() {
-		sp.AnnotateInt("ring_size", int64(res.Size()))
-		sp.End()
-	}()
+func RandomCtx(ctx context.Context, p *Problem, rng *rand.Rand) (Result, error) {
 	st := newState(p)
 	var unselected []int
 	for i := range p.Candidates {

@@ -8,7 +8,6 @@ import (
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/diversity"
 	"tokenmagic/internal/dtrs"
-	"tokenmagic/internal/obs/trace"
 	"tokenmagic/internal/rsgraph"
 )
 
@@ -46,14 +45,7 @@ func BFS(p *ExactProblem) (Result, error) {
 // every frontier boundary (each candidate ring size k) and every
 // bfsCancelStride enumerated subsets within a frontier, so even the
 // exponential inner loop abandons promptly.
-func BFSCtx(ctx context.Context, p *ExactProblem) (res Result, err error) {
-	defer solveObs("TM_B")(&res, &err)
-	sp := trace.StartChild(ctx, "solve")
-	sp.Annotate("solver", "TM_B")
-	defer func() {
-		sp.AnnotateInt("ring_size", int64(res.Size()))
-		sp.End()
-	}()
+func BFSCtx(ctx context.Context, p *ExactProblem) (Result, error) {
 	if err := p.Req.Validate(); err != nil {
 		return Result{}, err
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"math"
 	"sort"
-
-	"tokenmagic/internal/obs/trace"
 )
 
 // sortBySizeAsc orders player indices by module size, smallest first, with
@@ -32,14 +30,7 @@ func Game(p *Problem) (Result, error) {
 
 // GameCtx is Game with cooperative cancellation, polled once per
 // best-response sweep (each sweep visits every player).
-func GameCtx(ctx context.Context, p *Problem) (res Result, err error) {
-	defer solveObs("TM_G")(&res, &err)
-	sp := trace.StartChild(ctx, "solve")
-	sp.Annotate("solver", "TM_G")
-	defer func() {
-		sp.AnnotateInt("ring_size", int64(res.Size()))
-		sp.End()
-	}()
+func GameCtx(ctx context.Context, p *Problem) (Result, error) {
 	st := newState(p)
 	if !st.hist.Satisfies(p.Req) {
 		if err := st.coverHTPhase(ctx); err != nil {

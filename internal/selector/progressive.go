@@ -3,8 +3,6 @@ package selector
 import (
 	"context"
 	"math"
-
-	"tokenmagic/internal/obs/trace"
 )
 
 // Progressive solves the modular DA-MS instance with the two-phase greedy of
@@ -20,14 +18,7 @@ func Progressive(p *Problem) (Result, error) {
 // ProgressiveCtx is Progressive with cooperative cancellation: the greedy
 // loops poll ctx at every step, so a caller that already has a satisfying
 // candidate (the parallel executor) can abandon in-flight solves cheaply.
-func ProgressiveCtx(ctx context.Context, p *Problem) (res Result, err error) {
-	defer solveObs("TM_P")(&res, &err)
-	sp := trace.StartChild(ctx, "solve")
-	sp.Annotate("solver", "TM_P")
-	defer func() {
-		sp.AnnotateInt("ring_size", int64(res.Size()))
-		sp.End()
-	}()
+func ProgressiveCtx(ctx context.Context, p *Problem) (Result, error) {
 	st := newState(p)
 	if st.hist.Satisfies(p.Req) {
 		return st.result(), nil

@@ -94,9 +94,9 @@ type Result struct {
 	Segments  []SegmentStats
 	// Stranded counts tokens whose spend attempt failed terminally.
 	Stranded int
-	// Framework aggregates the telemetry counters of every framework the
-	// run used (one per algorithm): solver dispatches, decomposition-cache
-	// hit rate, and Step-3 admit/reject classification.
+	// Framework is read from the run-private registry every framework the
+	// run used (one per algorithm) reports to: solver dispatches,
+	// decomposition-cache hit rate, and Step-3 admit/reject classification.
 	Framework itm.Stats
 	// SolveLatencyUS holds each algorithm's solve-latency histogram
 	// ("TM_P" → snapshot), recorded in a registry private to this run, so
@@ -262,9 +262,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	res.Final = graphattack.DM(led.Rings(), nil, origin).Metrics
-	for _, f := range frameworks {
-		res.Framework = res.Framework.Add(f.Stats())
-	}
+	res.Framework = itm.ReadStats(reg)
 	res.SolveLatencyUS = make(map[string]obs.HistogramSnapshot, len(frameworks))
 	snap := reg.Snapshot()
 	for a := range frameworks {

@@ -45,6 +45,18 @@ func TestRunDefaultMix(t *testing.T) {
 	if last.Traced == 0 {
 		t.Fatalf("zero-mixin segment must produce traced rings: %+v", last)
 	}
+	// The per-algorithm frameworks share one registry: every ring committed
+	// through a framework is one Step-3 admit, counted once, not once per
+	// framework. Zero-mixin rings bypass the frameworks.
+	var viaFramework int64
+	for i, seg := range res.Segments {
+		if !DefaultMix()[i].ZeroMixin {
+			viaFramework += int64(seg.Committed)
+		}
+	}
+	if res.Framework.VerifyAdmits != viaFramework || res.Framework.Solves == 0 {
+		t.Fatalf("framework stats %+v, want %d admits and some solves", res.Framework, viaFramework)
+	}
 }
 
 func TestRunCleanPopulationStaysUntraced(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/diversity"
+	"tokenmagic/internal/obs"
 )
 
 // DeriveSeed must behave as a pure, collision-averse stream splitter: stable
@@ -39,7 +40,8 @@ func TestDeriveSeedStreams(t *testing.T) {
 // surface context.Canceled.
 func TestGenerateRSContextPreCancelled(t *testing.T) {
 	l := samplingLedger(t, 10)
-	f, err := New(l, Config{Lambda: 100, Headroom: true, Algorithm: Progressive, Randomize: true}, rand.New(rand.NewSource(1)))
+	reg := obs.NewRegistry()
+	f, err := New(l, Config{Lambda: 100, Headroom: true, Algorithm: Progressive, Randomize: true, Metrics: reg}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestGenerateRSContextPreCancelled(t *testing.T) {
 	if _, err := f.GenerateRSContext(ctx, 3, diversity.Requirement{C: 1, L: 3}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if s := f.Stats(); s.Solves != 0 {
+	if s := ReadStats(reg); s.Solves != 0 {
 		t.Fatalf("cancelled request still dispatched %d solves", s.Solves)
 	}
 }

@@ -133,7 +133,6 @@ type Framework struct {
 	rng   *rand.Rand
 
 	metrics fwMetrics
-	stats   fwStats
 }
 
 // fwEpoch is one immutable generation of the framework's derived state.
@@ -179,51 +178,61 @@ func newDecompTable() *decompTable {
 	return &decompTable{m: make(map[int]*decompCache)}
 }
 
-// fwMetrics holds the registry handles the framework reports to.
+// fwMetrics holds the registry handles the framework reports to. They are
+// the only record of its telemetry: ReadStats derives Stats from them.
 type fwMetrics struct {
-	solveCount   *obs.Counter
-	solveLatency *obs.Histogram
-	ringSize     *obs.Histogram
-	cacheHits    *obs.Counter
-	cacheMisses  *obs.Counter
-	admits       *obs.Counter
-	rejLiveness  *obs.Counter
-	rejConfig    *obs.Counter
-	rejDiversity *obs.Counter
-	rejOther     *obs.Counter
-	epochGauge   *obs.Gauge
-	epochAdvance *obs.Histogram
+	solveCount    *obs.Counter
+	solveFailures *obs.Counter
+	solveLatency  *obs.Histogram
+	ringSize      *obs.Histogram
+	cacheHits     *obs.Counter
+	cacheMisses   *obs.Counter
+	admits        *obs.Counter
+	rejLiveness   *obs.Counter
+	rejConfig     *obs.Counter
+	rejDiversity  *obs.Counter
+	rejOther      *obs.Counter
+	epochGauge    *obs.Gauge
+	epochAdvance  *obs.Histogram
+}
+
+// Registry names of the framework's counters, shared by newFWMetrics (the
+// write side) and ReadStats (the read side).
+const (
+	metricCacheHits    = "framework.decomp.cache_hits"
+	metricCacheMisses  = "framework.decomp.cache_misses"
+	metricAdmits       = "framework.verify.admits"
+	metricRejLiveness  = "framework.verify.reject.liveness"
+	metricRejConfig    = "framework.verify.reject.config"
+	metricRejDiversity = "framework.verify.reject.diversity"
+	metricRejOther     = "framework.verify.reject.other"
+)
+
+func solveMetric(algo Algorithm, suffix string) string {
+	return "framework.solve." + algo.String() + "." + suffix
 }
 
 func newFWMetrics(reg *obs.Registry, algo Algorithm) fwMetrics {
-	solve := "framework.solve." + algo.String()
 	return fwMetrics{
-		solveCount:   reg.Counter(solve + ".count"),
-		solveLatency: reg.Histogram(solve+".latency_us", obs.LatencyBucketsUS),
-		ringSize:     reg.Histogram("framework.ring_size", obs.SizeBuckets),
-		cacheHits:    reg.Counter("framework.decomp.cache_hits"),
-		cacheMisses:  reg.Counter("framework.decomp.cache_misses"),
-		admits:       reg.Counter("framework.verify.admits"),
-		rejLiveness:  reg.Counter("framework.verify.reject.liveness"),
-		rejConfig:    reg.Counter("framework.verify.reject.config"),
-		rejDiversity: reg.Counter("framework.verify.reject.diversity"),
-		rejOther:     reg.Counter("framework.verify.reject.other"),
-		epochGauge:   reg.Gauge("framework.epoch"),
-		epochAdvance: reg.Histogram("framework.epoch.advance_us", obs.LatencyBucketsUS),
+		solveCount:    reg.Counter(solveMetric(algo, "count")),
+		solveFailures: reg.Counter(solveMetric(algo, "failures")),
+		solveLatency:  reg.Histogram(solveMetric(algo, "latency_us"), obs.LatencyBucketsUS),
+		ringSize:      reg.Histogram("framework.ring_size", obs.SizeBuckets),
+		cacheHits:     reg.Counter(metricCacheHits),
+		cacheMisses:   reg.Counter(metricCacheMisses),
+		admits:        reg.Counter(metricAdmits),
+		rejLiveness:   reg.Counter(metricRejLiveness),
+		rejConfig:     reg.Counter(metricRejConfig),
+		rejDiversity:  reg.Counter(metricRejDiversity),
+		rejOther:      reg.Counter(metricRejOther),
+		epochGauge:    reg.Gauge("framework.epoch"),
+		epochAdvance:  reg.Histogram("framework.epoch.advance_us", obs.LatencyBucketsUS),
 	}
 }
 
-// fwStats are the per-instance counters behind Stats.
-type fwStats struct {
-	solves, solveFailures                          atomic.Int64
-	cacheHits, cacheMisses                         atomic.Int64
-	admits                                         atomic.Int64
-	rejLiveness, rejConfig, rejDiversity, rejOther atomic.Int64
-}
-
-// Stats is a point-in-time snapshot of one framework's telemetry counters.
-// Unlike the obs registry — which aggregates across every framework in the
-// process — Stats is scoped to the instance it was read from.
+// Stats is a point-in-time snapshot of the framework counters in one obs
+// registry (see ReadStats): it covers every framework reporting there, so
+// give a framework a private registry (Config.Metrics) to read it alone.
 type Stats struct {
 	// Solves counts solver dispatches; SolveFailures those that returned an
 	// error (ErrNoEligible included).
@@ -252,51 +261,27 @@ func (s Stats) CacheHitRate() float64 {
 	return float64(s.CacheHits) / float64(total)
 }
 
-// Add returns the field-wise sum of two snapshots (for aggregating over
-// several frameworks, e.g. one per algorithm in a simulation).
-func (s Stats) Add(o Stats) Stats {
-	s.Solves += o.Solves
-	s.SolveFailures += o.SolveFailures
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.VerifyAdmits += o.VerifyAdmits
-	s.RejectLiveness += o.RejectLiveness
-	s.RejectConfig += o.RejectConfig
-	s.RejectDiversity += o.RejectDiversity
-	s.RejectOther += o.RejectOther
-	return s
-}
-
-// Stats reads the framework's per-instance counters. Safe to call
-// concurrently with spends.
+// ReadStats derives Stats from the framework counters in reg, summed over
+// every algorithm. Safe to call concurrently with spends. Counters are
+// looked up get-or-create, so reading a fresh registry registers them at 0.
 //
-// Each counter is loaded exactly once, sub-counters before the totals they
-// roll up into. The write side bumps the total first (solve increments
-// Solves, then SolveFailures on error), so loading SolveFailures before
-// Solves keeps the snapshot's SolveFailures ≤ Solves invariant even when
-// spends land mid-read; loading fields directly into the struct literal
-// used to tear that invariant.
-func (f *Framework) Stats() Stats {
-	solveFailures := f.stats.solveFailures.Load()
-	solves := f.stats.solves.Load()
-	cacheHits := f.stats.cacheHits.Load()
-	cacheMisses := f.stats.cacheMisses.Load()
-	rejLiveness := f.stats.rejLiveness.Load()
-	rejConfig := f.stats.rejConfig.Load()
-	rejDiversity := f.stats.rejDiversity.Load()
-	rejOther := f.stats.rejOther.Load()
-	admits := f.stats.admits.Load()
-	return Stats{
-		Solves:          solves,
-		SolveFailures:   solveFailures,
-		CacheHits:       cacheHits,
-		CacheMisses:     cacheMisses,
-		VerifyAdmits:    admits,
-		RejectLiveness:  rejLiveness,
-		RejectConfig:    rejConfig,
-		RejectDiversity: rejDiversity,
-		RejectOther:     rejOther,
+// Each algorithm's failure counter is loaded before its count. The write
+// side bumps the count first (solve increments .count, then .failures on
+// error), so SolveFailures ≤ Solves holds even when spends land mid-read.
+func ReadStats(reg *obs.Registry) Stats {
+	var s Stats
+	for a := Progressive; a <= BFS; a++ {
+		s.SolveFailures += reg.Counter(solveMetric(a, "failures")).Value()
+		s.Solves += reg.Counter(solveMetric(a, "count")).Value()
 	}
+	s.CacheHits = reg.Counter(metricCacheHits).Value()
+	s.CacheMisses = reg.Counter(metricCacheMisses).Value()
+	s.VerifyAdmits = reg.Counter(metricAdmits).Value()
+	s.RejectLiveness = reg.Counter(metricRejLiveness).Value()
+	s.RejectConfig = reg.Counter(metricRejConfig).Value()
+	s.RejectDiversity = reg.Counter(metricRejDiversity).Value()
+	s.RejectOther = reg.Counter(metricRejOther).Value()
+	return s
 }
 
 // decompCache is one batch's cache slot: an immutable snapshot swapped
@@ -528,7 +513,6 @@ func (f *Framework) decompFor(e *fwEpoch, b chain.Batch) *decompSnapshot {
 	}
 	cur := e.view.NumRS()
 	if s := dc.snap.Load(); s != nil && s.ringCount == cur {
-		f.stats.cacheHits.Add(1)
 		f.metrics.cacheHits.Inc()
 		return s
 	}
@@ -537,11 +521,9 @@ func (f *Framework) decompFor(e *fwEpoch, b chain.Batch) *decompSnapshot {
 	// Re-check: another worker may have refreshed to this epoch's version
 	// while we waited.
 	if s := dc.snap.Load(); s != nil && s.ringCount == cur {
-		f.stats.cacheHits.Add(1)
 		f.metrics.cacheHits.Inc()
 		return s
 	}
-	f.stats.cacheMisses.Add(1)
 	f.metrics.cacheMisses.Inc()
 	rings := e.view.RingsOver(b.Tokens)
 	supers, fresh := selector.Decompose(rings, b.Tokens)
@@ -550,21 +532,26 @@ func (f *Framework) decompFor(e *fwEpoch, b chain.Batch) *decompSnapshot {
 	return s
 }
 
-// solve dispatches to the configured solver, recording per-algorithm count
-// and latency (candidate sampling makes this the hot path: one call per
-// batch token per spend). Counter order matters to Stats: the total is
-// bumped before the failure sub-counter so snapshots never see
-// SolveFailures > Solves. rng is the solve's private derived stream; only
-// TM_R consumes it.
+// solve dispatches to the configured solver and is the one instrument of a
+// solve (candidate sampling makes this the hot path: one call per batch
+// token per spend). A "solve" span annotated with the solver and ring size,
+// the per-algorithm count and failures, and the latency histogram all cover
+// the same interval; the solvers themselves record nothing. Counter order
+// matters to ReadStats: the count is bumped before the failure counter so
+// snapshots never see SolveFailures > Solves. rng is the solve's private
+// derived stream; only TM_R consumes it.
 func (f *Framework) solve(ctx context.Context, e *fwEpoch, p *selector.Problem, universe chain.TokenSet, target chain.TokenID, req diversity.Requirement, rng *rand.Rand) (selector.Result, error) {
+	sp := trace.StartChild(ctx, "solve")
+	sp.Annotate("solver", f.cfg.Algorithm.String())
 	start := time.Now()
 	res, err := f.dispatch(ctx, e, p, universe, target, req, rng)
 	f.metrics.solveCount.Inc()
 	f.metrics.solveLatency.ObserveSince(start)
-	f.stats.solves.Add(1)
 	if err != nil {
-		f.stats.solveFailures.Add(1)
+		f.metrics.solveFailures.Inc()
 	}
+	sp.AnnotateInt("ring_size", int64(res.Size()))
+	sp.End()
 	return res, err
 }
 
@@ -782,23 +769,18 @@ func (f *Framework) verifyAndCount(ctx context.Context, e *fwEpoch, tokens chain
 	switch {
 	case err == nil:
 		sp.Annotate("verdict", "admit")
-		f.stats.admits.Add(1)
 		f.metrics.admits.Inc()
 	case errors.Is(err, ErrLiveness):
 		sp.Annotate("verdict", "liveness")
-		f.stats.rejLiveness.Add(1)
 		f.metrics.rejLiveness.Inc()
 	case errors.Is(err, ErrConfig):
 		sp.Annotate("verdict", "config")
-		f.stats.rejConfig.Add(1)
 		f.metrics.rejConfig.Inc()
 	case errors.Is(err, ErrDiversity):
 		sp.Annotate("verdict", "diversity")
-		f.stats.rejDiversity.Add(1)
 		f.metrics.rejDiversity.Inc()
 	default:
 		sp.Annotate("verdict", "other")
-		f.stats.rejOther.Add(1)
 		f.metrics.rejOther.Inc()
 	}
 	return err

@@ -3,7 +3,7 @@ package tokenmagic
 // Concurrency soak: hammer one Framework from many goroutines — generators,
 // committers, verifiers, stats readers — while the ledger keeps growing
 // through UpdateLedger/RefreshBatches. The test asserts no invariant breaks
-// (Stats tearing, rings missing their target); the race detector asserts
+// (ReadStats tearing, rings missing their target); the race detector asserts
 // memory safety (this file is on the CI -race list, selected with
 // `go test -run Soak -race`). Iteration-bounded, not time-bounded, so a run
 // is deterministic in the work it attempts.
@@ -34,6 +34,7 @@ func TestSoakConcurrentFrameworkUnderRefresh(t *testing.T) {
 		}
 	}
 	initialTokens := l.NumTokens()
+	reg := obs.NewRegistry()
 	f, err := New(l, Config{
 		Lambda:      16,
 		Eta:         0.1,
@@ -41,6 +42,7 @@ func TestSoakConcurrentFrameworkUnderRefresh(t *testing.T) {
 		Algorithm:   Progressive,
 		Randomize:   true,
 		Parallelism: 2,
+		Metrics:     reg,
 	}, rand.New(rand.NewSource(99)))
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +78,7 @@ func TestSoakConcurrentFrameworkUnderRefresh(t *testing.T) {
 			// Rejected spends (double spends, η guard) are expected.
 		}
 	}()
-	// Verifiers: VerifyRS on deliberately bad rings plus Stats invariant
+	// Verifiers: VerifyRS on deliberately bad rings plus ReadStats invariant
 	// checks; the snapshot must never tear (SolveFailures ≤ Solves, and
 	// classified rejects ≤ verify outcomes seen so far).
 	for v := 0; v < verifiers; v++ {
@@ -85,7 +87,7 @@ func TestSoakConcurrentFrameworkUnderRefresh(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				_ = f.VerifyRS(chain.NewTokenSet(chain.TokenID(i%initialTokens)), req)
-				s := f.Stats()
+				s := ReadStats(reg)
 				if s.SolveFailures > s.Solves {
 					t.Errorf("torn Stats snapshot: failures %d > solves %d", s.SolveFailures, s.Solves)
 					return
@@ -127,7 +129,7 @@ func TestSoakConcurrentFrameworkUnderRefresh(t *testing.T) {
 			t.Fatalf("empty ring %v committed", r.ID)
 		}
 	}
-	s := f.Stats()
+	s := ReadStats(reg)
 	if s.SolveFailures > s.Solves {
 		t.Fatalf("final Stats torn: %+v", s)
 	}
