@@ -99,8 +99,8 @@ func cmdSim(args []string) error {
 		fmt.Printf("\nstranded spend attempts: %d\n", res.Stranded)
 	}
 	st := res.Framework
-	fmt.Printf("\nmetrics: solves=%d solveFailures=%d cacheHitRate=%.1f%% admits=%d rejects=%d (liveness=%d config=%d diversity=%d other=%d)\n",
-		st.Solves, st.SolveFailures, 100*st.CacheHitRate(), st.VerifyAdmits,
+	fmt.Printf("\nmetrics: solves=%d solveFailures=%d admits=%d rejects=%d (liveness=%d config=%d diversity=%d other=%d)\n",
+		st.Solves, st.SolveFailures, st.VerifyAdmits,
 		st.Rejects(), st.RejectLiveness, st.RejectConfig, st.RejectDiversity, st.RejectOther)
 	for _, algo := range []string{"TM_P", "TM_G", "TM_S", "TM_R", "TM_B"} {
 		h, ok := res.SolveLatencyUS[algo]

@@ -40,11 +40,17 @@ type LatencyQuantiles struct {
 	Context string  `json:"context"`
 }
 
-// SolverBenchReport is the BENCH_solver.json payload.
+// SolverBenchReport is the BENCH_solver.json payload. Commit names the
+// checkout it was measured at (the caller fills it in); GOMAXPROCS and
+// NumCPU record the measuring machine's parallelism, which the generate
+// arms' candidate sweep fans out over.
 type SolverBenchReport struct {
 	GeneratedBy    string             `json:"generated_by"`
+	Commit         string             `json:"commit"`
 	GOOS           string             `json:"goos"`
 	GOARCH         string             `json:"goarch"`
+	GOMAXPROCS     int                `json:"gomaxprocs"`
+	NumCPU         int                `json:"num_cpu"`
 	BaselineCommit string             `json:"baseline_commit"`
 	BaselineNote   string             `json:"baseline_note"`
 	Baseline       []BenchResult      `json:"baseline"`
@@ -225,6 +231,8 @@ func SolverBenchmarks() (*SolverBenchReport, error) {
 		GeneratedBy:    "cmd/benchfigures -bench-solver",
 		GOOS:           runtime.GOOS,
 		GOARCH:         runtime.GOARCH,
+		GOMAXPROCS:     runtime.GOMAXPROCS(0),
+		NumCPU:         runtime.NumCPU(),
 		BaselineCommit: "312d4af",
 		BaselineNote:   "pre-engine numbers measured at the listed commit with identical workloads and arms",
 		Baseline:       SolverBaseline,

@@ -22,11 +22,11 @@ func SmallestCtx(ctx context.Context, p *Problem) (Result, error) {
 		}
 		st.iters++
 		best := -1
-		for i, m := range p.Candidates {
+		for i, m := range st.mods {
 			if st.selected[i] {
 				continue
 			}
-			if best == -1 || m.Size() < p.Candidates[best].Size() {
+			if best == -1 || m.Size() < st.mods[best].Size() {
 				best = i
 			}
 		}
@@ -50,10 +50,7 @@ func Random(p *Problem, rng *rand.Rand) (Result, error) {
 // cancellation timing: a cancelled solve simply stops drawing.
 func RandomCtx(ctx context.Context, p *Problem, rng *rand.Rand) (Result, error) {
 	st := newState(p)
-	var unselected []int
-	for i := range p.Candidates {
-		unselected = append(unselected, i)
-	}
+	unselected := st.candidates()
 	for !st.hist.Satisfies(p.Req) {
 		if cancelled(ctx) {
 			return Result{}, ctxErr(ctx)

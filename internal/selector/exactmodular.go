@@ -22,7 +22,15 @@ func ExactModular(p *Problem, maxModules int) (Result, error) {
 	if maxModules <= 0 {
 		maxModules = 20
 	}
-	n := len(p.Candidates)
+	p.prepare()
+	mods := p.tab.mods
+	var cands []int // every module but the mandatory one, in table order
+	for i := range mods {
+		if i != p.mand {
+			cands = append(cands, i)
+		}
+	}
+	n := len(cands)
 	if n > maxModules {
 		return Result{}, ErrModularTooLarge
 	}
@@ -32,11 +40,11 @@ func ExactModular(p *Problem, maxModules int) (Result, error) {
 	iters := 0
 	for mask := 0; mask < 1<<n; mask++ {
 		iters++
-		tokens := p.Mandatory.Tokens
+		tokens := mods[p.mand].Tokens
 		modules := 1
-		for i := 0; i < n; i++ {
+		for i, c := range cands {
 			if mask&(1<<i) != 0 {
-				tokens = tokens.Union(p.Candidates[i].Tokens)
+				tokens = tokens.Union(mods[c].Tokens)
 				modules++
 			}
 		}

@@ -6,8 +6,8 @@ import (
 	"sort"
 )
 
-// sortBySizeAsc orders player indices by module size, smallest first, with
-// index as a stable tiebreaker.
+// sortBySizeAsc orders player indices (into mods) by module size, smallest
+// first, with index as a stable tiebreaker.
 func sortBySizeAsc(order []int, mods []Module) {
 	sort.SliceStable(order, func(a, b int) bool {
 		return mods[order[a]].Size() < mods[order[b]].Size()
@@ -38,7 +38,8 @@ func GameCtx(ctx context.Context, p *Problem) (Result, error) {
 		}
 	}
 
-	nPlayers := len(p.Candidates)
+	order := st.candidates()
+	nPlayers := len(order)
 	if nPlayers == 0 {
 		if st.hist.Satisfies(p.Req) {
 			return st.result(), nil
@@ -64,11 +65,7 @@ func GameCtx(ctx context.Context, p *Problem) (Result, error) {
 	// reached with cheap additions and the large modules never need to
 	// join. This consistently reaches smaller equilibria than index order;
 	// the equilibrium set and the convergence guarantee are unaffected.
-	order := make([]int, nPlayers)
-	for i := range order {
-		order[i] = i
-	}
-	sortBySizeAsc(order, p.Candidates)
+	sortBySizeAsc(order, st.mods)
 	maxSweeps := 4*nPlayers + 16
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		if cancelled(ctx) {

@@ -34,7 +34,7 @@ func ProgressiveCtx(ctx context.Context, p *Problem) (Result, error) {
 		delta := st.hist.Slack(p.Req)
 		best := -1
 		bestBeta := math.Inf(-1)
-		for i, m := range p.Candidates {
+		for i, m := range st.mods {
 			if st.selected[i] {
 				continue
 			}

@@ -16,7 +16,8 @@
 // existing rings keep their declared diversity (immutability for free).
 //
 // The greedy hot loops are allocation-free: each module's HT footprint
-// (distinct HTs plus multiplicities) is computed once per Problem, slack
+// (distinct HTs plus multiplicities) is computed once per module Table —
+// once per decomposition, shared by every target's Problem — slack
 // probes are delta evaluations against the incremental diversity index
 // (diversity.Histogram), and the running selection tracks only a token
 // count — the result TokenSet is materialised once, at the end.
@@ -27,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"tokenmagic/internal/chain"
@@ -61,32 +63,54 @@ type Module struct {
 // Size returns |x_i|, the token count of the module.
 func (m Module) Size() int { return len(m.Tokens) }
 
-// footprint is a module's HT profile: the distinct HTs its tokens map to and
-// how many tokens map to each. Precomputed once per Problem so the greedy
-// loops never call Origin or build scratch maps.
-type footprint struct {
+// footprints holds the HT footprint of every module of a Table in one flat
+// layout: module i's distinct HTs are txs[off[i]:off[i+1]], and ns[j] of
+// its tokens map to txs[j]. Computed once per Table, so the greedy loops
+// never call Origin or build scratch maps.
+type footprints struct {
+	off []int
 	txs []chain.TxID
 	ns  []int
 }
 
-func footprintOf(m Module, origin func(chain.TokenID) chain.TxID) footprint {
-	var fp footprint
-	for _, t := range m.Tokens {
-		h := origin(t)
-		found := false
-		for j, x := range fp.txs {
-			if x == h {
-				fp.ns[j]++
-				found = true
-				break
+func footprintsOf(mods []Module, origin func(chain.TokenID) chain.TxID) footprints {
+	total := 0
+	for _, m := range mods {
+		total += m.Size()
+	}
+	fp := footprints{
+		off: make([]int, 1, len(mods)+1),
+		txs: make([]chain.TxID, 0, total),
+		ns:  make([]int, 0, total),
+	}
+	for _, m := range mods {
+		start := len(fp.txs)
+		for _, t := range m.Tokens {
+			h := origin(t)
+			found := false
+			for j := start; j < len(fp.txs); j++ {
+				if fp.txs[j] == h {
+					fp.ns[j]++
+					found = true
+					break
+				}
+			}
+			if !found {
+				fp.txs = append(fp.txs, h)
+				fp.ns = append(fp.ns, 1)
 			}
 		}
-		if !found {
-			fp.txs = append(fp.txs, h)
-			fp.ns = append(fp.ns, 1)
-		}
+		fp.off = append(fp.off, len(fp.txs))
 	}
 	return fp
+}
+
+// of returns module i's distinct HTs and their multiplicities.
+//
+//tmlint:hotpath
+func (fp *footprints) of(i int) ([]chain.TxID, []int) {
+	lo, hi := fp.off[i], fp.off[i+1]
+	return fp.txs[lo:hi], fp.ns[lo:hi]
 }
 
 // Super is a super ring signature (Definition 7) with its subset count v.
@@ -156,13 +180,19 @@ func Decompose(rings []chain.RingRecord, universe chain.TokenSet) (supers []Supe
 // Problem is one modular DA-MS instance: choose a minimum-cardinality union
 // of modules containing the mandatory module such that the union's HT
 // multiset satisfies Req.
+//
+// A Problem comes from NewProblem or Table.Problem. Either way the solvers
+// read one representation: a module table (every module with its HT
+// footprint) and the index of the mandatory module in it.
 type Problem struct {
 	// Target is the token being consumed.
 	Target chain.TokenID
 	// Mandatory is the module containing Target (its super ring, or the
 	// token itself when fresh). It is always part of the result.
 	Mandatory Module
-	// Candidates are the other selectable modules.
+	// Candidates are the other selectable modules. Only NewProblem fills
+	// it; a Problem from Table.Problem leaves it nil and shares the table's
+	// module list instead.
 	Candidates []Module
 	// Origin maps tokens to historical transactions.
 	Origin func(chain.TokenID) chain.TxID
@@ -171,30 +201,33 @@ type Problem struct {
 	// the user requirement tightened via Requirement.WithHeadroom.
 	Req diversity.Requirement
 
-	// Precomputed HT footprints (mandatory module, then one per candidate),
-	// filled by NewProblem or lazily on first solve.
-	mandFP   footprint
-	candFP   []footprint
-	prepared bool
+	tab  *Table // every module, the mandatory one included; read-only
+	mand int    // index of Mandatory in tab.mods
 }
 
-// prepare computes the per-module HT footprints once. NewProblem calls it
-// eagerly; Problems assembled by hand get it on first solve.
+// prepare builds the module table of a Problem assembled from Mandatory
+// and Candidates: the mandatory module first, then the candidates in order.
+// NewProblem calls it eagerly; Problems assembled by hand get it on first
+// solve. Table-built Problems already have one.
 func (p *Problem) prepare() {
-	if p.prepared {
+	if p.tab != nil {
 		return
 	}
-	p.mandFP = footprintOf(p.Mandatory, p.Origin)
-	p.candFP = make([]footprint, len(p.Candidates))
-	for i := range p.Candidates {
-		p.candFP[i] = footprintOf(p.Candidates[i], p.Origin)
-	}
-	p.prepared = true
+	mods := make([]Module, 0, 1+len(p.Candidates))
+	mods = append(mods, p.Mandatory)
+	mods = append(mods, p.Candidates...)
+	p.tab = &Table{mods: mods, fp: footprintsOf(mods, p.Origin), origin: p.Origin}
+	p.mand = 0
 }
 
 // NewProblem assembles a Problem from a decomposition. It locates the module
 // containing target among supers/fresh and returns an error if the target is
 // not in the universe described by the decomposition.
+//
+// It copies every module and computes every footprint for one target; a
+// caller solving for many targets of one decomposition (Algorithm 1's
+// candidate sweep) builds a Table once instead. NewProblem is kept as the
+// Table's differential oracle and for single solves.
 func NewProblem(target chain.TokenID, supers []Super, fresh chain.TokenSet, origin func(chain.TokenID) chain.TxID, req diversity.Requirement) (*Problem, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -232,6 +265,80 @@ func NewProblem(target chain.TokenID, supers []Super, fresh chain.TokenSet, orig
 	return p, nil
 }
 
+// Table is the module table of one decomposition: every module in
+// NewProblem's order (super rings, then fresh tokens), their HT footprints
+// in one flat layout, and the module holding each universe token. It is
+// built once per decomposition and read-only afterwards, so one Table
+// serves any number of concurrent Table.Problem calls and solves.
+type Table struct {
+	universe chain.TokenSet
+	mods     []Module
+	fp       footprints
+	// owner[k] is the index of the module holding universe[k], or one of
+	// the sentinels below.
+	owner  []int32
+	origin func(chain.TokenID) chain.TxID
+}
+
+// owner sentinels: a universe token no module holds, and one that two
+// modules hold (the first practical configuration is violated).
+const (
+	ownerNone  = -1
+	ownerMulti = -2
+)
+
+// NewTable builds the module table of a decomposition over universe (the
+// sorted tokens of one batch). Super modules share their ring's token set
+// and fresh modules share one-element sub-slices of fresh; neither is
+// copied, and both must stay unmodified while the Table is in use.
+func NewTable(universe chain.TokenSet, supers []Super, fresh chain.TokenSet, origin func(chain.TokenID) chain.TxID) *Table {
+	mods := make([]Module, 0, len(supers)+len(fresh))
+	for _, s := range supers {
+		mods = append(mods, Module{Tokens: s.Ring.Tokens, Super: s.Ring.ID})
+	}
+	for i := range fresh {
+		mods = append(mods, Module{Tokens: fresh[i : i+1 : i+1], Fresh: true})
+	}
+	owner := make([]int32, len(universe))
+	for k := range owner {
+		owner[k] = ownerNone
+	}
+	for i, m := range mods {
+		for _, t := range m.Tokens {
+			k, ok := slices.BinarySearch(universe, t)
+			if !ok {
+				continue
+			}
+			if owner[k] == ownerNone {
+				owner[k] = int32(i)
+			} else {
+				owner[k] = ownerMulti
+			}
+		}
+	}
+	return &Table{universe: universe, mods: mods, fp: footprintsOf(mods, origin), owner: owner, origin: origin}
+}
+
+// Problem returns the modular problem for consuming target. It allocates
+// only the Problem itself: the module list and footprints are the Table's,
+// shared read-only, and the solvers skip the mandatory module by index.
+// The errors match NewProblem's for a target outside the universe or held
+// by more than one module.
+func (t *Table) Problem(target chain.TokenID, req diversity.Requirement) (*Problem, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	k, ok := slices.BinarySearch(t.universe, target)
+	if !ok || t.owner[k] == ownerNone {
+		return nil, fmt.Errorf("selector: target %v not in universe", target)
+	}
+	m := int(t.owner[k])
+	if m == ownerMulti {
+		return nil, fmt.Errorf("selector: target %v in more than one module (configuration violated)", target)
+	}
+	return &Problem{Target: target, Mandatory: t.mods[m], Origin: t.origin, Req: req, tab: t, mand: m}, nil
+}
+
 // Result is a solved DA-MS instance.
 type Result struct {
 	// Tokens is the full new ring signature: the consuming token plus
@@ -258,10 +365,17 @@ var ErrNoEligible = errors.New("selector: no eligible ring signature exists; rel
 // modules never overlap under the first practical configuration, so the
 // union's cardinality is the sum of the selected modules' sizes and the full
 // TokenSet only needs materialising once, in result().
+//
+// The selection ranges over the problem's whole module table with the
+// mandatory module pre-selected, so every candidate loop skips it through
+// selected and visits the other modules in table order — the order of
+// NewProblem's Candidates.
 type state struct {
 	p        *Problem
+	mods     []Module
+	fp       *footprints
 	hist     *diversity.Histogram
-	selected []bool // over p.Candidates
+	selected []bool // over mods; the mandatory module is always selected
 	modules  int
 	nTokens  int // |union of selected modules|
 	iters    int
@@ -271,52 +385,60 @@ func newState(p *Problem) *state {
 	p.prepare()
 	st := &state{
 		p:        p,
+		mods:     p.tab.mods,
+		fp:       &p.tab.fp,
 		hist:     diversity.NewHistogram(),
-		selected: make([]bool, len(p.Candidates)),
-		modules:  1,
-		nTokens:  len(p.Mandatory.Tokens),
+		selected: make([]bool, len(p.tab.mods)),
 	}
-	fp := &p.mandFP
-	for j, tx := range fp.txs {
-		st.hist.AddN(tx, fp.ns[j])
-	}
+	st.add(p.mand)
 	return st
 }
 
-// add selects candidate i.
+// candidates returns the indices of every module but the mandatory one, in
+// table order.
+func (st *state) candidates() []int {
+	out := make([]int, 0, len(st.mods)-1)
+	for i := range st.mods {
+		if i != st.p.mand {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// add selects module i.
 //
 //tmlint:hotpath
 func (st *state) add(i int) {
 	st.selected[i] = true
 	st.modules++
-	st.nTokens += st.p.Candidates[i].Size()
-	fp := &st.p.candFP[i]
-	for j, tx := range fp.txs {
-		st.hist.AddN(tx, fp.ns[j])
+	st.nTokens += st.mods[i].Size()
+	txs, ns := st.fp.of(i)
+	for j, tx := range txs {
+		st.hist.AddN(tx, ns[j])
 	}
 }
 
-// remove deselects candidate i. Only valid when modules do not overlap
+// remove deselects module i. Only valid when modules do not overlap
 // (guaranteed under the first practical configuration).
 //
 //tmlint:hotpath
 func (st *state) remove(i int) {
 	st.selected[i] = false
 	st.modules--
-	st.nTokens -= st.p.Candidates[i].Size()
-	fp := &st.p.candFP[i]
-	for j, tx := range fp.txs {
-		st.hist.RemoveN(tx, fp.ns[j])
+	st.nTokens -= st.mods[i].Size()
+	txs, ns := st.fp.of(i)
+	for j, tx := range txs {
+		st.hist.RemoveN(tx, ns[j])
 	}
 }
 
 // result materialises the selection as a TokenSet.
 func (st *state) result() Result {
 	ids := make([]chain.TokenID, 0, st.nTokens)
-	ids = append(ids, st.p.Mandatory.Tokens...)
 	for i, sel := range st.selected {
 		if sel {
-			ids = append(ids, st.p.Candidates[i].Tokens...)
+			ids = append(ids, st.mods[i].Tokens...)
 		}
 	}
 	return Result{Tokens: chain.NewTokenSet(ids...), Modules: st.modules, Iterations: st.iters}
@@ -327,7 +449,8 @@ func (st *state) result() Result {
 //tmlint:hotpath
 func (st *state) newHTs(i int) int {
 	n := 0
-	for _, tx := range st.p.candFP[i].txs {
+	txs, _ := st.fp.of(i)
+	for _, tx := range txs {
 		if st.hist.Count(tx) == 0 {
 			n++
 		}
@@ -342,8 +465,8 @@ func (st *state) newHTs(i int) int {
 //
 //tmlint:hotpath
 func (st *state) slackWith(i int) float64 {
-	fp := &st.p.candFP[i]
-	return st.hist.SlackIfAddedN(st.p.Req, fp.txs, fp.ns)
+	txs, ns := st.fp.of(i)
+	return st.hist.SlackIfAddedN(st.p.Req, txs, ns)
 }
 
 // coverHTPhase runs the shared first phase of Progressive and Game
@@ -359,7 +482,7 @@ func (st *state) coverHTPhase(ctx context.Context) error {
 		need := st.p.Req.L - st.hist.Classes()
 		best := -1
 		bestAlpha := math.Inf(1)
-		for i, m := range st.p.Candidates {
+		for i, m := range st.mods {
 			if st.selected[i] {
 				continue
 			}

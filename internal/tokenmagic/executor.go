@@ -94,20 +94,51 @@ const (
 	candSat           // eligible candidate containing the target
 )
 
-// solveCandidate runs Algorithm 1 lines 3–5 for one batch token: build the
-// modular problem, solve it (TM_R gets its derived stream), and keep the
-// result only when it contains the consuming token.
-func (f *Framework) solveCandidate(ctx context.Context, e *fwEpoch, tok, target chain.TokenID, req diversity.Requirement, seed int64, idx int) (selector.Result, bool) {
-	p, u, err := f.problemFor(e, tok, req)
+// sweep is what every solve of one selection request shares: the consuming
+// token's batch, the rings over it (TM_B's input) and the module table of
+// its decomposition. The Algorithm-1 sweep solves every batch token over it;
+// the single-solve path (Randomize off) solves only the target. It is
+// read-only once built and lives only as long as the request. Nothing is
+// cached across requests: the decomposition depends on the ring list, which
+// every commit changes, and a cached table would keep one table per batch
+// alive for good.
+type sweep struct {
+	universe chain.TokenSet
+	rings    []chain.RingRecord
+	table    *selector.Table
+	target   chain.TokenID
+	req      diversity.Requirement // headroom-adjusted
+	seed     int64
+}
+
+// newSweep decomposes b at the pinned epoch and builds its module table.
+func (f *Framework) newSweep(e *fwEpoch, b chain.Batch, target chain.TokenID, req diversity.Requirement, seed int64) *sweep {
+	rings := e.view.RingsOver(b.Tokens)
+	supers, fresh := selector.Decompose(rings, b.Tokens)
+	return &sweep{
+		universe: b.Tokens,
+		rings:    rings,
+		table:    selector.NewTable(b.Tokens, supers, fresh, e.origin),
+		target:   target,
+		req:      f.effectiveReq(req),
+		seed:     seed,
+	}
+}
+
+// solveCandidate runs Algorithm 1 lines 3–5 for one batch token: take its
+// modular problem from the sweep's table, solve it (TM_R gets its derived
+// stream), and keep the result only when it contains the consuming token.
+func (f *Framework) solveCandidate(ctx context.Context, sw *sweep, tok chain.TokenID, idx int) (selector.Result, bool) {
+	p, err := sw.table.Problem(tok, sw.req)
 	if err != nil {
 		return selector.Result{}, false
 	}
 	var rng *rand.Rand
 	if f.cfg.Algorithm == RandomPick {
-		rng = streamRand(seed, uint64(idx))
+		rng = streamRand(sw.seed, uint64(idx))
 	}
-	res, err := f.solve(ctx, e, p, u, tok, req, rng)
-	if err != nil || !res.Tokens.Contains(target) {
+	res, err := f.solve(ctx, p, sw.universe, sw.rings, rng)
+	if err != nil || !res.Tokens.Contains(sw.target) {
 		return selector.Result{}, false
 	}
 	return res, true
@@ -117,11 +148,11 @@ func (f *Framework) solveCandidate(ctx context.Context, e *fwEpoch, tok, target 
 // request's trace, recording which worker ran it and the ring size it found.
 // The executor stays trace-agnostic below this point: with no trace in ctx
 // the span is a no-op and the only cost is one context lookup.
-func (f *Framework) solveCandidateSpan(ctx context.Context, e *fwEpoch, worker int, tok, target chain.TokenID, req diversity.Requirement, seed int64, idx int) (selector.Result, bool) {
+func (f *Framework) solveCandidateSpan(ctx context.Context, sw *sweep, worker int, tok chain.TokenID, idx int) (selector.Result, bool) {
 	ctx, sp := trace.StartSpan(ctx, "candidate")
 	defer sp.End()
 	sp.AnnotateInt("worker", int64(worker))
-	res, ok := f.solveCandidate(ctx, e, tok, target, req, seed, idx)
+	res, ok := f.solveCandidate(ctx, sw, tok, idx)
 	if ok {
 		sp.AnnotateInt("ring_size", int64(res.Size()))
 	}
@@ -131,28 +162,32 @@ func (f *Framework) solveCandidateSpan(ctx context.Context, e *fwEpoch, worker i
 // sampleCandidatesTraced wraps the candidate sweep in a "sample" span carrying
 // the request seed and the universe/candidate counts — the per-request view of
 // Algorithm 1 lines 2–6.
-func (f *Framework) sampleCandidatesTraced(ctx context.Context, e *fwEpoch, universe chain.TokenSet, target chain.TokenID, req diversity.Requirement, seed int64) ([]selector.Result, error) {
+func (f *Framework) sampleCandidatesTraced(ctx context.Context, e *fwEpoch, b chain.Batch, target chain.TokenID, req diversity.Requirement, seed int64) ([]selector.Result, error) {
 	ctx, sp := trace.StartSpan(ctx, "sample")
 	defer sp.End()
 	// The seed is per-request context, kept at trace level so the span's
 	// fixed annotation slots stay within budget.
 	trace.FromContext(ctx).AnnotateInt("seed", seed)
-	sp.AnnotateInt("universe", int64(len(universe)))
-	candidates, err := f.sampleCandidates(ctx, e, universe, target, req, seed)
+	sp.AnnotateInt("universe", int64(len(b.Tokens)))
+	candidates, err := f.sampleCandidates(ctx, e, b, target, req, seed)
 	sp.AnnotateInt("candidates", int64(len(candidates)))
 	return candidates, err
 }
 
-// sampleCandidates runs Algorithm 1 lines 2–6: one solve per batch token,
-// keeping the candidates that contain the consuming token, merged in batch
-// token order. With one worker it runs in-place; otherwise the solves fan
-// out over the pool. Both paths return byte-identical slices for the same
-// seed. A non-nil error is only ever the caller's context failing.
-func (f *Framework) sampleCandidates(ctx context.Context, e *fwEpoch, universe chain.TokenSet, target chain.TokenID, req diversity.Requirement, seed int64) ([]selector.Result, error) {
+// sampleCandidates runs Algorithm 1 lines 2–6 over target's batch b: one
+// solve per batch token, keeping the candidates that contain the consuming
+// token, merged in batch token order. The batch is decomposed and its
+// module table built once, before any solve, and shared read-only by every
+// worker. With one worker the solves run in-place; otherwise they
+// fan out over the pool. Both paths return byte-identical slices for the
+// same seed. A non-nil error is only ever the caller's context failing.
+func (f *Framework) sampleCandidates(ctx context.Context, e *fwEpoch, b chain.Batch, target chain.TokenID, req diversity.Requirement, seed int64) ([]selector.Result, error) {
+	universe := b.Tokens
 	n := len(universe)
 	if n == 0 {
 		return nil, ctx.Err()
 	}
+	sw := f.newSweep(e, b, target, req, seed)
 	workers := f.parallelism()
 	if workers > n {
 		workers = n
@@ -166,7 +201,7 @@ func (f *Framework) sampleCandidates(ctx context.Context, e *fwEpoch, universe c
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if res, ok := f.solveCandidateSpan(ctx, e, 0, universe[i], target, req, seed, i); ok {
+			if res, ok := f.solveCandidateSpan(ctx, sw, 0, universe[i], i); ok {
 				results[i], states[i] = res, candSat
 				sat++
 				if f.cfg.StopAfter > 0 && sat >= f.cfg.StopAfter {
@@ -222,7 +257,7 @@ func (f *Framework) sampleCandidates(ctx context.Context, e *fwEpoch, universe c
 				if i >= n || cctx.Err() != nil {
 					return
 				}
-				res, ok := f.solveCandidateSpan(cctx, e, w, universe[i], target, req, seed, i)
+				res, ok := f.solveCandidateSpan(cctx, sw, w, universe[i], i)
 				finish(i, res, ok)
 			}
 		}()

@@ -89,11 +89,11 @@ func TestStopAfterDeterministicPrefix(t *testing.T) {
 	// With a single satisfying prefix candidate the pick is forced, so the
 	// full run's candidate list must start with the StopAfter=1 ring.
 	full := mk(1, 0)
-	universe, err := full.Batches().Universe(5)
+	b, err := full.Batches().BatchOf(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := full.sampleCandidates(context.Background(), full.epoch.Load(), universe, 5, req, seed)
+	cands, err := full.sampleCandidates(context.Background(), full.epoch.Load(), b, 5, req, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

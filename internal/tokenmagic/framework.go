@@ -115,9 +115,8 @@ func DefaultConfig() Config {
 // fwEpoch — ledger view, batch partition, copy-on-write guard state — via
 // one atomic store. Read paths (GenerateRS, VerifyRS, Batches) pin the
 // current epoch with one atomic load and run entirely against that
-// snapshot: the candidate-sampling worker pool, the Step-3 checks and the
-// decomposition cache all see a single consistent generation even while
-// commits land concurrently.
+// snapshot: the candidate-sampling worker pool and the Step-3 checks all
+// see a single consistent generation even while commits land concurrently.
 type Framework struct {
 	cfg Config
 
@@ -147,10 +146,6 @@ type fwEpoch struct {
 	// guards is copy-on-write: Commit clones the map and the one mutated
 	// entry, so a published epoch's guard state never changes.
 	guards map[int]*adversary.NeighborSets
-	// decomp is shared across Commit-successive epochs (entries
-	// self-invalidate on ring count) and replaced wholesale when batch
-	// boundaries move (RefreshBatches, UpdateLedger).
-	decomp *decompTable
 }
 
 // guard returns the batch's liveness guard. The map is pre-populated for
@@ -164,20 +159,6 @@ func (e *fwEpoch) guard(batch int) *adversary.NeighborSets {
 	return adversary.NewNeighborSets()
 }
 
-// decompTable holds the per-batch decomposition cache of one batch-boundary
-// generation. The mutex guards only the map of entries; hits read an
-// entry's atomic snapshot, and a stale entry refreshes under its own mutex
-// (single-flight per batch), so concurrent sampleCandidates workers never
-// serialise globally on a recompute.
-type decompTable struct {
-	mu sync.RWMutex
-	m  map[int]*decompCache
-}
-
-func newDecompTable() *decompTable {
-	return &decompTable{m: make(map[int]*decompCache)}
-}
-
 // fwMetrics holds the registry handles the framework reports to. They are
 // the only record of its telemetry: ReadStats derives Stats from them.
 type fwMetrics struct {
@@ -185,8 +166,6 @@ type fwMetrics struct {
 	solveFailures *obs.Counter
 	solveLatency  *obs.Histogram
 	ringSize      *obs.Histogram
-	cacheHits     *obs.Counter
-	cacheMisses   *obs.Counter
 	admits        *obs.Counter
 	rejLiveness   *obs.Counter
 	rejConfig     *obs.Counter
@@ -199,8 +178,6 @@ type fwMetrics struct {
 // Registry names of the framework's counters, shared by newFWMetrics (the
 // write side) and ReadStats (the read side).
 const (
-	metricCacheHits    = "framework.decomp.cache_hits"
-	metricCacheMisses  = "framework.decomp.cache_misses"
 	metricAdmits       = "framework.verify.admits"
 	metricRejLiveness  = "framework.verify.reject.liveness"
 	metricRejConfig    = "framework.verify.reject.config"
@@ -218,8 +195,6 @@ func newFWMetrics(reg *obs.Registry, algo Algorithm) fwMetrics {
 		solveFailures: reg.Counter(solveMetric(algo, "failures")),
 		solveLatency:  reg.Histogram(solveMetric(algo, "latency_us"), obs.LatencyBucketsUS),
 		ringSize:      reg.Histogram("framework.ring_size", obs.SizeBuckets),
-		cacheHits:     reg.Counter(metricCacheHits),
-		cacheMisses:   reg.Counter(metricCacheMisses),
 		admits:        reg.Counter(metricAdmits),
 		rejLiveness:   reg.Counter(metricRejLiveness),
 		rejConfig:     reg.Counter(metricRejConfig),
@@ -237,8 +212,6 @@ type Stats struct {
 	// Solves counts solver dispatches; SolveFailures those that returned an
 	// error (ErrNoEligible included).
 	Solves, SolveFailures int64
-	// CacheHits/CacheMisses cover the per-batch decomposition cache.
-	CacheHits, CacheMisses int64
 	// VerifyAdmits counts rings that passed the Step-3 checks; the Reject*
 	// fields classify the failures (η guard, practical configuration,
 	// diversity, everything else).
@@ -249,16 +222,6 @@ type Stats struct {
 // Rejects is the total number of Step-3 rejections.
 func (s Stats) Rejects() int64 {
 	return s.RejectLiveness + s.RejectConfig + s.RejectDiversity + s.RejectOther
-}
-
-// CacheHitRate returns the decomposition-cache hit fraction in [0, 1]
-// (0 when the cache was never consulted).
-func (s Stats) CacheHitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
 }
 
 // ReadStats derives Stats from the framework counters in reg, summed over
@@ -274,30 +237,12 @@ func ReadStats(reg *obs.Registry) Stats {
 		s.SolveFailures += reg.Counter(solveMetric(a, "failures")).Value()
 		s.Solves += reg.Counter(solveMetric(a, "count")).Value()
 	}
-	s.CacheHits = reg.Counter(metricCacheHits).Value()
-	s.CacheMisses = reg.Counter(metricCacheMisses).Value()
 	s.VerifyAdmits = reg.Counter(metricAdmits).Value()
 	s.RejectLiveness = reg.Counter(metricRejLiveness).Value()
 	s.RejectConfig = reg.Counter(metricRejConfig).Value()
 	s.RejectDiversity = reg.Counter(metricRejDiversity).Value()
 	s.RejectOther = reg.Counter(metricRejOther).Value()
 	return s
-}
-
-// decompCache is one batch's cache slot: an immutable snapshot swapped
-// atomically, plus a refresh mutex that single-flights recomputation.
-type decompCache struct {
-	refreshMu sync.Mutex
-	snap      atomic.Pointer[decompSnapshot]
-}
-
-// decompSnapshot is an immutable decomposition of one batch at one ledger
-// version. Readers share it without locking.
-type decompSnapshot struct {
-	ringCount int // ledger.NumRS() when filled
-	rings     []chain.RingRecord
-	supers    []selector.Super
-	fresh     chain.TokenSet
 }
 
 // Errors surfaced by the framework.
@@ -379,9 +324,6 @@ func (f *Framework) rebuildEpoch() error {
 		batches: batches,
 		origin:  v.OriginFunc(),
 		guards:  guards,
-		// Batch boundaries may have moved; the ring-count keyed
-		// decomposition cache cannot tell, so start a fresh table.
-		decomp: newDecompTable(),
 	})
 	return nil
 }
@@ -474,64 +416,6 @@ func (f *Framework) effectiveReq(req diversity.Requirement) diversity.Requiremen
 	return req
 }
 
-// problemFor assembles the modular problem for one consuming token against
-// one pinned epoch, using the cached per-batch decomposition when the
-// epoch's view matches the ring count it was computed at.
-func (f *Framework) problemFor(e *fwEpoch, target chain.TokenID, req diversity.Requirement) (*selector.Problem, chain.TokenSet, error) {
-	b, err := e.batches.BatchOf(target)
-	if err != nil {
-		return nil, nil, err
-	}
-	dc := f.decompFor(e, b)
-	p, err := selector.NewProblem(target, dc.supers, dc.fresh, e.origin, f.effectiveReq(req))
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, b.Tokens, nil
-}
-
-// decompFor returns the batch's decomposition at the pinned epoch,
-// refreshing the cache entry if it was computed at a different ring count.
-// Cache hits take only the table's read lock plus an atomic load; a miss
-// recomputes under the batch's own refresh mutex, so concurrent workers on
-// the same stale batch wait for one recompute (single-flight) while other
-// batches proceed. The table is shared across Commit-successive epochs —
-// safe because the ring list is append-only, so equal ring counts imply
-// identical rings.
-func (f *Framework) decompFor(e *fwEpoch, b chain.Batch) *decompSnapshot {
-	t := e.decomp
-	t.mu.RLock()
-	dc := t.m[b.Index]
-	t.mu.RUnlock()
-	if dc == nil {
-		t.mu.Lock()
-		if dc = t.m[b.Index]; dc == nil {
-			dc = &decompCache{}
-			t.m[b.Index] = dc
-		}
-		t.mu.Unlock()
-	}
-	cur := e.view.NumRS()
-	if s := dc.snap.Load(); s != nil && s.ringCount == cur {
-		f.metrics.cacheHits.Inc()
-		return s
-	}
-	dc.refreshMu.Lock()
-	defer dc.refreshMu.Unlock()
-	// Re-check: another worker may have refreshed to this epoch's version
-	// while we waited.
-	if s := dc.snap.Load(); s != nil && s.ringCount == cur {
-		f.metrics.cacheHits.Inc()
-		return s
-	}
-	f.metrics.cacheMisses.Inc()
-	rings := e.view.RingsOver(b.Tokens)
-	supers, fresh := selector.Decompose(rings, b.Tokens)
-	s := &decompSnapshot{ringCount: cur, rings: rings, supers: supers, fresh: fresh}
-	dc.snap.Store(s)
-	return s
-}
-
 // solve dispatches to the configured solver and is the one instrument of a
 // solve (candidate sampling makes this the hot path: one call per batch
 // token per spend). A "solve" span annotated with the solver and ring size,
@@ -539,12 +423,13 @@ func (f *Framework) decompFor(e *fwEpoch, b chain.Batch) *decompSnapshot {
 // the same interval; the solvers themselves record nothing. Counter order
 // matters to ReadStats: the count is bumped before the failure counter so
 // snapshots never see SolveFailures > Solves. rng is the solve's private
-// derived stream; only TM_R consumes it.
-func (f *Framework) solve(ctx context.Context, e *fwEpoch, p *selector.Problem, universe chain.TokenSet, target chain.TokenID, req diversity.Requirement, rng *rand.Rand) (selector.Result, error) {
+// derived stream; only TM_R consumes it. universe and rings are p.Target's
+// batch and the rings over it at the solve's epoch; only TM_B reads them.
+func (f *Framework) solve(ctx context.Context, p *selector.Problem, universe chain.TokenSet, rings []chain.RingRecord, rng *rand.Rand) (selector.Result, error) {
 	sp := trace.StartChild(ctx, "solve")
 	sp.Annotate("solver", f.cfg.Algorithm.String())
 	start := time.Now()
-	res, err := f.dispatch(ctx, e, p, universe, target, req, rng)
+	res, err := f.dispatch(ctx, p, universe, rings, rng)
 	f.metrics.solveCount.Inc()
 	f.metrics.solveLatency.ObserveSince(start)
 	if err != nil {
@@ -555,7 +440,7 @@ func (f *Framework) solve(ctx context.Context, e *fwEpoch, p *selector.Problem, 
 	return res, err
 }
 
-func (f *Framework) dispatch(ctx context.Context, e *fwEpoch, p *selector.Problem, universe chain.TokenSet, target chain.TokenID, req diversity.Requirement, rng *rand.Rand) (selector.Result, error) {
+func (f *Framework) dispatch(ctx context.Context, p *selector.Problem, universe chain.TokenSet, rings []chain.RingRecord, rng *rand.Rand) (selector.Result, error) {
 	switch f.cfg.Algorithm {
 	case Progressive:
 		return selector.ProgressiveCtx(ctx, p)
@@ -570,14 +455,14 @@ func (f *Framework) dispatch(ctx context.Context, e *fwEpoch, p *selector.Proble
 		return selector.RandomCtx(ctx, p, rng)
 	case BFS:
 		return selector.BFSCtx(ctx, &selector.ExactProblem{
-			Target:   target,
+			Target:   p.Target,
 			Universe: universe,
-			Rings:    e.view.RingsOver(universe),
-			Origin:   e.origin,
+			Rings:    rings,
+			Origin:   p.Origin,
 			// The exact solver enforces DTRS diversity itself, so it must
 			// see the same headroom-adjusted requirement the Step-3 check
-			// verifies — the heuristic solvers get it via problemFor.
-			Req: f.effectiveReq(req),
+			// verifies: p.Req already carries it.
+			Req: p.Req,
 		})
 	default:
 		return selector.Result{}, fmt.Errorf("tokenmagic: unknown algorithm %v", f.cfg.Algorithm)
@@ -646,8 +531,13 @@ func (f *Framework) generateRSSeeded(ctx context.Context, e *fwEpoch, target cha
 	if err := ctx.Err(); err != nil {
 		return selector.Result{}, err
 	}
+	b, err := e.batches.BatchOf(target)
+	if err != nil {
+		return selector.Result{}, err
+	}
 	if !f.cfg.Randomize {
-		p, universe, err := f.problemFor(e, target, req)
+		sw := f.newSweep(e, b, target, req, seed)
+		p, err := sw.table.Problem(target, sw.req)
 		if err != nil {
 			return selector.Result{}, err
 		}
@@ -655,13 +545,9 @@ func (f *Framework) generateRSSeeded(ctx context.Context, e *fwEpoch, target cha
 		if f.cfg.Algorithm == RandomPick {
 			rng = streamRand(seed, soloStream)
 		}
-		return f.solve(ctx, e, p, universe, target, req, rng)
+		return f.solve(ctx, p, sw.universe, sw.rings, rng)
 	}
-	universe, err := e.batches.Universe(target)
-	if err != nil {
-		return selector.Result{}, err
-	}
-	candidates, err := f.sampleCandidatesTraced(ctx, e, universe, target, req, seed)
+	candidates, err := f.sampleCandidatesTraced(ctx, e, b, target, req, seed)
 	if err != nil {
 		return selector.Result{}, err
 	}
@@ -733,7 +619,6 @@ func (f *Framework) CommitCtx(ctx context.Context, tokens chain.TokenSet, req di
 		batches: e.batches, // a commit appends a ring; boundaries are unchanged
 		origin:  e.origin,  // and so is the token population
 		guards:  guards,
-		decomp:  e.decomp, // entries self-invalidate on ring count
 	})
 	f.metrics.epochAdvance.ObserveSince(start)
 	return id, nil

@@ -62,8 +62,8 @@ func TestRandomizedSamplingWithRandomPick(t *testing.T) {
 	}
 }
 
-// The decomposition cache must refresh after every commit: a committed ring
-// becomes a super module the very next solve.
+// A selection must decompose against every commit before it: a committed
+// ring becomes a super module the very next solve.
 func TestDecompositionCacheInvalidation(t *testing.T) {
 	l := samplingLedger(t, 10)
 	f, err := New(l, Config{Lambda: 100, Headroom: true, Algorithm: Progressive}, nil)
