@@ -12,7 +12,7 @@
 //	txgen -lambda 100,400 -conc 1,4,16        # λ × concurrency grid
 //	txgen -node http://host:8791 -lambda 0    # drive a remote node
 //	txgen -out BENCH_load.json                # write the JSON artefact
-//	txgen -assert                             # exit 1 unless every row spent
+//	txgen -assert                             # exit 1 unless every row spent, dropping no spans
 //
 // -arrival is a comma list; each model contributes its own grid points to the
 // one report. Closed loop sweeps the -conc list (fixed worker populations — a
@@ -20,9 +20,9 @@
 // first -conc entry as the outstanding-request bound. Each in-process run gets a fresh node (spends
 // mutate the ledger), built at each λ of the -lambda list; remote runs use the
 // node as-is and λ is recorded as 0. In-process runs include the per-stage
-// breakdown (sample/solve/sign/verify/commit/queue-wait deltas over the
-// measured window); remote ones cannot, their traces live in the server —
-// see its /debug/traces.
+// breakdown (queue-wait/sample/sign/verify-sig/verify/commit deltas over the
+// measured window) and the window's stale-epoch retries; remote ones cannot,
+// their traces live in the server — see its /debug/traces.
 package main
 
 import (
@@ -93,7 +93,7 @@ func main() {
 		maxInF     = flag.Int("max-inflight", 4, "in-process admission gate: concurrent requests (0 disables)")
 		maxQueue   = flag.Int("max-queue", 8, "in-process admission gate: waiting room")
 		out        = flag.String("out", "", "write the JSON report to this path")
-		assertFlag = flag.Bool("assert", false, "exit 1 unless every grid point completed spends (CI smoke)")
+		assertFlag = flag.Bool("assert", false, "exit 1 unless every grid point completed spends and dropped no spans (CI smoke)")
 	)
 	flag.Parse()
 
@@ -209,8 +209,12 @@ func main() {
 				fail(fmt.Errorf("grid point λ=%d conc=%d rate=%g completed no spends: %+v",
 					r.Lambda, r.Concurrency, r.Rate, r.Result))
 			}
+			if r.DroppedSpans > 0 {
+				fail(fmt.Errorf("grid point λ=%d conc=%d rate=%g dropped %d spans: its stage breakdown is incomplete",
+					r.Lambda, r.Concurrency, r.Rate, r.DroppedSpans))
+			}
 		}
-		fmt.Println("assert: every grid point completed spends")
+		fmt.Println("assert: every grid point completed spends and dropped no spans")
 	}
 }
 
@@ -224,14 +228,14 @@ func printRow(r Row) {
 		us(r.Latency.P50), us(r.Latency.P99), r.ShedRate*100,
 		r.OK, r.Rejected, r.Errors, r.Skipped)
 	if len(r.Stages) > 0 {
-		order := []string{"queue-wait", "sample", "candidate", "solve", "sign", "verify-sig", "verify", "commit"}
+		order := []string{"queue-wait", "sample", "sign", "verify-sig", "verify", "commit"}
 		parts := make([]string, 0, len(order))
 		for _, name := range order {
 			if st, ok := r.Stages[name]; ok {
 				parts = append(parts, fmt.Sprintf("%s %s×%d", name, us(st.MeanUS), st.Count))
 			}
 		}
-		fmt.Printf("  stages: %s  dropped=%d\n", strings.Join(parts, "  "), r.DroppedSpans)
+		fmt.Printf("  stages: %s  dropped=%d retries=%d\n", strings.Join(parts, "  "), r.DroppedSpans, r.Retries)
 	}
 }
 

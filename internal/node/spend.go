@@ -9,6 +9,7 @@ import (
 
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/diversity"
+	"tokenmagic/internal/obs/trace"
 	"tokenmagic/internal/ringsig"
 	itm "tokenmagic/internal/tokenmagic"
 )
@@ -46,7 +47,7 @@ func spendReason(err error) string {
 // Spend runs the paper's full client+miner pipeline inside the node: select a
 // ring for target (Algorithm 1), sign it with the target's key, verify the
 // signature, and commit under the Step-3 checks. Every stage lands in the
-// trace carried by ctx (sample, solve, sign, verify-sig, verify, commit), so
+// trace carried by ctx (sample, sign, verify-sig, verify, commit), so
 // this is the end-to-end path the load generator drives.
 //
 // Ring selection runs outside the node mutex — concurrent Spends solve in
@@ -83,19 +84,21 @@ func staleRetryable(err error) bool {
 // epoch advanced past the one the ring was selected against and the failure
 // is selection-dependent — re-selects against the new epoch and retries.
 // Without this, concurrent spends of distinct tokens could surface spurious
-// rejections (HTTP 422 through nodesvc) purely from commit ordering.
+// rejections (HTTP 422 through nodesvc) purely from commit ordering. Each
+// attempt opens its own stages in the request's trace; a spend that retried
+// also annotates the trace with attempts=<n>.
 func (n *Node) spend(ctx context.Context, target chain.TokenID, req diversity.Requirement) (SpendResult, error) {
 	if n.verifySigs && n.keys == nil {
 		return SpendResult{}, ErrNoSpendKeys
 	}
-	for attempt := 0; ; attempt++ {
+	for attempt := 1; ; attempt++ {
 		epoch := n.fw.Epoch()
 		res, err := n.spendOnce(ctx, target, req)
-		if err == nil {
-			return res, nil
-		}
-		if attempt >= maxStaleRetries || !staleRetryable(err) || n.fw.Epoch() == epoch {
-			return SpendResult{}, err
+		if err == nil || attempt > maxStaleRetries || !staleRetryable(err) || n.fw.Epoch() == epoch {
+			if attempt > 1 {
+				trace.FromContext(ctx).AnnotateInt("attempts", int64(attempt))
+			}
+			return res, err
 		}
 		n.metrics.Counter("node.spend.retry.stale_epoch").Inc()
 	}

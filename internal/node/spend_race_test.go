@@ -11,22 +11,25 @@ package node
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"testing"
 
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/diversity"
 	"tokenmagic/internal/obs"
+	"tokenmagic/internal/obs/trace"
 	itm "tokenmagic/internal/tokenmagic"
 )
 
-// TestSpendRetriesAfterSiblingCommit reproduces the race deterministically:
-// the test hook lands a conflicting ring in the window between this spend's
-// ring selection and its commit. The first commit attempt must fail (its
-// ring partially overlaps the sibling's), and the retry — re-selecting
-// against the advanced epoch — must land. Without the retry this spend
-// surfaced the sibling's commit as a spurious rejection.
-func TestSpendRetriesAfterSiblingCommit(t *testing.T) {
+// siblingRaceNode builds a one-batch node whose test hook lands a
+// conflicting ring in the window between a spend's first ring selection and
+// its commit. The sibling's ring is every batch token except target: it
+// cannot contain any ring that includes the target, and any ring with the
+// target plus ≥1 mixin overlaps it — so whatever ring the spend selected
+// against the pre-sibling epoch is guaranteed to conflict.
+func siblingRaceNode(t *testing.T, target chain.TokenID, req diversity.Requirement) (*Node, *obs.Registry) {
+	t.Helper()
 	l := chain.NewLedger()
 	b := l.BeginBlock()
 	for i := 0; i < 16; i++ {
@@ -45,13 +48,6 @@ func TestSpendRetriesAfterSiblingCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := diversity.Requirement{C: 1, L: 2}
-	const target = chain.TokenID(5)
-
-	// The sibling's ring is every batch token except the target: it cannot
-	// contain any ring that includes the target, and any ring with the
-	// target plus ≥1 mixin overlaps it — so whatever ring this spend
-	// selected against the pre-sibling epoch is guaranteed to conflict.
 	var sibling []chain.TokenID
 	for i := 0; i < l.NumTokens(); i++ {
 		if chain.TokenID(i) != target {
@@ -68,6 +64,18 @@ func TestSpendRetriesAfterSiblingCommit(t *testing.T) {
 			t.Errorf("sibling commit: %v", cerr)
 		}
 	}
+	return n, reg
+}
+
+// TestSpendRetriesAfterSiblingCommit reproduces the race deterministically:
+// the first commit attempt must fail (its ring partially overlaps the
+// sibling's), and the retry — re-selecting against the advanced epoch —
+// must land. Without the retry this spend surfaced the sibling's commit as
+// a spurious rejection.
+func TestSpendRetriesAfterSiblingCommit(t *testing.T) {
+	req := diversity.Requirement{C: 1, L: 2}
+	const target = chain.TokenID(5)
+	n, reg := siblingRaceNode(t, target, req)
 
 	res, err := n.Spend(context.Background(), target, req)
 	if err != nil {
@@ -81,6 +89,49 @@ func TestSpendRetriesAfterSiblingCommit(t *testing.T) {
 	}
 	if got := reg.Counter("node.spend.reject.config").Value(); got != 0 {
 		t.Fatalf("spurious config rejections: %d", got)
+	}
+}
+
+// A retried spend is visible in its trace: the request carries
+// attempts=<n>, and each attempt opened its own sample, verify and commit
+// stages. A spend that did not retry carries no attempts annotation.
+func TestSpendRetryAnnotatesTrace(t *testing.T) {
+	req := diversity.Requirement{C: 1, L: 2}
+	const target = chain.TokenID(5)
+	n, reg := siblingRaceNode(t, target, req)
+	col := trace.NewCollector()
+
+	ctx, tr := trace.New(context.Background(), col, "test.spend")
+	if _, err := n.Spend(ctx, target, req); err != nil {
+		t.Fatalf("spend: %v", err)
+	}
+	tr.Finish("200")
+	got := col.Snapshot("", 1).Recent[0]
+	retries := reg.Counter("node.spend.retry.stale_epoch").Value()
+	if retries == 0 {
+		t.Fatal("retry counter did not fire: the race was not exercised")
+	}
+	if want := strconv.FormatInt(retries+1, 10); got.Annotations["attempts"] != want {
+		t.Fatalf("trace attempts = %q, want %s (annotations %v)", got.Annotations["attempts"], want, got.Annotations)
+	}
+	count := map[string]int64{}
+	for _, sp := range got.Spans {
+		count[sp.Name]++
+	}
+	for _, stage := range []string{"sample", "commit", "verify"} {
+		if count[stage] != retries+1 {
+			t.Errorf("%s spans = %d, want one per attempt (%d)", stage, count[stage], retries+1)
+		}
+	}
+
+	// The sibling hook fires once; the next spend lands first time.
+	ctx, tr = trace.New(context.Background(), col, "test.spend")
+	if _, err := n.Spend(ctx, chain.TokenID(6), req); err != nil {
+		t.Fatalf("second spend: %v", err)
+	}
+	tr.Finish("200")
+	if a, ok := col.Snapshot("", 1).Recent[0].Annotations["attempts"]; ok {
+		t.Fatalf("first-time spend annotated attempts=%s", a)
 	}
 }
 

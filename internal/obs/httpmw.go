@@ -65,7 +65,7 @@ func statusClass(code int) string {
 // The middleware additionally roots a request trace "<service>.<route>" in
 // the default trace collector and finishes it with the response status, so
 // everything downstream (LimitConcurrency's queue-wait, the framework's
-// sample/solve/verify/commit spans) hangs off one per-request span tree.
+// sample/verify/commit spans) hangs off one per-request span tree.
 // Mount this OUTSIDE LimitConcurrency: then the latency histogram and the
 // trace both cover queue wait, and shed requests are counted per route.
 func InstrumentHTTP(reg *Registry, service string, next http.Handler, routes ...string) http.Handler {

@@ -81,7 +81,7 @@ func LimitConcurrency(reg *Registry, service string, maxInFlight, maxQueue int, 
 // client's context dies, accounting the wait as a "queue-wait" span of the
 // request's trace.
 func waitForSlot(r *http.Request, sem chan struct{}) bool {
-	sp := trace.StartChild(r.Context(), "queue-wait")
+	_, sp := trace.StartSpan(r.Context(), "queue-wait")
 	defer sp.End()
 	select {
 	case sem <- struct{}{}:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"maps"
 	"net/http"
 	"sort"
 	"strconv"
@@ -18,32 +19,18 @@ import (
 // aggregates. All methods are safe for concurrent use.
 type Collector struct {
 	enabled atomic.Bool
-	// stageFactory, when set, builds one duration observer per stage name
-	// (internal/obs returns a registry histogram's Observe). The observer is
-	// cached on the stage's aggregate, so the per-span path never touches a
-	// map or a name string.
-	stageFactory atomic.Pointer[func(name string) func(durUS int64)]
 
-	maxSpans  int // per-trace span budget; beyond it spans are dropped, counted
 	ringSize  int // recent traces retained
 	exemplars int // slowest traces retained per route
 
-	// intern holds the collector-wide vocabulary table span records index
-	// into; see the package comment for the cardinality contract.
-	intern *interner
-
-	// stages indexes *stageAgg by interned span name id — a dense
-	// copy-on-write slice, so the per-span record path is one atomic load
-	// plus an array index, which matters at λ candidate spans per request.
-	stages   atomic.Pointer[[]*stageAgg]
-	stagesMu sync.Mutex
-
-	mu      sync.Mutex
-	ring    []*Trace
-	next    int
-	total   uint64
-	dropped int64               // spans past the budget, over all finished traces
-	slow    map[string][]*Trace // route → slowest-first exemplars
+	mu       sync.Mutex
+	ring     []*Trace
+	next     int
+	total    uint64
+	dropped  int64               // spans past the budget, over all finished traces
+	slow     map[string][]*Trace // route → slowest-first exemplars
+	stages   map[string]StageStats
+	observer func(stage string, durUS int64)
 }
 
 // StageStats aggregates the ended spans of one name across all traces.
@@ -51,29 +38,6 @@ type StageStats struct {
 	Count   int64 `json:"count"`
 	TotalUS int64 `json:"total_us"`
 	MaxUS   int64 `json:"max_us"`
-}
-
-// stageAgg is the live, atomically-updated form of StageStats, plus the
-// wired per-stage observer (histogram Observe), cached here so recording a
-// span costs no lookups.
-type stageAgg struct {
-	count, total, max atomic.Int64
-	obs               atomic.Pointer[func(durUS int64)]
-}
-
-func (a *stageAgg) observe(durUS int64) {
-	a.count.Add(1)
-	a.total.Add(durUS)
-	for {
-		cur := a.max.Load()
-		if durUS <= cur || a.max.CompareAndSwap(cur, durUS) {
-			return
-		}
-	}
-}
-
-func (a *stageAgg) snapshot() StageStats {
-	return StageStats{Count: a.count.Load(), TotalUS: a.total.Load(), MaxUS: a.max.Load()}
 }
 
 // MeanUS is the average span duration in microseconds (0 when empty).
@@ -84,11 +48,16 @@ func (s StageStats) MeanUS() float64 {
 	return float64(s.TotalUS) / float64(s.Count)
 }
 
-// Collector sizing: the span budget covers a full Monero-scale candidate
-// sweep (λ=800 → one candidate plus one solve span per batch token) with
-// headroom; ring and exemplar counts bound worst-case retention to a few MB.
+// maxSpans is the per-trace span budget. The worst legitimate request is a
+// spend that uses up node.spend's stale-epoch retries: maxStaleRetries+1 = 9
+// attempts of five spans each (sample, sign, verify-sig, commit and the
+// verify under it), plus one queue-wait — 46 spans. 64 leaves headroom;
+// a trace past it drops the rest and counts them.
+//
+// The ring and exemplar counts bound retention to 32 recent traces plus 5
+// per route.
 const (
-	defaultMaxSpans  = 2048
+	maxSpans         = 64
 	defaultRingSize  = 32
 	defaultExemplars = 5
 )
@@ -96,14 +65,11 @@ const (
 // NewCollector returns an enabled collector with default bounds.
 func NewCollector() *Collector {
 	c := &Collector{
-		maxSpans:  defaultMaxSpans,
 		ringSize:  defaultRingSize,
 		exemplars: defaultExemplars,
-		intern:    newInterner(),
 		slow:      make(map[string][]*Trace),
+		stages:    make(map[string]StageStats),
 	}
-	stages := []*stageAgg{}
-	c.stages.Store(&stages)
 	c.enabled.Store(true)
 	return c
 }
@@ -120,87 +86,44 @@ func (c *Collector) Enabled() bool { return c.enabled.Load() }
 // SetEnabled toggles trace creation. In-flight traces still record.
 func (c *Collector) SetEnabled(on bool) { c.enabled.Store(on) }
 
-// SetStageObserver installs the per-stage observer factory (nil clears it):
-// each stage name gets one observer, called with every ended span's duration.
-// Already-seen stages are re-wired immediately.
-func (c *Collector) SetStageObserver(factory func(name string) func(durUS int64)) {
-	c.stagesMu.Lock()
-	defer c.stagesMu.Unlock()
-	if factory == nil {
-		c.stageFactory.Store(nil)
-	} else {
-		c.stageFactory.Store(&factory)
-	}
-	for id, agg := range *c.stages.Load() {
-		if agg == nil {
-			continue
-		}
-		if factory == nil {
-			agg.obs.Store(nil)
-			continue
-		}
-		obs := factory(c.intern.lookup(int32(id)))
-		agg.obs.Store(&obs)
-	}
+// SetStageObserver installs fn (nil clears it); it is called with every
+// ended span's stage name and duration.
+func (c *Collector) SetStageObserver(fn func(stage string, durUS int64)) {
+	c.mu.Lock()
+	c.observer = fn
+	c.mu.Unlock()
 }
 
-// recordSpan folds one ended span into its stage aggregate and the stage's
-// wired observer: an atomic slice load, an array index, four atomic adds.
-func (c *Collector) recordSpan(nameID int32, durUS int64) {
-	stages := *c.stages.Load()
-	var agg *stageAgg
-	if int(nameID) < len(stages) {
-		agg = stages[nameID]
+// recordSpan folds one ended span into its stage aggregate and hands it to
+// the stage observer.
+func (c *Collector) recordSpan(name string, durUS int64) {
+	c.mu.Lock()
+	st := c.stages[name]
+	st.Count++
+	st.TotalUS += durUS
+	st.MaxUS = max(st.MaxUS, durUS)
+	c.stages[name] = st
+	obs := c.observer
+	c.mu.Unlock()
+	if obs != nil {
+		obs(name, durUS)
 	}
-	if agg == nil {
-		agg = c.growStage(nameID)
-	}
-	agg.observe(durUS)
-	if fn := agg.obs.Load(); fn != nil {
-		(*fn)(durUS)
-	}
-}
-
-// growStage creates the aggregate for a first-seen stage, wiring its
-// observer from the factory, and publishes a copy of the dense slice.
-func (c *Collector) growStage(nameID int32) *stageAgg {
-	c.stagesMu.Lock()
-	defer c.stagesMu.Unlock()
-	cur := *c.stages.Load()
-	if int(nameID) < len(cur) && cur[nameID] != nil {
-		return cur[nameID]
-	}
-	n := len(cur)
-	if int(nameID)+1 > n {
-		n = int(nameID) + 1
-	}
-	next := make([]*stageAgg, n)
-	copy(next, cur)
-	agg := &stageAgg{}
-	if factory := c.stageFactory.Load(); factory != nil {
-		obs := (*factory)(c.intern.lookup(nameID))
-		agg.obs.Store(&obs)
-	}
-	next[nameID] = agg
-	c.stages.Store(&next)
-	return agg
 }
 
 // StageSnapshot copies the per-stage aggregates (load generators diff two
 // snapshots around their measure window).
 func (c *Collector) StageSnapshot() map[string]StageStats {
-	out := make(map[string]StageStats)
-	for id, agg := range *c.stages.Load() {
-		if agg != nil {
-			out[c.intern.lookup(int32(id))] = agg.snapshot()
-		}
-	}
-	return out
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.stages)
 }
 
 // record files a finished trace into the ring and the per-route exemplars,
 // and summarises it to slog when Debug logging is on.
 func (c *Collector) record(t *Trace) {
+	t.mu.Lock()
+	dropped := t.dropped
+	t.mu.Unlock()
 	c.mu.Lock()
 	if len(c.ring) < c.ringSize {
 		c.ring = append(c.ring, t)
@@ -209,7 +132,7 @@ func (c *Collector) record(t *Trace) {
 	}
 	c.next = (c.next + 1) % c.ringSize
 	c.total++
-	c.dropped += int64(t.dropped.Load())
+	c.dropped += int64(dropped)
 
 	// Keep the slowest exemplars for the route, slowest first.
 	slow := c.slow[t.route]
@@ -224,12 +147,13 @@ func (c *Collector) record(t *Trace) {
 	c.mu.Unlock()
 
 	if slog.Default().Enabled(context.Background(), slog.LevelDebug) {
+		spans, breakdown := t.breakdown()
 		slog.Debug("trace finished",
 			"route", t.route,
 			"status", t.status,
 			"dur_us", t.durUS,
-			"spans", t.spanCount(),
-			"breakdown", t.breakdown())
+			"spans", spans,
+			"breakdown", breakdown)
 	}
 }
 
@@ -243,23 +167,25 @@ func (c *Collector) DroppedSpans() int64 {
 }
 
 // breakdown renders "name=totalµs" pairs aggregated per span name, sorted by
-// descending total — the one-line view of where the request's time went.
-func (t *Trace) breakdown() string {
-	in := t.collector.intern
-	totals := make(map[int32]int64)
-	for i, n := 0, t.spanCount(); i < n; i++ {
-		sd := t.slotRead(i)
-		if sd != nil && sd.endUS >= 0 {
-			totals[sd.name] += int64(sd.endUS - sd.startUS)
+// descending total — the one-line view of where the request's time went —
+// and returns it with the trace's span count.
+func (t *Trace) breakdown() (int, string) {
+	t.mu.Lock()
+	n := len(t.spans)
+	totals := make(map[string]int64)
+	for _, sr := range t.spans {
+		if sr.endUS >= 0 {
+			totals[sr.name] += sr.endUS - sr.startUS
 		}
 	}
+	t.mu.Unlock()
 	type kv struct {
 		name string
 		us   int64
 	}
 	parts := make([]kv, 0, len(totals))
-	for id, us := range totals {
-		parts = append(parts, kv{in.lookup(id), us})
+	for name, us := range totals {
+		parts = append(parts, kv{name, us})
 	}
 	sort.Slice(parts, func(a, b int) bool {
 		if parts[a].us != parts[b].us {
@@ -277,7 +203,7 @@ func (t *Trace) breakdown() string {
 		b.WriteString(strconv.FormatInt(p.us, 10))
 		b.WriteString("us")
 	}
-	return b.String()
+	return n, b.String()
 }
 
 // SpanJSON is one span in the /debug/traces export.
@@ -296,7 +222,6 @@ type TraceJSON struct {
 	DurUS       int64             `json:"dur_us"`
 	Status      string            `json:"status"`
 	Dropped     int               `json:"dropped_spans,omitempty"`
-	DroppedAnns int               `json:"dropped_annotations,omitempty"`
 	Annotations map[string]string `json:"annotations,omitempty"`
 	Spans       []SpanJSON        `json:"spans"`
 }
@@ -330,51 +255,31 @@ func annotMap(annots []annot) map[string]string {
 	return m
 }
 
-// spanAnnotMap decodes a span's interned annotation slots.
-func spanAnnotMap(in *interner, annots []annotRaw) map[string]string {
-	if len(annots) == 0 {
-		return nil
-	}
-	m := make(map[string]string, len(annots))
-	for _, a := range annots {
-		m[a.keyName(in)] = a.value(in)
-	}
-	return m
-}
-
-// export snapshots one trace into its JSON form, decoding the interned span
-// records back to strings.
+// export snapshots one trace into its JSON form.
 func (t *Trace) export() TraceJSON {
-	in := t.collector.intern
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.spanCount()
 	out := TraceJSON{
 		Route:       t.route,
 		Start:       t.start,
 		DurUS:       t.durUS,
 		Status:      t.status,
-		Dropped:     int(t.dropped.Load()),
-		DroppedAnns: int(t.droppedAnnots.Load()),
+		Dropped:     t.dropped,
 		Annotations: annotMap(t.annots),
-		Spans:       make([]SpanJSON, 0, n),
+		Spans:       make([]SpanJSON, len(t.spans)),
 	}
-	for i := 0; i < n; i++ {
-		sd := t.slotRead(i)
-		if sd == nil {
-			continue
-		}
+	for i, sr := range t.spans {
 		dur := int64(-1)
-		if sd.endUS >= 0 {
-			dur = int64(sd.endUS - sd.startUS)
+		if sr.endUS >= 0 {
+			dur = sr.endUS - sr.startUS
 		}
-		out.Spans = append(out.Spans, SpanJSON{
-			Name:        in.lookup(sd.name),
-			Parent:      sd.parent,
-			StartUS:     int64(sd.startUS),
+		out.Spans[i] = SpanJSON{
+			Name:        sr.name,
+			Parent:      sr.parent,
+			StartUS:     sr.startUS,
 			DurUS:       dur,
-			Annotations: spanAnnotMap(in, sd.annots[:sd.na]),
-		})
+			Annotations: annotMap(sr.annots),
+		}
 	}
 	return out
 }

@@ -10,7 +10,7 @@ import (
 
 func TestNoTraceInContextIsNoop(t *testing.T) {
 	ctx := context.Background()
-	ctx2, sp := StartSpan(ctx, "solve")
+	ctx2, sp := StartSpan(ctx, "sample")
 	if ctx2 != ctx {
 		t.Error("StartSpan without a trace must return the context unchanged")
 	}
@@ -44,13 +44,13 @@ func TestSpanTreeAndExport(t *testing.T) {
 	if tr == nil {
 		t.Fatal("enabled collector must create a trace")
 	}
-	ctx1, sample := StartSpan(ctx, "sample")
+	_, sample := StartSpan(ctx, "sample")
 	sample.AnnotateInt("universe", 40)
-	_, solve := StartSpan(ctx1, "solve")
-	solve.Annotate("solver", "TM_P")
-	solve.End()
 	sample.End()
-	_, commit := StartSpan(ctx, "commit")
+	ctx1, commit := StartSpan(ctx, "commit")
+	_, verify := StartSpan(ctx1, "verify")
+	verify.Annotate("verdict", "admit")
+	verify.End()
 	commit.End()
 	tr.Annotate("shed", "none")
 	tr.Finish("200")
@@ -73,14 +73,17 @@ func TestSpanTreeAndExport(t *testing.T) {
 	if got.Spans[0].Name != "sample" || got.Spans[0].Parent != -1 {
 		t.Errorf("span 0 = %+v, want root sample", got.Spans[0])
 	}
-	if got.Spans[1].Name != "solve" || got.Spans[1].Parent != 0 {
-		t.Errorf("span 1 = %+v, want solve under sample", got.Spans[1])
+	if got.Spans[1].Name != "commit" || got.Spans[1].Parent != -1 {
+		t.Errorf("span 1 = %+v, want root commit", got.Spans[1])
 	}
-	if got.Spans[2].Name != "commit" || got.Spans[2].Parent != -1 {
-		t.Errorf("span 2 = %+v, want root commit", got.Spans[2])
+	if got.Spans[2].Name != "verify" || got.Spans[2].Parent != 1 {
+		t.Errorf("span 2 = %+v, want verify under commit", got.Spans[2])
 	}
-	if got.Spans[1].Annotations["solver"] != "TM_P" {
-		t.Errorf("solve annotations = %v", got.Spans[1].Annotations)
+	if got.Spans[0].Annotations["universe"] != "40" {
+		t.Errorf("sample annotations = %v", got.Spans[0].Annotations)
+	}
+	if got.Spans[2].Annotations["verdict"] != "admit" {
+		t.Errorf("verify annotations = %v", got.Spans[2].Annotations)
 	}
 	for _, s := range got.Spans {
 		if s.DurUS < 0 {
@@ -90,37 +93,39 @@ func TestSpanTreeAndExport(t *testing.T) {
 	if got.Annotations["shed"] != "none" {
 		t.Errorf("trace annotations = %v", got.Annotations)
 	}
-	if p.Stages["solve"].Count != 1 || p.Stages["sample"].Count != 1 {
+	if p.Stages["verify"].Count != 1 || p.Stages["sample"].Count != 1 {
 		t.Errorf("stages = %v", p.Stages)
 	}
 }
 
 func TestSpanBudgetDropsAndCounts(t *testing.T) {
 	c := NewCollector()
-	c.maxSpans = 4
 	ctx, tr := New(context.Background(), c, "r")
-	for i := 0; i < 10; i++ {
-		_, sp := StartSpan(ctx, "candidate")
+	for i := 0; i < maxSpans+6; i++ {
+		_, sp := StartSpan(ctx, "sample")
 		sp.End()
 	}
 	tr.Finish("200")
 	got := c.Snapshot("", 0).Recent[0]
-	if len(got.Spans) != 4 {
-		t.Errorf("spans = %d, want 4 (budget)", len(got.Spans))
+	if len(got.Spans) != maxSpans {
+		t.Errorf("spans = %d, want %d (budget)", len(got.Spans), maxSpans)
 	}
 	if got.Dropped != 6 {
 		t.Errorf("dropped = %d, want 6", got.Dropped)
 	}
+	if st := c.StageSnapshot()["sample"]; st.Count != maxSpans {
+		t.Errorf("sample stage count = %d, want %d: dropped spans must not record", st.Count, maxSpans)
+	}
 }
 
-// A trace that overflows the default budget raises the collector-wide total,
+// A trace that overflows the budget raises the collector-wide total,
 // which /debug/traces reports at the top level.
 func TestDroppedSpansTotal(t *testing.T) {
 	c := NewCollector()
 	for round := int64(1); round <= 2; round++ {
 		ctx, tr := New(context.Background(), c, "r")
-		for i := 0; i < defaultMaxSpans+3; i++ {
-			_, sp := StartSpan(ctx, "candidate")
+		for i := 0; i < maxSpans+3; i++ {
+			_, sp := StartSpan(ctx, "sample")
 			sp.End()
 		}
 		tr.Finish("200")
@@ -175,12 +180,10 @@ func TestStageObserver(t *testing.T) {
 	c := NewCollector()
 	var mu sync.Mutex
 	seen := map[string]int{}
-	c.SetStageObserver(func(name string) func(int64) {
-		return func(durUS int64) {
-			mu.Lock()
-			seen[name]++
-			mu.Unlock()
-		}
+	c.SetStageObserver(func(stage string, durUS int64) {
+		mu.Lock()
+		seen[stage]++
+		mu.Unlock()
 	})
 	ctx, tr := New(context.Background(), c, "r")
 	_, sp := StartSpan(ctx, "sign")
@@ -191,24 +194,21 @@ func TestStageObserver(t *testing.T) {
 		t.Errorf("observer saw sign %d times, want 1", seen["sign"])
 	}
 
-	// Wiring after a stage exists re-wires it immediately.
-	late := map[string]int{}
-	c.SetStageObserver(func(name string) func(int64) {
-		return func(durUS int64) {
-			mu.Lock()
-			late[name]++
-			mu.Unlock()
-		}
-	})
+	c.SetStageObserver(nil)
 	ctx2, tr2 := New(context.Background(), c, "r")
-	sp2 := StartChild(ctx2, "sign")
+	_, sp2 := StartSpan(ctx2, "sign")
 	sp2.End()
 	tr2.Finish("200")
-	if late["sign"] != 1 {
-		t.Errorf("re-wired observer saw sign %d times, want 1", late["sign"])
+	if seen["sign"] != 1 {
+		t.Errorf("cleared observer still called: sign seen %d times", seen["sign"])
+	}
+	if st := c.StageSnapshot()["sign"]; st.Count != 2 {
+		t.Errorf("sign stage count = %d, want 2", st.Count)
 	}
 }
 
+// Trace stays safe for concurrent use: run under -race, goroutines racing
+// on one trace lose no span to anything but the budget.
 func TestConcurrentSpans(t *testing.T) {
 	c := NewCollector()
 	ctx, tr := New(context.Background(), c, "r")
@@ -218,7 +218,7 @@ func TestConcurrentSpans(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				_, sp := StartSpan(ctx, "candidate")
+				_, sp := StartSpan(ctx, "sign")
 				sp.AnnotateInt("worker", int64(w))
 				sp.End()
 			}
@@ -227,15 +227,15 @@ func TestConcurrentSpans(t *testing.T) {
 	wg.Wait()
 	tr.Finish("200")
 	got := c.Snapshot("", 0).Recent[0]
-	if len(got.Spans)+got.Dropped != 400 {
-		t.Errorf("spans+dropped = %d, want 400", len(got.Spans)+got.Dropped)
+	if len(got.Spans) != maxSpans || got.Dropped != 400-maxSpans {
+		t.Errorf("spans = %d, dropped = %d, want %d and %d", len(got.Spans), got.Dropped, maxSpans, 400-maxSpans)
 	}
 }
 
 func TestHandlerJSON(t *testing.T) {
 	c := NewCollector()
 	ctx, tr := New(context.Background(), c, "nodesvc.v1_spend")
-	_, sp := StartSpan(ctx, "solve")
+	_, sp := StartSpan(ctx, "sample")
 	sp.End()
 	tr.Finish("200")
 

@@ -16,14 +16,12 @@ func init() {
 	WireTraceStages(trace.Default(), Default())
 }
 
-// WireTraceStages points the collector's stage observers at reg: each ended
+// WireTraceStages points the collector's stage observer at reg: each ended
 // span of name <stage> lands in the "trace.stage.<stage>.latency_us"
-// histogram. The factory runs once per stage name and the collector caches
-// the returned Observe on the stage's aggregate, so the per-span path is a
-// direct histogram call with no name concatenation or registry lookup — it
-// runs once per span, λ or more times per request.
+// histogram. A request ends a handful of spans, so the registry lookup per
+// span is not worth caching.
 func WireTraceStages(c *trace.Collector, reg *Registry) {
-	c.SetStageObserver(func(name string) func(durUS int64) {
-		return reg.Histogram("trace.stage."+name+".latency_us", LatencyBucketsUS).Observe
+	c.SetStageObserver(func(stage string, durUS int64) {
+		reg.Histogram("trace.stage."+stage+".latency_us", LatencyBucketsUS).Observe(durUS)
 	})
 }

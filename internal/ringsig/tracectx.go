@@ -14,7 +14,7 @@ import (
 
 // SignCtx is Sign recorded as a "sign" span of the trace in ctx.
 func SignCtx(ctx context.Context, rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte) (*Signature, error) {
-	sp := trace.StartChild(ctx, "sign")
+	_, sp := trace.StartSpan(ctx, "sign")
 	defer sp.End()
 	sp.AnnotateInt("ring_size", int64(len(ring)))
 	sig, err := Sign(rng, sk, ring, signerIdx, msg)
@@ -34,7 +34,7 @@ func VerifyCtx(ctx context.Context, sig *Signature, ring []Point, msg []byte) er
 // VerifyCtx is Engine.Verify recorded as a "verify-sig" span of the trace
 // in ctx.
 func (e *Engine) VerifyCtx(ctx context.Context, sig *Signature, ring []Point, msg []byte) error {
-	sp := trace.StartChild(ctx, "verify-sig")
+	_, sp := trace.StartSpan(ctx, "verify-sig")
 	defer sp.End()
 	sp.AnnotateInt("ring_size", int64(len(ring)))
 	err := e.Verify(sig, ring, msg)
@@ -47,7 +47,7 @@ func (e *Engine) VerifyCtx(ctx context.Context, sig *Signature, ring []Point, ms
 // VerifyBatchCtx is VerifyBatch recorded as a "verify-batch" span carrying
 // the batch size and how much of it the caches settled.
 func (e *Engine) VerifyBatchCtx(ctx context.Context, reqs []VerifyRequest) BatchResult {
-	sp := trace.StartChild(ctx, "verify-batch")
+	_, sp := trace.StartSpan(ctx, "verify-batch")
 	defer sp.End()
 	sp.AnnotateInt("batch_size", int64(len(reqs)))
 	res := e.VerifyBatch(ctx, reqs)

@@ -30,7 +30,6 @@ import (
 
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/diversity"
-	"tokenmagic/internal/obs/trace"
 	"tokenmagic/internal/selector"
 )
 
@@ -97,11 +96,10 @@ const (
 // sweep is what every solve of one selection request shares: the consuming
 // token's batch, the rings over it (TM_B's input) and the module table of
 // its decomposition. The Algorithm-1 sweep solves every batch token over it;
-// the single-solve path (Randomize off) solves only the target. It is
-// read-only once built and lives only as long as the request. Nothing is
-// cached across requests: the decomposition depends on the ring list, which
-// every commit changes, and a cached table would keep one table per batch
-// alive for good.
+// the single-solve path (Randomize off) solves only the target. It lives only
+// as long as the request. Nothing is cached across requests: the
+// decomposition depends on the ring list, which every commit changes, and a
+// cached table would keep one table per batch alive for good.
 type sweep struct {
 	universe chain.TokenSet
 	rings    []chain.RingRecord
@@ -109,6 +107,11 @@ type sweep struct {
 	target   chain.TokenID
 	req      diversity.Requirement // headroom-adjusted
 	seed     int64
+
+	// solves and solveUS tally the request's solves for its sample span:
+	// how many ran and their summed latency. Every worker adds to them, so
+	// with several workers solveUS can exceed the span's wall time.
+	solves, solveUS atomic.Int64
 }
 
 // newSweep decomposes b at the pinned epoch and builds its module table.
@@ -137,57 +140,26 @@ func (f *Framework) solveCandidate(ctx context.Context, sw *sweep, tok chain.Tok
 	if f.cfg.Algorithm == RandomPick {
 		rng = streamRand(sw.seed, uint64(idx))
 	}
-	res, err := f.solve(ctx, p, sw.universe, sw.rings, rng)
+	res, err := f.solve(ctx, sw, p, rng)
 	if err != nil || !res.Tokens.Contains(sw.target) {
 		return selector.Result{}, false
 	}
 	return res, true
 }
 
-// solveCandidateSpan wraps one candidate solve in a "candidate" span of the
-// request's trace, recording which worker ran it and the ring size it found.
-// The executor stays trace-agnostic below this point: with no trace in ctx
-// the span is a no-op and the only cost is one context lookup.
-func (f *Framework) solveCandidateSpan(ctx context.Context, sw *sweep, worker int, tok chain.TokenID, idx int) (selector.Result, bool) {
-	ctx, sp := trace.StartSpan(ctx, "candidate")
-	defer sp.End()
-	sp.AnnotateInt("worker", int64(worker))
-	res, ok := f.solveCandidate(ctx, sw, tok, idx)
-	if ok {
-		sp.AnnotateInt("ring_size", int64(res.Size()))
-	}
-	return res, ok
-}
-
-// sampleCandidatesTraced wraps the candidate sweep in a "sample" span carrying
-// the request seed and the universe/candidate counts — the per-request view of
-// Algorithm 1 lines 2–6.
-func (f *Framework) sampleCandidatesTraced(ctx context.Context, e *fwEpoch, b chain.Batch, target chain.TokenID, req diversity.Requirement, seed int64) ([]selector.Result, error) {
-	ctx, sp := trace.StartSpan(ctx, "sample")
-	defer sp.End()
-	// The seed is per-request context, kept at trace level so the span's
-	// fixed annotation slots stay within budget.
-	trace.FromContext(ctx).AnnotateInt("seed", seed)
-	sp.AnnotateInt("universe", int64(len(b.Tokens)))
-	candidates, err := f.sampleCandidates(ctx, e, b, target, req, seed)
-	sp.AnnotateInt("candidates", int64(len(candidates)))
-	return candidates, err
-}
-
-// sampleCandidates runs Algorithm 1 lines 2–6 over target's batch b: one
+// sampleCandidates runs Algorithm 1 lines 2–6 over the sweep's batch: one
 // solve per batch token, keeping the candidates that contain the consuming
-// token, merged in batch token order. The batch is decomposed and its
-// module table built once, before any solve, and shared read-only by every
-// worker. With one worker the solves run in-place; otherwise they
-// fan out over the pool. Both paths return byte-identical slices for the
-// same seed. A non-nil error is only ever the caller's context failing.
-func (f *Framework) sampleCandidates(ctx context.Context, e *fwEpoch, b chain.Batch, target chain.TokenID, req diversity.Requirement, seed int64) ([]selector.Result, error) {
-	universe := b.Tokens
+// token, merged in batch token order. The sweep's module table is shared
+// read-only by every worker. With one worker the solves run in-place;
+// otherwise they fan out over the pool. Both paths return byte-identical
+// slices for the same seed. A non-nil error is only ever the caller's
+// context failing.
+func (f *Framework) sampleCandidates(ctx context.Context, sw *sweep) ([]selector.Result, error) {
+	universe := sw.universe
 	n := len(universe)
 	if n == 0 {
 		return nil, ctx.Err()
 	}
-	sw := f.newSweep(e, b, target, req, seed)
 	workers := f.parallelism()
 	if workers > n {
 		workers = n
@@ -201,7 +173,7 @@ func (f *Framework) sampleCandidates(ctx context.Context, e *fwEpoch, b chain.Ba
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if res, ok := f.solveCandidateSpan(ctx, sw, 0, universe[i], i); ok {
+			if res, ok := f.solveCandidate(ctx, sw, universe[i], i); ok {
 				results[i], states[i] = res, candSat
 				sat++
 				if f.cfg.StopAfter > 0 && sat >= f.cfg.StopAfter {
@@ -257,7 +229,7 @@ func (f *Framework) sampleCandidates(ctx context.Context, e *fwEpoch, b chain.Ba
 				if i >= n || cctx.Err() != nil {
 					return
 				}
-				res, ok := f.solveCandidateSpan(cctx, sw, w, universe[i], i)
+				res, ok := f.solveCandidate(cctx, sw, universe[i], i)
 				finish(i, res, ok)
 			}
 		}()

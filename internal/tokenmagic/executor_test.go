@@ -93,7 +93,7 @@ func TestStopAfterDeterministicPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := full.sampleCandidates(context.Background(), full.epoch.Load(), b, 5, req, seed)
+	cands, err := full.sampleCandidates(context.Background(), full.newSweep(full.epoch.Load(), b, 5, req, seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -418,29 +418,29 @@ func (f *Framework) effectiveReq(req diversity.Requirement) diversity.Requiremen
 
 // solve dispatches to the configured solver and is the one instrument of a
 // solve (candidate sampling makes this the hot path: one call per batch
-// token per spend). A "solve" span annotated with the solver and ring size,
-// the per-algorithm count and failures, and the latency histogram all cover
-// the same interval; the solvers themselves record nothing. Counter order
-// matters to ReadStats: the count is bumped before the failure counter so
-// snapshots never see SolveFailures > Solves. rng is the solve's private
-// derived stream; only TM_R consumes it. universe and rings are p.Target's
-// batch and the rings over it at the solve's epoch; only TM_B reads them.
-func (f *Framework) solve(ctx context.Context, p *selector.Problem, universe chain.TokenSet, rings []chain.RingRecord, rng *rand.Rand) (selector.Result, error) {
-	sp := trace.StartChild(ctx, "solve")
-	sp.Annotate("solver", f.cfg.Algorithm.String())
+// token per spend). One clock reading feeds the per-algorithm latency
+// histogram and the sweep's solve_us tally; the count and failures cover the
+// same call. The solvers themselves record nothing. Counter order matters to
+// ReadStats: the count is bumped before the failure counter so snapshots
+// never see SolveFailures > Solves. rng is the solve's private derived
+// stream; only TM_R consumes it.
+func (f *Framework) solve(ctx context.Context, sw *sweep, p *selector.Problem, rng *rand.Rand) (selector.Result, error) {
 	start := time.Now()
-	res, err := f.dispatch(ctx, p, universe, rings, rng)
+	res, err := f.dispatch(ctx, sw, p, rng)
+	us := time.Since(start).Microseconds()
 	f.metrics.solveCount.Inc()
-	f.metrics.solveLatency.ObserveSince(start)
+	f.metrics.solveLatency.Observe(us)
 	if err != nil {
 		f.metrics.solveFailures.Inc()
 	}
-	sp.AnnotateInt("ring_size", int64(res.Size()))
-	sp.End()
+	sw.solves.Add(1)
+	sw.solveUS.Add(us)
 	return res, err
 }
 
-func (f *Framework) dispatch(ctx context.Context, p *selector.Problem, universe chain.TokenSet, rings []chain.RingRecord, rng *rand.Rand) (selector.Result, error) {
+// dispatch runs the configured solver on p. Only TM_B reads the sweep's
+// universe and rings.
+func (f *Framework) dispatch(ctx context.Context, sw *sweep, p *selector.Problem, rng *rand.Rand) (selector.Result, error) {
 	switch f.cfg.Algorithm {
 	case Progressive:
 		return selector.ProgressiveCtx(ctx, p)
@@ -456,8 +456,8 @@ func (f *Framework) dispatch(ctx context.Context, p *selector.Problem, universe 
 	case BFS:
 		return selector.BFSCtx(ctx, &selector.ExactProblem{
 			Target:   p.Target,
-			Universe: universe,
-			Rings:    rings,
+			Universe: sw.universe,
+			Rings:    sw.rings,
 			Origin:   p.Origin,
 			// The exact solver enforces DTRS diversity itself, so it must
 			// see the same headroom-adjusted requirement the Step-3 check
@@ -508,23 +508,21 @@ func (f *Framework) GenerateRSContext(ctx context.Context, target chain.TokenID,
 // the same ring at any Parallelism setting. GenerateRSContext draws seeds
 // from the framework rng; simulation replay (internal/sim) and the
 // equivalence test suites supply their own.
+//
+// Selection lands in one "sample" span of the request's trace, carrying the
+// seed and the sweep's aggregates: universe (batch size), solves, candidates
+// (the satisfying ones the ring was picked from) and solve_us (the solves'
+// summed latency, so with several workers it can exceed the span's wall
+// time). Each solve is also recorded once in framework.solve.<ALGO>.*.
 func (f *Framework) GenerateRSSeeded(ctx context.Context, target chain.TokenID, req diversity.Requirement, seed int64) (selector.Result, error) {
+	// The request runs lock-free against the pinned epoch; the sampling
+	// worker pool is joined before it returns, and every solver access reads
+	// the epoch's immutable view, so concurrent commits can never expose a
+	// half-applied mutation to the request.
 	e, err := f.currentEpoch()
 	if err != nil {
 		return selector.Result{}, err
 	}
-	res, err := f.generateRSSeeded(ctx, e, target, req, seed)
-	if err == nil {
-		f.metrics.ringSize.Observe(int64(res.Size()))
-	}
-	return res, err
-}
-
-// generateRSSeeded runs lock-free against the pinned epoch; the sampling
-// worker pool is joined before it returns, and every solver access reads
-// the epoch's immutable view, so concurrent commits can never expose a
-// half-applied mutation to the request.
-func (f *Framework) generateRSSeeded(ctx context.Context, e *fwEpoch, target chain.TokenID, req diversity.Requirement, seed int64) (selector.Result, error) {
 	if err := req.Validate(); err != nil {
 		return selector.Result{}, err
 	}
@@ -535,28 +533,50 @@ func (f *Framework) generateRSSeeded(ctx context.Context, e *fwEpoch, target cha
 	if err != nil {
 		return selector.Result{}, err
 	}
+	ctx, sp := trace.StartSpan(ctx, "sample")
+	defer sp.End()
+	sw := f.newSweep(e, b, target, req, seed)
+	res, candidates, err := f.pick(ctx, sw)
+	sp.AnnotateInt("seed", seed)
+	sp.AnnotateInt("universe", int64(len(sw.universe)))
+	sp.AnnotateInt("solves", sw.solves.Load())
+	sp.AnnotateInt("candidates", int64(candidates))
+	sp.AnnotateInt("solve_us", sw.solveUS.Load())
+	if err == nil {
+		f.metrics.ringSize.Observe(int64(res.Size()))
+	}
+	return res, err
+}
+
+// pick selects the ring: Algorithm 1's candidate sweep and uniform pick, or
+// the target's single solve when Randomize is off. It also returns the
+// number of satisfying candidates the ring was picked from.
+func (f *Framework) pick(ctx context.Context, sw *sweep) (selector.Result, int, error) {
 	if !f.cfg.Randomize {
-		sw := f.newSweep(e, b, target, req, seed)
-		p, err := sw.table.Problem(target, sw.req)
+		p, err := sw.table.Problem(sw.target, sw.req)
 		if err != nil {
-			return selector.Result{}, err
+			return selector.Result{}, 0, err
 		}
 		var rng *rand.Rand
 		if f.cfg.Algorithm == RandomPick {
-			rng = streamRand(seed, soloStream)
+			rng = streamRand(sw.seed, soloStream)
 		}
-		return f.solve(ctx, p, sw.universe, sw.rings, rng)
+		res, err := f.solve(ctx, sw, p, rng)
+		if err != nil {
+			return selector.Result{}, 0, err
+		}
+		return res, 1, nil
 	}
-	candidates, err := f.sampleCandidatesTraced(ctx, e, b, target, req, seed)
+	candidates, err := f.sampleCandidates(ctx, sw)
 	if err != nil {
-		return selector.Result{}, err
+		return selector.Result{}, 0, err
 	}
 	if len(candidates) == 0 {
-		return selector.Result{}, ErrSpentBatch
+		return selector.Result{}, 0, ErrSpentBatch
 	}
 	// Algorithm 1 line 7: uniform pick, on its own derived stream so the
 	// pick is independent of how many candidates each solver drew.
-	return candidates[streamRand(seed, pickStream).Intn(len(candidates))], nil
+	return candidates[streamRand(sw.seed, pickStream).Intn(len(candidates))], len(candidates), nil
 }
 
 // Commit validates a generated ring and appends it to the ledger, updating
@@ -648,7 +668,7 @@ func (f *Framework) VerifyRSCtx(ctx context.Context, tokens chain.TokenSet, req 
 // the reject class — "liveness" is the η guard). The check runs entirely
 // against the pinned epoch e.
 func (f *Framework) verifyAndCount(ctx context.Context, e *fwEpoch, tokens chain.TokenSet, req diversity.Requirement) error {
-	sp := trace.StartChild(ctx, "verify")
+	_, sp := trace.StartSpan(ctx, "verify")
 	defer sp.End()
 	err := f.verifyRS(e, tokens, req)
 	switch {

@@ -13,8 +13,9 @@ import (
 )
 
 // traceBenchFramework builds the λ=200 randomized GenerateRS workload the
-// overhead measurements run against — the serving path's hottest shape (one
-// candidate plus one solve span per batch token).
+// overhead measurements run against: the serving path's largest candidate
+// sweep, which the trace records as one sample span carrying the sweep's
+// solve tallies.
 func traceBenchFramework(tb testing.TB) (*Framework, diversity.Requirement) {
 	tb.Helper()
 	l := samplingLedger(tb, 40)
