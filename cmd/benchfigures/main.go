@@ -19,8 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"strings"
 
 	"tokenmagic/internal/bench"
 )
@@ -106,7 +104,7 @@ func runSolverBench(path string) {
 	fmt.Println("Solver hot-path microbenchmarks (this takes a couple of minutes)…")
 	rep, err := bench.SolverBenchmarks()
 	fail(err)
-	rep.Commit = gitCommit()
+	rep.Commit = bench.Commit()
 	data, err := json.MarshalIndent(rep, "", "  ")
 	fail(err)
 	data = append(data, '\n')
@@ -120,19 +118,6 @@ func runSolverBench(path string) {
 			q.Metric, q.Count, q.P50US, q.P99US, q.MeanUS)
 	}
 	fmt.Println("wrote", path)
-}
-
-// gitCommit names the checkout a report is measured at: the abbreviated
-// HEAD hash, suffixed "-dirty" when the working tree has uncommitted
-// changes, or "unknown" outside a git checkout. A report regenerated inside
-// a change before it is committed therefore reads "<parent>-dirty": the
-// parent commit plus that change's edits.
-func gitCommit() string {
-	out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=12").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }
 
 func runParallelBench(path string) {

@@ -12,7 +12,7 @@
 //	txgen -lambda 100,400 -conc 1,4,16        # λ × concurrency grid
 //	txgen -node http://host:8791 -lambda 0    # drive a remote node
 //	txgen -out BENCH_load.json                # write the JSON artefact
-//	txgen -assert                             # exit 1 unless every row spent, dropping no spans
+//	txgen -assert                             # exit 1 unless every row spent, dropped no spans and reconciles
 //
 // -arrival is a comma list; each model contributes its own grid points to the
 // one report. Closed loop sweeps the -conc list (fixed worker populations — a
@@ -22,7 +22,8 @@
 // node as-is and λ is recorded as 0. In-process runs include the per-stage
 // breakdown (queue-wait/sample/sign/verify-sig/verify/commit deltas over the
 // measured window) and the window's stale-epoch retries; remote ones cannot,
-// their traces live in the server — see its /debug/traces.
+// their traces live in the server — see its /debug/traces. The report
+// records the commit it was measured at.
 package main
 
 import (
@@ -35,6 +36,7 @@ import (
 	"strings"
 	"time"
 
+	"tokenmagic/internal/bench"
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/loadgen"
 	"tokenmagic/internal/obs/trace"
@@ -61,6 +63,7 @@ type Row struct {
 // Report is the BENCH_load.json artefact.
 type Report struct {
 	GeneratedAt string  `json:"generated_at"`
+	Commit      string  `json:"commit"`
 	GOMAXPROCS  int     `json:"gomaxprocs"`
 	NumCPU      int     `json:"num_cpu"`
 	Node        string  `json:"node"` // "in-process" or the remote URL
@@ -93,7 +96,7 @@ func main() {
 		maxInF     = flag.Int("max-inflight", 4, "in-process admission gate: concurrent requests (0 disables)")
 		maxQueue   = flag.Int("max-queue", 8, "in-process admission gate: waiting room")
 		out        = flag.String("out", "", "write the JSON report to this path")
-		assertFlag = flag.Bool("assert", false, "exit 1 unless every grid point completed spends and dropped no spans (CI smoke)")
+		assertFlag = flag.Bool("assert", false, "exit 1 unless every grid point completed spends, dropped no spans and its stage counts reconcile (CI smoke)")
 	)
 	flag.Parse()
 
@@ -118,6 +121,7 @@ func main() {
 
 	rep := Report{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		Commit:      bench.Commit(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
 		Node:        "in-process",
@@ -213,9 +217,54 @@ func main() {
 				fail(fmt.Errorf("grid point λ=%d conc=%d rate=%g dropped %d spans: its stage breakdown is incomplete",
 					r.Lambda, r.Concurrency, r.Rate, r.DroppedSpans))
 			}
+			if *nodeURL == "" {
+				if err := reconcile(r.Result, *pattern); err != nil {
+					fail(fmt.Errorf("grid point λ=%d conc=%d rate=%g: %w", r.Lambda, r.Concurrency, r.Rate, err))
+				}
+			}
 		}
-		fmt.Println("assert: every grid point completed spends and dropped no spans")
+		fmt.Println("assert: every grid point completed spends, dropped no spans and reconciles")
 	}
+}
+
+// reconcile checks that an in-process row's stage counts account for its
+// outcomes, following node.spend's control flow:
+//
+//   - every attempt runs one sample, and a spend attempts again only after
+//     a stale-epoch retry, so sample = ok + rejected + errors + retries;
+//   - an attempt that selected a ring signs it and verifies the signature,
+//     so sign = verify-sig;
+//   - it then commits unless its key image is already used, and every ok
+//     spend committed once, so commit ≥ ok. A uniform stream draws each
+//     target once, so there commit = verify-sig; under zipf double spends
+//     break that one.
+//
+// Each identity may be off by one in-flight request per client at each
+// window edge: a request straddling the warm-up boundary has its later
+// stages counted but not its outcome, and a request its client gave up on
+// (an error) may still be running when the window closes.
+func reconcile(r loadgen.Result, pattern string) error {
+	slack := int64(r.Concurrency)
+	count := func(stage string) int64 { return r.Stages[stage].Count }
+	check := func(what string, got, want int64) error {
+		if got-want > slack || want-got > slack {
+			return fmt.Errorf("stage counts do not reconcile: %s: %d vs %d, beyond the %d requests in flight at a window edge", what, got, want, slack)
+		}
+		return nil
+	}
+	if err := check("sample vs ok+rejected+errors+retries", count("sample"), r.OK+r.Rejected+r.Errors+r.Retries); err != nil {
+		return err
+	}
+	if err := check("sign vs verify-sig", count("sign"), count("verify-sig")); err != nil {
+		return err
+	}
+	if r.OK-count("commit") > slack {
+		return fmt.Errorf("stage counts do not reconcile: %d ok spends but %d commits", r.OK, count("commit"))
+	}
+	if pattern == "uniform" {
+		return check("commit vs verify-sig", count("commit"), count("verify-sig"))
+	}
+	return nil
 }
 
 func printRow(r Row) {

@@ -2,8 +2,9 @@ package bench
 
 // Solver hot-path microbenchmarks behind BENCH_solver.json: slack evaluation
 // (legacy clone+sort reference vs the incremental count-of-counts index),
-// full DA-MS solves, and end-to-end GenerateRS with Algorithm-1 candidate
-// randomisation at λ ∈ {100, 800}. cmd/benchfigures -bench-solver runs them
+// full DA-MS solves, Algorithm 1's candidate sweep over a wide batch, and
+// end-to-end GenerateRS with Algorithm-1 candidate randomisation at
+// λ ∈ {100, 800}. cmd/benchfigures -bench-solver runs them
 // via testing.Benchmark and writes the JSON artefact so later PRs can track
 // the trajectory; internal/bench's *_test.go exposes the same functions as
 // ordinary `go test -bench` entries.
@@ -211,6 +212,36 @@ func BenchGenerateRS(b *testing.B, lambda int, reg *obs.Registry) {
 	}
 }
 
+// BenchSweepWide measures the candidate sweep the spend path runs on a wide
+// batch: workload.Nested(800, 400, 1), decomposed once, then per op one
+// module Table and one TM_P solve per batch token under (1, 3)+headroom,
+// the requirement the benchmark's spends declare. Unlike the one-batch
+// Monero fixture, whose modules are all 11-token super rings, most modules
+// here are fresh tokens, so the greedy scans meet their bound early.
+func BenchSweepWide(b *testing.B) {
+	d, err := workload.Nested(800, 400, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	supers, fresh := selector.Decompose(d.Rings(), d.Universe)
+	origin := d.Origin()
+	req := diversity.Requirement{C: 1, L: 3}.WithHeadroom()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tab := selector.NewTable(d.Universe, supers, fresh, origin)
+		for _, tok := range d.Universe {
+			p, err := tab.Problem(tok, req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := selector.Progressive(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func toResult(name string, r testing.BenchmarkResult) BenchResult {
 	return BenchResult{
 		Name:        name,
@@ -245,6 +276,8 @@ func SolverBenchmarks() (*SolverBenchReport, error) {
 		testing.Benchmark(func(b *testing.B) { BenchSolve(b, tokenmagic.Progressive) })))
 	rep.Current = append(rep.Current, toResult("solve/TM_G",
 		testing.Benchmark(func(b *testing.B) { BenchSolve(b, tokenmagic.Game) })))
+
+	rep.Current = append(rep.Current, toResult("sweep/TM_P/wide", testing.Benchmark(BenchSweepWide)))
 
 	reg := obs.NewRegistry()
 	rep.Current = append(rep.Current, toResult("generate/TM_P/lambda=100",

@@ -16,6 +16,8 @@ func BenchmarkSolveProgressive(b *testing.B) { BenchSolve(b, tokenmagic.Progress
 func BenchmarkSolveGame(b *testing.B)        { BenchSolve(b, tokenmagic.Game) }
 func BenchmarkSolveSmallest(b *testing.B)    { BenchSolve(b, tokenmagic.Smallest) }
 
+func BenchmarkSweepWide(b *testing.B) { BenchSweepWide(b) }
+
 func BenchmarkGenerateRSLambda100(b *testing.B) { BenchGenerateRS(b, 100, nil) }
 func BenchmarkGenerateRSLambda800(b *testing.B) { BenchGenerateRS(b, 800, nil) }
 

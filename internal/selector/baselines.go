@@ -13,7 +13,9 @@ func Smallest(p *Problem) (Result, error) {
 }
 
 // SmallestCtx is Smallest with cooperative cancellation, polled once per
-// greedy step.
+// greedy step. Every module holds at least one token (the ledger rejects
+// empty rings and a fresh module is one token), so each scan stops at the
+// first one-token module, which is the one a full scan returns.
 func SmallestCtx(ctx context.Context, p *Problem) (Result, error) {
 	st := newState(p)
 	for !st.hist.Satisfies(p.Req) {
@@ -28,6 +30,9 @@ func SmallestCtx(ctx context.Context, p *Problem) (Result, error) {
 			}
 			if best == -1 || m.Size() < st.mods[best].Size() {
 				best = i
+				if m.Size() == 1 {
+					break // no module is smaller: the ledger has no empty rings
+				}
 			}
 		}
 		if best == -1 {

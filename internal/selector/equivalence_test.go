@@ -7,6 +7,7 @@ package selector
 // instances.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -374,6 +375,54 @@ func TestSolverEquivalence(t *testing.T) {
 				got, gotErr = Random(p, rngA)
 				want, wantErr = refRandom(pRef, rngB)
 				assertSameResult(t, name+"/TM_R", got, want, gotErr, wantErr)
+			}
+		}
+	}
+}
+
+// TestSolverEquivalenceWide runs Table-built Problems against the
+// full-scan oracles on a λ=800 batch with nested committed rings: super
+// modules come first in table order and hundreds of fresh modules tie at
+// α = 1 and β = c, which is where the greedy scans stop at their bound.
+// Every batch token is solved as target, with dyadic c (the phase-2 exit
+// fires) and non-dyadic c (it must not).
+func TestSolverEquivalenceWide(t *testing.T) {
+	d, err := workload.Nested(800, 400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	supers, fresh := Decompose(d.Rings(), d.Universe)
+	if len(fresh) < 200 {
+		t.Fatalf("fixture has %d fresh modules, want hundreds", len(fresh))
+	}
+	origin := d.Origin()
+	tab := NewTable(d.Universe, supers, fresh, origin)
+	solvers := []struct {
+		name     string
+		solve    func(*Problem) (Result, error)
+		solveRef func(*Problem) (Result, error)
+	}{
+		{"TM_P", Progressive, refProgressive},
+		{"TM_G", Game, refGame},
+		{"TM_S", Smallest, refSmallest},
+	}
+	for _, c := range []float64{1, 0.5, 0.7, 0.3} {
+		for _, l := range []int{3, 4} {
+			req := diversity.Requirement{C: c, L: l}
+			for _, target := range d.Universe {
+				p, err := tab.Problem(target, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pRef, err := NewProblem(target, supers, fresh, origin, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range solvers {
+					got, gotErr := s.solve(p)
+					want, wantErr := s.solveRef(pRef)
+					assertSameResult(t, fmt.Sprintf("wide/%s/%v/target=%d", s.name, req, target), got, want, gotErr, wantErr)
+				}
 			}
 		}
 	}

@@ -20,7 +20,12 @@
 // once per decomposition, shared by every target's Problem — slack
 // probes are delta evaluations against the incremental diversity index
 // (diversity.Histogram), and the running selection tracks only a token
-// count — the result TokenSet is materialised once, at the end.
+// count — the result TokenSet is materialised once, at the end. Every
+// greedy scan stops at the first module that reaches its proven bound
+// (α_i ≥ 1 in the HT-cover phase, β_i ≤ c in Progressive's second phase
+// when c is dyadic, |x_i| ≥ 1 for Smallest); it keeps the first strictly
+// better value, so it returns the module a full scan would (DESIGN.md,
+// "Incremental diversity-slack engine").
 package selector
 
 import (
@@ -66,11 +71,13 @@ func (m Module) Size() int { return len(m.Tokens) }
 // footprints holds the HT footprint of every module of a Table in one flat
 // layout: module i's distinct HTs are txs[off[i]:off[i+1]], and ns[j] of
 // its tokens map to txs[j]. Computed once per Table, so the greedy loops
-// never call Origin or build scratch maps.
+// never call Origin or build scratch maps. tokens is the table's token
+// count, which bounds every count a slack evaluation reads.
 type footprints struct {
-	off []int
-	txs []chain.TxID
-	ns  []int
+	off    []int
+	txs    []chain.TxID
+	ns     []int
+	tokens int
 }
 
 func footprintsOf(mods []Module, origin func(chain.TokenID) chain.TxID) footprints {
@@ -79,9 +86,10 @@ func footprintsOf(mods []Module, origin func(chain.TokenID) chain.TxID) footprin
 		total += m.Size()
 	}
 	fp := footprints{
-		off: make([]int, 1, len(mods)+1),
-		txs: make([]chain.TxID, 0, total),
-		ns:  make([]int, 0, total),
+		off:    make([]int, 1, len(mods)+1),
+		txs:    make([]chain.TxID, 0, total),
+		ns:     make([]int, 0, total),
+		tokens: total,
 	}
 	for _, m := range mods {
 		start := len(fp.txs)
@@ -473,6 +481,12 @@ func (st *state) slackWith(i int) float64 {
 // (Algorithm 4 lines 2–4 / Algorithm 5 lines 2–4): greedily add the module
 // with minimal α_i = |x_i| / min(ℓ−|H|, |H_i \ H|) until the selection spans
 // at least ℓ distinct HTs. Cancellation is checked once per greedy step.
+//
+// A module adds at most |x_i| distinct HTs, so α_i ≥ 1, and the quotient of
+// two small integers is correctly rounded, so the computed α_i is 1.0
+// exactly when |x_i| equals the denominator. The scan stops at the first
+// α_i == 1: it keeps the first strictly smaller value, so that module is
+// the one a full scan returns.
 func (st *state) coverHTPhase(ctx context.Context) error {
 	for st.hist.Classes() < st.p.Req.L {
 		if cancelled(ctx) {
@@ -497,6 +511,9 @@ func (st *state) coverHTPhase(ctx context.Context) error {
 			alpha := float64(m.Size()) / float64(denom)
 			if alpha < bestAlpha {
 				bestAlpha, best = alpha, i
+				if alpha == 1 {
+					break // α_i ≥ 1 for every module: none later is strictly smaller
+				}
 			}
 		}
 		if best == -1 {

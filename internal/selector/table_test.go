@@ -62,9 +62,10 @@ func tableState(t *Table) Table {
 	c := Table{
 		universe: t.universe.Clone(),
 		fp: footprints{
-			off: append([]int(nil), t.fp.off...),
-			txs: append([]chain.TxID(nil), t.fp.txs...),
-			ns:  append([]int(nil), t.fp.ns...),
+			off:    append([]int(nil), t.fp.off...),
+			txs:    append([]chain.TxID(nil), t.fp.txs...),
+			ns:     append([]int(nil), t.fp.ns...),
+			tokens: t.fp.tokens,
 		},
 		owner: append([]int32(nil), t.owner...),
 	}

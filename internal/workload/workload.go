@@ -15,6 +15,9 @@
 //     discretised normal distribution with standard deviation σ (larger σ →
 //     more distinct HTs → easier diversity).
 //
+//   - Nested: one wide batch of λ tokens with nested rings committed over
+//     it, the shape Algorithm 1's candidate sweep meets on a busy chain.
+//
 // All generators are deterministic given their seed.
 package workload
 
@@ -238,6 +241,70 @@ func Synthetic(p SyntheticParams) (*Dataset, error) {
 		Universe:    l.TokensInBlocks(block, block),
 		FreshTokens: fresh,
 		SuperCount:  p.NumSupers,
+	}, nil
+}
+
+// nestedSigma is the spread of Nested's per-token HT labels, round(N(0, σ)).
+const nestedSigma = 12
+
+// Nested builds one batch of lambda tokens, HT labels drawn from
+// round(N(0, 12)) as in Synthetic, and commits rings rings over it the way
+// Algorithm 4's rings nest: a ring is a union of modules, so it swallows
+// an earlier super ring. Seven rings in eight extend a random current super
+// ring by one fresh token; the rest (and the first) start a new ring of two
+// to four fresh tokens. About 1.25 fresh tokens go per ring, so lambda=800
+// and rings=400 leave roughly 50 super rings of 2 to 30-odd tokens (about
+// nine on average) and 300 fresh tokens. It fails when the fresh tokens run
+// out.
+func Nested(lambda, rings int, seed int64) (*Dataset, error) {
+	if lambda < 1 || rings < 0 {
+		return nil, fmt.Errorf("%w: lambda %d, rings %d", ErrBadParams, lambda, rings)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	counts := make(map[int]int)
+	for i := 0; i < lambda; i++ {
+		counts[int(math.Round(rng.NormFloat64()*nestedSigma))]++
+	}
+	labels := make([]int, 0, len(counts))
+	for lab := range counts {
+		labels = append(labels, lab)
+	}
+	sort.Ints(labels)
+	l := chain.NewLedger()
+	block := l.BeginBlock()
+	for _, lab := range labels {
+		if _, err := l.AddTx(block, counts[lab]); err != nil {
+			return nil, err
+		}
+	}
+	universe := l.TokensInBlocks(block, block)
+	fresh := universe.Clone()
+	rng.Shuffle(len(fresh), func(i, j int) { fresh[i], fresh[j] = fresh[j], fresh[i] })
+	var supers []chain.TokenSet
+	for r := 0; r < rings; r++ {
+		var ring chain.TokenSet
+		take := 2 + rng.Intn(3)
+		if len(supers) > 0 && rng.Intn(8) != 0 {
+			k := rng.Intn(len(supers))
+			ring, take = supers[k], 1
+			supers[k] = supers[len(supers)-1]
+			supers = supers[:len(supers)-1]
+		}
+		if take > len(fresh) {
+			return nil, fmt.Errorf("%w: fresh tokens ran out at ring %d of %d", ErrBadParams, r, rings)
+		}
+		ring = ring.Union(chain.NewTokenSet(fresh[:take]...))
+		fresh = fresh[take:]
+		if _, err := l.AppendRS(ring, 1, 1); err != nil {
+			return nil, err
+		}
+		supers = append(supers, ring)
+	}
+	return &Dataset{
+		Ledger:      l,
+		Universe:    universe,
+		FreshTokens: chain.NewTokenSet(fresh...),
+		SuperCount:  len(supers),
 	}, nil
 }
 

@@ -255,3 +255,48 @@ func TestOriginCoversAllTokens(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedShape checks Nested's contract: deterministic per seed, one
+// batch of lambda tokens, every ring either new or a strict superset of an
+// earlier ring, and the fresh tokens exactly the ones no ring holds.
+func TestNestedShape(t *testing.T) {
+	d, err := Nested(800, 400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Nested(800, 400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rings := d.Rings()
+	if len(d.Universe) != 800 || len(rings) != 400 {
+		t.Fatalf("universe %d, rings %d; want 800, 400", len(d.Universe), len(rings))
+	}
+	covered := chain.TokenSet{}
+	nested := 0
+	for i, r := range rings {
+		if !r.Tokens.Equal(again.Rings()[i].Tokens) {
+			t.Fatalf("ring %d differs between two builds of one seed", i)
+		}
+		for _, prev := range rings[:i] {
+			if prev.Tokens.SubsetOf(r.Tokens) {
+				nested++
+				break
+			}
+		}
+		covered = covered.Union(r.Tokens)
+	}
+	if nested < 300 {
+		t.Fatalf("%d of 400 rings extend an earlier ring, want most", nested)
+	}
+	if !d.FreshTokens.Equal(d.Universe.Minus(covered)) {
+		t.Fatal("FreshTokens is not the universe minus every ring")
+	}
+	supers, _ := selector.Decompose(rings, d.Universe)
+	if len(supers) != d.SuperCount {
+		t.Fatalf("SuperCount %d, Decompose finds %d", d.SuperCount, len(supers))
+	}
+	if _, err := Nested(10, 400, 1); !errors.Is(err, ErrBadParams) {
+		t.Fatalf("exhausted fresh tokens: err %v, want ErrBadParams", err)
+	}
+}
