@@ -124,6 +124,7 @@ func runParallelBench(path string) {
 	fmt.Println("Parallel GenerateRS sweep (equivalence check, then λ × workers grid)…")
 	rep, err := bench.ParallelBenchmarks()
 	fail(err)
+	rep.Commit = bench.Commit()
 	data, err := json.MarshalIndent(rep, "", "  ")
 	fail(err)
 	data = append(data, '\n')
@@ -142,6 +143,7 @@ func runRingsigBench(path string) {
 	fmt.Println("Ring-signature kernel sweep (equivalence check, then ring × batch × workers grid)…")
 	rep, err := bench.RingsigBenchmarks()
 	fail(err)
+	rep.Commit = bench.Commit()
 	data, err := json.MarshalIndent(rep, "", "  ")
 	fail(err)
 	data = append(data, '\n')

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -243,6 +244,10 @@ func main() {
 // window edge: a request straddling the warm-up boundary has its later
 // stages counted but not its outcome, and a request its client gave up on
 // (an error) may still be running when the window closes.
+//
+// Stage times must also add up to latency: the top-level stages' total
+// time per completed request must lie within claimTolerance of the mean
+// latency (see claimedShare).
 func reconcile(r loadgen.Result, pattern string) error {
 	slack := int64(r.Concurrency)
 	count := func(stage string) int64 { return r.Stages[stage].Count }
@@ -262,9 +267,44 @@ func reconcile(r loadgen.Result, pattern string) error {
 		return fmt.Errorf("stage counts do not reconcile: %d ok spends but %d commits", r.OK, count("commit"))
 	}
 	if pattern == "uniform" {
-		return check("commit vs verify-sig", count("commit"), count("verify-sig"))
+		if err := check("commit vs verify-sig", count("commit"), count("verify-sig")); err != nil {
+			return err
+		}
+	}
+	if share := claimedShare(r); math.Abs(share-1) > claimTolerance {
+		return fmt.Errorf("stage times do not add up to latency: the top-level stages claim %.1f%% of the %s mean latency, outside 100±%.0f%%",
+			100*share, us(r.Latency.MeanUS), 100*claimTolerance)
 	}
 	return nil
+}
+
+// topLevelStages are the spans directly under a spend's root span; the
+// Step-3 "verify" runs inside "commit", so it is not summed again.
+var topLevelStages = []string{"queue-wait", "sample", "sign", "verify-sig", "commit"}
+
+// claimTolerance bounds |claimedShare − 1| on an in-process row. The
+// unclaimed rest is HTTP and JSON on both ends of the loopback call, plus
+// the window-edge requests whose stages are counted without their outcome.
+// EXPERIMENTS.md ("Stage times add up to latency") records the CI-shape
+// runs it was chosen from.
+const claimTolerance = 0.15
+
+// claimedShare returns the share of a row's mean latency that its
+// top-level stages claim: Σ(stage mean × count) over topLevelStages,
+// divided by the completed requests (ok + rejected + errors, the requests
+// whose attempts the stages counted), over the mean latency. It is 0 for a
+// row without latency.
+func claimedShare(r loadgen.Result) float64 {
+	completed := r.OK + r.Rejected + r.Errors
+	if completed == 0 || r.Latency.MeanUS <= 0 {
+		return 0
+	}
+	totalUS := 0.0
+	for _, name := range topLevelStages {
+		st := r.Stages[name]
+		totalUS += st.MeanUS * float64(st.Count)
+	}
+	return totalUS / float64(completed) / r.Latency.MeanUS
 }
 
 func printRow(r Row) {
@@ -284,7 +324,7 @@ func printRow(r Row) {
 				parts = append(parts, fmt.Sprintf("%s %s×%d", name, us(st.MeanUS), st.Count))
 			}
 		}
-		fmt.Printf("  stages: %s  dropped=%d retries=%d\n", strings.Join(parts, "  "), r.DroppedSpans, r.Retries)
+		fmt.Printf("  stages: %s  dropped=%d retries=%d claimed=%.1f%%\n", strings.Join(parts, "  "), r.DroppedSpans, r.Retries, 100*claimedShare(r.Result))
 	}
 }
 

@@ -9,17 +9,20 @@ import (
 
 // reconciled is a closed-loop row at two clients whose stage counts
 // reconcile exactly: 161 ok spends and 76 stale-epoch retries are 237
-// attempts, each selected, signed, verified and committed.
+// attempts, each selected, signed, verified and committed. Its top-level
+// stages claim 13.72 ms per spend (161×0.1 + 237×(5 + 2 + 2 + 0.25) ms
+// over 161), 98% of its 14 ms mean latency.
 func reconciled() loadgen.Result {
 	return loadgen.Result{
 		Arrival: "closed", Concurrency: 2, OK: 161, Retries: 76,
+		Latency: loadgen.Latency{MeanUS: 14000},
 		Stages: map[string]loadgen.StageStat{
-			"queue-wait": {Count: 161},
-			"sample":     {Count: 237},
-			"sign":       {Count: 237},
-			"verify-sig": {Count: 237},
-			"verify":     {Count: 237},
-			"commit":     {Count: 237},
+			"queue-wait": {Count: 161, MeanUS: 100},
+			"sample":     {Count: 237, MeanUS: 5000},
+			"sign":       {Count: 237, MeanUS: 2000},
+			"verify-sig": {Count: 237, MeanUS: 2000},
+			"verify":     {Count: 237, MeanUS: 60},
+			"commit":     {Count: 237, MeanUS: 250},
 		},
 	}
 }
@@ -74,6 +77,28 @@ func TestReconcile(t *testing.T) {
 		{"uniform spends never skip commit", edit(func(r *loadgen.Result) {
 			setCount(r, "commit", 200)
 		}), "uniform", "commit vs verify-sig"},
+		{"stages claim the tolerance's edge", edit(func(r *loadgen.Result) {
+			r.Latency.MeanUS = 13716.5 / (1 - claimTolerance + 0.001)
+		}), "uniform", ""},
+		{"missing sign and verify-sig stages under zipf", edit(func(r *loadgen.Result) {
+			delete(r.Stages, "sign")
+			delete(r.Stages, "verify-sig")
+		}), "zipf", "do not add up to latency"},
+		{"missing sample stage time", edit(func(r *loadgen.Result) {
+			r.Stages["sample"] = loadgen.StageStat{Count: 237}
+		}), "uniform", "do not add up to latency"},
+		{"latency no stage claims", edit(func(r *loadgen.Result) {
+			r.Latency.MeanUS = 13716.5 / (1 - claimTolerance - 0.001)
+		}), "uniform", "do not add up to latency"},
+		{"stages claim more than latency", edit(func(r *loadgen.Result) {
+			r.Latency.MeanUS = 13716.5 / (1 + claimTolerance + 0.001)
+		}), "uniform", "do not add up to latency"},
+		{"nested verify is not summed", edit(func(r *loadgen.Result) {
+			// Same claim as the fixture, but summing verify would add 30%.
+			r.Stages["sample"] = loadgen.StageStat{Count: 237, MeanUS: 2250}
+			r.Stages["commit"] = loadgen.StageStat{Count: 237, MeanUS: 3000}
+			r.Stages["verify"] = loadgen.StageStat{Count: 237, MeanUS: 2900}
+		}), "uniform", ""},
 	}
 	for _, tc := range cases {
 		err := reconcile(tc.r, tc.pattern)

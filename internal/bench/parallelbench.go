@@ -32,12 +32,14 @@ type ParallelBenchPoint struct {
 	SpeedupVs1Worker float64 `json:"speedup_vs_1_worker"`
 }
 
-// ParallelBenchReport is the BENCH_parallel.json payload. GOMAXPROCS and
+// ParallelBenchReport is the BENCH_parallel.json payload. Commit names the
+// checkout it was measured at (the caller fills it in). GOMAXPROCS and
 // NumCPU record how much hardware parallelism the measuring machine actually
 // had: speedups are bounded by min(workers, NumCPU), so a 1-core container
 // legitimately reports ≈1× at every worker count.
 type ParallelBenchReport struct {
 	GeneratedBy        string               `json:"generated_by"`
+	Commit             string               `json:"commit"`
 	GOOS               string               `json:"goos"`
 	GOARCH             string               `json:"goarch"`
 	GOMAXPROCS         int                  `json:"gomaxprocs"`

@@ -47,9 +47,11 @@ type RingsigBenchPoint struct {
 	SpeedupVsStock float64 `json:"speedup_vs_stock,omitempty"`
 }
 
-// RingsigBenchReport is the BENCH_ringsig.json payload.
+// RingsigBenchReport is the BENCH_ringsig.json payload. Commit names the
+// checkout it was measured at (the caller fills it in).
 type RingsigBenchReport struct {
 	GeneratedBy        string              `json:"generated_by"`
+	Commit             string              `json:"commit"`
 	GOOS               string              `json:"goos"`
 	GOARCH             string              `json:"goarch"`
 	GOMAXPROCS         int                 `json:"gomaxprocs"`

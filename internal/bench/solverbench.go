@@ -136,17 +136,32 @@ func BenchSlackReference(b *testing.B) {
 }
 
 // BenchSlackIncremental measures the same evaluation as a delta probe
-// against the incremental count-of-counts index.
+// against the incremental count-of-counts index, with the HTs interned as
+// dense class ids up front the way a selector Table interns them.
 func BenchSlackIncremental(b *testing.B) {
 	env, err := newSolverBenchEnv()
 	if err != nil {
 		b.Fatal(err)
 	}
-	hist := diversity.HistogramOf(env.p.Mandatory.Tokens, env.is.origin)
+	ids := map[chain.TxID]int{}
+	class := func(t chain.TokenID) int {
+		tx := env.is.origin(t)
+		c, ok := ids[tx]
+		if !ok {
+			c = len(ids)
+			ids[tx] = c
+		}
+		return c
+	}
 	mod := env.p.Candidates[0]
-	hts := make([]chain.TxID, len(mod.Tokens))
+	// Sized for the most classes the two token sets can hold.
+	hist := diversity.NewHistogram(len(env.p.Mandatory.Tokens) + len(mod.Tokens))
+	for _, t := range env.p.Mandatory.Tokens {
+		hist.Add(class(t))
+	}
+	hts := make([]int, len(mod.Tokens))
 	for i, t := range mod.Tokens {
-		hts[i] = env.is.origin(t)
+		hts[i] = class(t)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,6 +3,9 @@ package diversity
 // Differential tests: drive random Add/Remove/AddN/RemoveN sequences and
 // assert the incremental count-of-counts index always agrees with a
 // from-scratch sorted recomputation over an independently maintained model.
+// The histogram counts dense class ids; the model keys the same counts by
+// HT, with class k standing for the sparse HT htOf(k), so the oracle is the
+// map-keyed histogram the class-indexed one replaced.
 
 import (
 	"math/rand"
@@ -65,6 +68,11 @@ func (m model) minCount() int {
 	return best
 }
 
+// htOf is the HT that class cls stands for in the model: sparse and far
+// beyond any class count, so a histogram that indexed by raw TxID would
+// fail loudly.
+func htOf(cls int) chain.TxID { return chain.TxID(1_000_000_000 + 7919*cls) }
+
 var diffReqs = []Requirement{
 	{C: 0.5, L: 1}, {C: 0.6, L: 2}, {C: 1, L: 3}, {C: 2, L: 4}, {C: 0.3, L: 7},
 }
@@ -105,21 +113,22 @@ func checkAgainstModel(t *testing.T, step int, h *Histogram, m model) {
 func TestHistogramDifferentialRandomOps(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		h := NewHistogram()
-		m := model{}
 		const classes = 12
+		h := NewHistogram(classes)
+		m := model{}
 		for step := 0; step < 2000; step++ {
-			tx := chain.TxID(rng.Intn(classes))
+			cls := rng.Intn(classes)
+			tx := htOf(cls)
 			switch rng.Intn(5) {
 			case 0, 1:
-				h.Add(tx)
+				h.Add(cls)
 				m[tx]++
 			case 2:
 				n := 1 + rng.Intn(6)
-				h.AddN(tx, n)
+				h.AddN(cls, n)
 				m[tx] += n
 			case 3:
-				h.Remove(tx)
+				h.Remove(cls)
 				if m[tx] > 0 {
 					m[tx]--
 					if m[tx] == 0 {
@@ -128,7 +137,7 @@ func TestHistogramDifferentialRandomOps(t *testing.T) {
 				}
 			case 4:
 				n := 1 + rng.Intn(6)
-				h.RemoveN(tx, n)
+				h.RemoveN(cls, n)
 				if c := m[tx]; c > 0 {
 					if n > c {
 						n = c
@@ -151,26 +160,26 @@ func TestHistogramDifferentialRandomOps(t *testing.T) {
 // the index unmodified.
 func TestHistogramProbesMatchScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	h := NewHistogram()
-	m := model{}
 	const classes = 10
+	h := NewHistogram(classes + 3)
+	m := model{}
 	for i := 0; i < 300; i++ {
-		tx := chain.TxID(rng.Intn(classes))
+		cls := rng.Intn(classes)
 		n := 1 + rng.Intn(4)
-		h.AddN(tx, n)
-		m[tx] += n
+		h.AddN(cls, n)
+		m[htOf(cls)] += n
 
 		// SlackIfAdded probe with a random delta.
-		delta := make([]chain.TxID, rng.Intn(6))
+		delta := make([]int, rng.Intn(6))
 		for j := range delta {
-			delta[j] = chain.TxID(rng.Intn(classes + 3))
+			delta[j] = rng.Intn(classes + 3)
 		}
 		m2 := model{}
 		for tx, c := range m {
 			m2[tx] = c
 		}
-		for _, tx := range delta {
-			m2[tx]++
+		for _, cls := range delta {
+			m2[htOf(cls)]++
 		}
 		for _, req := range diffReqs {
 			if got, want := h.SlackIfAdded(req, delta), m2.slack(req); got != want {
@@ -181,7 +190,7 @@ func TestHistogramProbesMatchScratch(t *testing.T) {
 
 		// SlackWithout probe for every present class and one absent one.
 		for probe := 0; probe < classes+1; probe++ {
-			tx := chain.TxID(probe)
+			tx := htOf(probe)
 			m3 := model{}
 			for k, c := range m {
 				if k != tx {
@@ -189,8 +198,8 @@ func TestHistogramProbesMatchScratch(t *testing.T) {
 				}
 			}
 			for _, req := range diffReqs {
-				if got, want := h.SlackWithout(req, tx), m3.slack(req); got != want {
-					t.Fatalf("SlackWithout(%v, %v) = %v, scratch %v (model %v)", req, tx, got, want, m)
+				if got, want := h.SlackWithout(req, probe), m3.slack(req); got != want {
+					t.Fatalf("SlackWithout(%v, %v) = %v, scratch %v (model %v)", req, probe, got, want, m)
 				}
 			}
 		}
@@ -198,22 +207,105 @@ func TestHistogramProbesMatchScratch(t *testing.T) {
 	}
 }
 
+// TestHistogramResetReuse reuses one histogram across Resets whose class
+// counts shrink and then grow past every earlier size. Each Reset must
+// leave every class of the new size empty, whatever the previous round
+// left behind, and the index must then track the model as a fresh one
+// would.
 func TestHistogramResetReuse(t *testing.T) {
-	h := NewHistogram()
+	h := NewHistogram(6)
 	rng := rand.New(rand.NewSource(7))
+	sizes := []int{6, 12, 5, 1, 0, 3, 40, 2, 200, 7, 64}
 	for round := 0; round < 20; round++ {
-		h.Reset()
+		classes := sizes[round%len(sizes)]
+		h.Reset(classes)
+		if h.Total() != 0 || h.Classes() != 0 || h.MaxCount() != 0 || len(h.Frequencies()) != 0 {
+			t.Fatalf("round %d: Reset(%d) left Total=%d Classes=%d MaxCount=%d", round, classes, h.Total(), h.Classes(), h.MaxCount())
+		}
+		for cls := 0; cls < classes; cls++ {
+			if h.Count(cls) != 0 {
+				t.Fatalf("round %d: Reset(%d) left class %d at %d", round, classes, cls, h.Count(cls))
+			}
+		}
 		m := model{}
-		for i := 0; i < 50; i++ {
-			tx := chain.TxID(rng.Intn(6))
-			h.Add(tx)
-			m[tx]++
+		for i := 0; classes > 0 && i < 50; i++ {
+			cls := rng.Intn(classes)
+			tx := htOf(cls)
+			n := 1 + rng.Intn(5)
+			if rng.Intn(4) > 0 {
+				h.AddN(cls, n)
+				m[tx] += n
+				continue
+			}
+			h.RemoveN(cls, n)
+			if c := m[tx]; c > 0 {
+				if m[tx] = max(c-n, 0); m[tx] == 0 {
+					delete(m, tx)
+				}
+			}
 		}
 		checkAgainstModel(t, round, h, m)
 	}
-	h.Reset()
+	h.Reset(6)
 	if h.Total() != 0 || h.Classes() != 0 || h.MaxCount() != 0 || h.Slack(Requirement{C: 1, L: 2}) != -1 {
 		t.Fatal("Reset did not empty the histogram")
+	}
+}
+
+// TestHistogramOfInternsSparseHTs builds histograms of token sets whose HTs
+// are sparse and huge (about 10⁹ + k), far beyond any class count, and
+// requires HistogramOf to agree with the map-keyed model: the same counts,
+// each distinct HT interned as the next class id in token order, and every
+// SlackWithout probe equal to the model with that HT's class dropped.
+func TestHistogramOfInternsSparseHTs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(30)
+		hts := make([]chain.TxID, n)
+		for i := range hts {
+			hts[i] = chain.TxID(1_000_000_000 + 104729*rng.Intn(1+rng.Intn(12)))
+		}
+		tokens := make(chain.TokenSet, n)
+		for i := range tokens {
+			tokens[i] = chain.TokenID(i)
+		}
+		h := HistogramOf(tokens, originFromSlice(hts))
+		m := model{}
+		var order []chain.TxID
+		for _, tx := range hts {
+			if m[tx] == 0 {
+				order = append(order, tx)
+			}
+			m[tx]++
+		}
+		checkAgainstModel(t, trial, h, m)
+		seen := 0
+		h.Each(func(cls, n int) bool {
+			if cls != seen || n != m[order[cls]] {
+				t.Fatalf("trial %d: class %d has %d tokens, want class %d with %d (HT %v)", trial, cls, n, seen, m[order[seen]], order[seen])
+			}
+			seen++
+			without := model{}
+			for tx, c := range m {
+				if tx != order[cls] {
+					without[tx] = c
+				}
+			}
+			for _, req := range diffReqs {
+				if got, want := h.SlackWithout(req, cls), without.slack(req); got != want {
+					t.Fatalf("trial %d: SlackWithout(%v, class of %v) = %v, model %v", trial, req, order[cls], got, want)
+				}
+			}
+			return true
+		})
+		if seen != len(order) {
+			t.Fatalf("trial %d: Each visited %d classes, want %d", trial, seen, len(order))
+		}
+		for _, req := range diffReqs {
+			if got, want := SatisfiesTokens(tokens, originFromSlice(hts), req), m.slack(req) < 0; got != want {
+				t.Fatalf("trial %d: SatisfiesTokens(%v) = %v, model %v", trial, req, got, want)
+			}
+		}
 	}
 }
 
@@ -221,17 +313,18 @@ func FuzzHistogramDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 200, 4, 5})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		h := NewHistogram()
+		h := NewHistogram(9)
 		m := model{}
 		for i := 0; i+1 < len(ops); i += 2 {
-			tx := chain.TxID(ops[i] % 9)
+			cls := int(ops[i] % 9)
+			tx := htOf(cls)
 			if ops[i+1] < 128 {
 				n := int(ops[i+1]%5) + 1
-				h.AddN(tx, n)
+				h.AddN(cls, n)
 				m[tx] += n
 			} else {
 				n := int(ops[i+1]%5) + 1
-				h.RemoveN(tx, n)
+				h.RemoveN(cls, n)
 				if c := m[tx]; c > 0 {
 					if n > c {
 						n = c

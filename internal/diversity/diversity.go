@@ -12,7 +12,7 @@
 // (Definition 4). This package only provides the predicate and histogram
 // machinery; DTRS enumeration lives in internal/dtrs.
 //
-// Histogram is an incremental count-of-counts index: alongside the per-HT
+// Histogram is an incremental count-of-counts index: alongside the per-class
 // counts it maintains freq[c] (the number of HT classes with exactly c
 // tokens), the running q₁ and the token total, so Add/Remove/AddN/RemoveN
 // are O(1) and Slack/Satisfies/MaxCount/Classes read without allocating or
@@ -23,6 +23,7 @@ package diversity
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"tokenmagic/internal/chain"
 )
@@ -56,51 +57,68 @@ func (r Requirement) String() string { return fmt.Sprintf("(%g,%d)-diversity", r
 // ErrBadRequirement reports malformed (c, ℓ) parameters.
 var ErrBadRequirement = errors.New("diversity: invalid requirement")
 
-// Histogram is a multiset of HTs represented as per-HT counts plus a
-// count-of-counts index. The zero value is an empty histogram ready to use.
+// Histogram is a multiset of HTs represented as per-class counts plus a
+// count-of-counts index. A class is a dense id 0..K−1 that the caller
+// interns for each distinct HT (HistogramOf interns a token set's HTs
+// itself; internal/selector interns a whole module table once), so every
+// count is a slice index, never a map lookup. The zero value is an empty
+// histogram over no classes; NewHistogram and Reset size it for K.
 //
 // Invariants (see DESIGN.md):
 //
-//	freq[c]  = |{h : counts[h] == c}| for 1 ≤ c ≤ max
+//	freq[c]  = |{k : counts[k] == c}| for 1 ≤ c ≤ max
 //	max      = q₁ = max count (0 when empty)
-//	total    = Σ_c c·freq[c] = Σ_h counts[h]
-//	Classes  = θ = Σ_c freq[c] = len(counts)
+//	total    = Σ_c c·freq[c] = Σ_k counts[k]
+//	classes  = θ = Σ_c freq[c] = |{k : counts[k] > 0}|
 type Histogram struct {
-	counts map[chain.TxID]int
-	freq   []int // freq[c] = classes with exactly c tokens; index 0 unused
-	max    int   // running q₁
-	total  int
+	counts  []int // counts[k] = tokens of class k
+	classes int   // θ: classes with a non-zero count
+	freq    []int // freq[c] = classes with exactly c tokens; index 0 unused
+	max     int   // running q₁
+	total   int
 
 	// Probe scratch (SlackIfAdded): reused across calls so delta probes
 	// allocate nothing after warm-up.
-	probeTx  []chain.TxID
+	probeCls []int
 	probeOld []int
 	probeNew []int
 }
 
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[chain.TxID]int)}
+// NewHistogram returns an empty histogram over classes 0..classes−1.
+func NewHistogram(classes int) *Histogram {
+	return &Histogram{counts: make([]int, classes)}
 }
 
 // HistogramOf builds the HT histogram for a token set under the given
-// token→HT mapping. Tokens mapping to chain.NoTx are counted under NoTx —
-// they still occupy a histogram class, mirroring the paper's treatment of
-// every token having exactly one HT.
+// token→HT mapping, interning each distinct HT as the next class id in
+// token order. Tokens mapping to chain.NoTx are counted under NoTx — they
+// still occupy a histogram class, mirroring the paper's treatment of every
+// token having exactly one HT. A ring has about a dozen tokens, so the
+// intern is a linear scan over the HTs seen so far.
 func HistogramOf(tokens chain.TokenSet, origin func(chain.TokenID) chain.TxID) *Histogram {
-	h := NewHistogram()
+	h := &Histogram{counts: make([]int, 0, len(tokens))}
+	seen := make([]chain.TxID, 0, len(tokens))
 	for _, t := range tokens {
-		h.Add(origin(t))
+		tx := origin(t)
+		cls := slices.Index(seen, tx)
+		if cls < 0 {
+			cls = len(seen)
+			seen = append(seen, tx)
+			h.counts = append(h.counts, 0)
+		}
+		h.Add(cls)
 	}
 	return h
 }
 
 // bump moves one class from count old to count new in the freq index and
-// maintains the running maximum. old or new may be 0 (class appears or
-// disappears).
+// maintains the running maximum and the class count. old or new may be 0
+// (class appears or disappears).
 func (h *Histogram) bump(old, new int) {
 	if old > 0 {
 		h.freq[old]--
+	} else {
+		h.classes++
 	}
 	if new > 0 {
 		for len(h.freq) <= new {
@@ -110,6 +128,8 @@ func (h *Histogram) bump(old, new int) {
 		if new > h.max {
 			h.max = new
 		}
+	} else {
+		h.classes--
 	}
 	// Walking max down is amortised O(1): each level crossed was paid for by
 	// the additions that raised max past it.
@@ -118,88 +138,79 @@ func (h *Histogram) bump(old, new int) {
 	}
 }
 
-// Add records one token from HT tx.
-func (h *Histogram) Add(tx chain.TxID) { h.AddN(tx, 1) }
+// Add records one token of class cls.
+func (h *Histogram) Add(cls int) { h.AddN(cls, 1) }
 
-// AddN records n tokens from HT tx.
-func (h *Histogram) AddN(tx chain.TxID, n int) {
+// AddN records n tokens of class cls.
+func (h *Histogram) AddN(cls, n int) {
 	if n <= 0 {
 		return
 	}
-	if h.counts == nil {
-		//lint:ignore hotalloc lazy one-time init of the backing map; every later AddN reuses it, so steady-state stays allocation-free
-		h.counts = make(map[chain.TxID]int)
-	}
-	old := h.counts[tx]
-	h.counts[tx] = old + n
+	old := h.counts[cls]
+	h.counts[cls] = old + n
 	h.total += n
 	h.bump(old, old+n)
 }
 
-// Remove deletes one token of HT tx; it is a no-op if none is recorded.
-func (h *Histogram) Remove(tx chain.TxID) { h.RemoveN(tx, 1) }
+// Remove deletes one token of class cls; it is a no-op if none is recorded.
+func (h *Histogram) Remove(cls int) { h.RemoveN(cls, 1) }
 
-// RemoveN deletes up to n tokens of HT tx (all of them if fewer than n are
-// recorded).
-func (h *Histogram) RemoveN(tx chain.TxID, n int) {
-	if n <= 0 || h.counts == nil {
+// RemoveN deletes up to n tokens of class cls (all of them if fewer than n
+// are recorded).
+func (h *Histogram) RemoveN(cls, n int) {
+	if n <= 0 {
 		return
 	}
-	old := h.counts[tx]
+	old := h.counts[cls]
 	if old == 0 {
 		return
 	}
 	if n > old {
 		n = old
 	}
-	new := old - n
-	if new == 0 {
-		delete(h.counts, tx)
-	} else {
-		h.counts[tx] = new
-	}
+	h.counts[cls] = old - n
 	h.total -= n
-	h.bump(old, new)
+	h.bump(old, old-n)
 }
 
-// Reset empties the histogram, retaining its allocations for reuse.
-func (h *Histogram) Reset() {
-	clear(h.counts)
-	for i := range h.freq {
-		h.freq[i] = 0
+// Reset empties the histogram and sizes it for classes 0..classes−1,
+// retaining its allocations for reuse.
+func (h *Histogram) Reset(classes int) {
+	if cap(h.counts) < classes {
+		h.counts = make([]int, classes)
+	} else {
+		h.counts = h.counts[:classes]
+		clear(h.counts)
 	}
-	h.max, h.total = 0, 0
+	clear(h.freq)
+	h.classes, h.max, h.total = 0, 0, 0
 }
 
 // Clone returns an independent copy.
 func (h *Histogram) Clone() *Histogram {
-	out := &Histogram{
-		counts: make(map[chain.TxID]int, len(h.counts)),
-		freq:   make([]int, len(h.freq)),
-		max:    h.max,
-		total:  h.total,
+	return &Histogram{
+		counts:  slices.Clone(h.counts),
+		classes: h.classes,
+		freq:    slices.Clone(h.freq),
+		max:     h.max,
+		total:   h.total,
 	}
-	for k, v := range h.counts {
-		out.counts[k] = v
-	}
-	copy(out.freq, h.freq)
-	return out
 }
 
 // Total returns the number of tokens recorded.
 func (h *Histogram) Total() int { return h.total }
 
 // Classes returns θ, the number of distinct HTs recorded.
-func (h *Histogram) Classes() int { return len(h.counts) }
+func (h *Histogram) Classes() int { return h.classes }
 
-// Count returns the number of tokens recorded for one HT.
-func (h *Histogram) Count(tx chain.TxID) int { return h.counts[tx] }
+// Count returns the number of tokens recorded for class cls.
+func (h *Histogram) Count(cls int) int { return h.counts[cls] }
 
-// Each calls f for every (HT, count) class until f returns false. Iteration
-// order is unspecified. f must not mutate the histogram.
-func (h *Histogram) Each(f func(tx chain.TxID, n int) bool) {
-	for tx, n := range h.counts {
-		if !f(tx, n) {
+// Each calls f for every non-empty class, in class-id order, until f
+// returns false. f must not mutate the histogram.
+func (h *Histogram) Each(f func(cls, n int) bool) {
+	for cls, n := range h.counts {
+		if n > 0 && !f(cls, n) {
 			return
 		}
 	}
@@ -209,7 +220,7 @@ func (h *Histogram) Each(f func(tx chain.TxID, n int) bool) {
 // (q₁ ≥ q₂ ≥ … ≥ q_θ), materialised from the count-of-counts index without
 // sorting.
 func (h *Histogram) Frequencies() []int {
-	qs := make([]int, 0, len(h.counts))
+	qs := make([]int, 0, h.classes)
 	for c := h.max; c >= 1; c-- {
 		for i := 0; i < h.freq[c]; i++ {
 			qs = append(qs, c)
@@ -274,40 +285,40 @@ func (h *Histogram) Slack(req Requirement) float64 {
 }
 
 // SlackIfAdded returns the slack the histogram would have after adding one
-// token from each HT in hts (duplicates add multiplicity). The probe is
+// token of each class in clss (duplicates add multiplicity). The probe is
 // read-only: it overlays the delta on the count-of-counts walk without
-// touching the underlying map, so it neither clones nor allocates (beyond
-// warm-up of a reusable scratch buffer).
+// touching the counts, so it neither clones nor allocates (beyond warm-up
+// of a reusable scratch buffer).
 //
 //tmlint:hotpath
-func (h *Histogram) SlackIfAdded(req Requirement, hts []chain.TxID) float64 {
-	h.probeTx = h.probeTx[:0]
+func (h *Histogram) SlackIfAdded(req Requirement, clss []int) float64 {
+	h.probeCls = h.probeCls[:0]
 	h.probeNew = h.probeNew[:0]
-	for _, tx := range hts {
+	for _, cls := range clss {
 		found := false
-		for j, x := range h.probeTx {
-			if x == tx {
+		for j, x := range h.probeCls {
+			if x == cls {
 				h.probeNew[j]++
 				found = true
 				break
 			}
 		}
 		if !found {
-			h.probeTx = append(h.probeTx, tx)
+			h.probeCls = append(h.probeCls, cls)
 			h.probeNew = append(h.probeNew, 1)
 		}
 	}
-	return h.SlackIfAddedN(req, h.probeTx, h.probeNew)
+	return h.SlackIfAddedN(req, h.probeCls, h.probeNew)
 }
 
 // SlackIfAddedN returns the slack the histogram would have after adding
-// ns[i] tokens of class txs[i] for each i. txs must be distinct and ns
+// ns[i] tokens of class clss[i] for each i. clss must be distinct and ns
 // positive — exactly the footprint shape internal/selector precomputes per
-// module. Read-only: only map lookups, no mutation, no allocation.
+// module. Read-only: only slice reads, no mutation, no allocation.
 //
 //tmlint:hotpath
-func (h *Histogram) SlackIfAddedN(req Requirement, txs []chain.TxID, ns []int) float64 {
-	f := len(txs)
+func (h *Histogram) SlackIfAddedN(req Requirement, clss []int, ns []int) float64 {
+	f := len(clss)
 	if cap(h.probeOld) < f {
 		//lint:ignore hotalloc amortized scratch warm-up: grows monotonically to the widest footprint, then every probe reuses it (the benchmarks assert 0 allocs/op steady-state)
 		h.probeOld = make([]int, f)
@@ -315,8 +326,8 @@ func (h *Histogram) SlackIfAddedN(req Requirement, txs []chain.TxID, ns []int) f
 	old := h.probeOld[:f]
 	newTotal := h.total
 	newMax := h.max
-	for i, tx := range txs {
-		c := h.counts[tx]
+	for i, cls := range clss {
+		c := h.counts[cls]
 		old[i] = c
 		newTotal += ns[i]
 		if c+ns[i] > newMax {
@@ -356,12 +367,12 @@ func (h *Histogram) SlackIfAddedN(req Requirement, txs []chain.TxID, ns []int) f
 }
 
 // SlackWithout returns the slack the histogram would have if the whole class
-// tx were removed, without mutating the index. This is exactly the DTRS
+// cls were removed, without mutating the index. This is exactly the DTRS
 // check of Theorem 6.1: ψ(i,j) = ring \ T̃(h_j) drops one full HT class.
 //
 //tmlint:hotpath
-func (h *Histogram) SlackWithout(req Requirement, tx chain.TxID) float64 {
-	drop := h.counts[tx]
+func (h *Histogram) SlackWithout(req Requirement, cls int) float64 {
+	drop := h.counts[cls]
 	if drop == 0 {
 		return h.Slack(req)
 	}

@@ -1,17 +1,13 @@
 package diversity
 
-import (
-	"testing"
-
-	"tokenmagic/internal/chain"
-)
+import "testing"
 
 // benchHist builds a histogram shaped like a mid-solve selection: ~40 HT
 // classes with skewed counts.
 func benchHist() *Histogram {
-	h := NewHistogram()
+	h := NewHistogram(43)
 	for c := 0; c < 40; c++ {
-		h.AddN(chain.TxID(c), 1+c%5)
+		h.AddN(c, 1+c%5)
 	}
 	return h
 }
@@ -21,7 +17,7 @@ func BenchmarkHistogramAddRemove(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := chain.TxID(i % 40)
+		tx := i % 40
 		h.Add(tx)
 		h.Remove(tx)
 	}
@@ -42,7 +38,7 @@ func BenchmarkHistogramSlack(b *testing.B) {
 func BenchmarkHistogramSlackIfAdded(b *testing.B) {
 	h := benchHist()
 	req := Requirement{C: 0.6, L: 41}
-	delta := []chain.TxID{1, 3, 3, 7, 41, 42}
+	delta := []int{1, 3, 3, 7, 41, 42}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var s float64
@@ -59,7 +55,7 @@ func BenchmarkHistogramSlackWithout(b *testing.B) {
 	b.ResetTimer()
 	var s float64
 	for i := 0; i < b.N; i++ {
-		s = h.SlackWithout(req, chain.TxID(i%40))
+		s = h.SlackWithout(req, i%40)
 	}
 	_ = s
 }

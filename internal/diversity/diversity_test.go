@@ -50,7 +50,7 @@ func TestWithHeadroom(t *testing.T) {
 func TestPaperSection25Example(t *testing.T) {
 	hts := []chain.TxID{0, 1, 0, 1} // unused baseline
 	_ = hts
-	h := NewHistogram()
+	h := NewHistogram(3)
 	h.AddN(1, 2) // h1 appears twice
 	h.AddN(2, 1) // h2 once
 
@@ -61,7 +61,7 @@ func TestPaperSection25Example(t *testing.T) {
 		t.Error("(3,2) should be satisfied for the RS itself: 2 < 3*1")
 	}
 	// DTRS histogram {h1:2} violates (3,2): 2 >= 3*0.
-	d := NewHistogram()
+	d := NewHistogram(3)
 	d.AddN(1, 2)
 	if d.Satisfies(Requirement{C: 3, L: 2}) {
 		t.Error("(3,2) should fail on single-class histogram")
@@ -69,7 +69,7 @@ func TestPaperSection25Example(t *testing.T) {
 }
 
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram()
+	h := NewHistogram(10)
 	if h.Total() != 0 || h.Classes() != 0 || h.MaxCount() != 0 || h.MinCount() != 0 {
 		t.Fatal("empty histogram should be all-zero")
 	}
@@ -105,7 +105,7 @@ func TestHistogramBasics(t *testing.T) {
 }
 
 func TestHistogramClone(t *testing.T) {
-	h := NewHistogram()
+	h := NewHistogram(3)
 	h.AddN(1, 3)
 	c := h.Clone()
 	c.Add(2)
@@ -128,18 +128,18 @@ func TestHistogramOf(t *testing.T) {
 
 func TestSatisfiesEdgeCases(t *testing.T) {
 	// Empty histogram: vacuously satisfied.
-	if !NewHistogram().Satisfies(Requirement{C: 0.1, L: 10}) {
+	if !NewHistogram(0).Satisfies(Requirement{C: 0.1, L: 10}) {
 		t.Error("empty histogram should satisfy vacuously")
 	}
 	// θ < ℓ: non-empty can never satisfy.
-	h := NewHistogram()
+	h := NewHistogram(3)
 	h.AddN(1, 1)
 	h.AddN(2, 1)
 	if h.Satisfies(Requirement{C: 100, L: 3}) {
 		t.Error("θ=2 < ℓ=3 must fail regardless of c")
 	}
 	// Boundary: strict inequality. q1=1, c=1, ℓ=1: 1 < 1*(1) is false.
-	one := NewHistogram()
+	one := NewHistogram(2)
 	one.Add(1)
 	if one.Satisfies(Requirement{C: 1, L: 1}) {
 		t.Error("q1 = c*tail must fail (strict inequality)")
@@ -152,9 +152,9 @@ func TestSatisfiesEdgeCases(t *testing.T) {
 func TestSlackSignMatchesSatisfies(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		h := NewHistogram()
+		h := NewHistogram(6)
 		for i := 0; i < r.Intn(20); i++ {
-			h.Add(chain.TxID(r.Intn(6)))
+			h.Add(r.Intn(6))
 		}
 		req := Requirement{C: 0.1 + r.Float64()*2, L: 1 + r.Intn(5)}
 		return h.Satisfies(req) == (h.Slack(req) < 0)
@@ -168,9 +168,9 @@ func TestSlackSignMatchesSatisfies(t *testing.T) {
 func TestMonotoneInC(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		h := NewHistogram()
+		h := NewHistogram(8)
 		for i := 0; i < 1+r.Intn(25); i++ {
-			h.Add(chain.TxID(r.Intn(8)))
+			h.Add(r.Intn(8))
 		}
 		c := 0.1 + r.Float64()
 		l := 1 + r.Intn(4)
@@ -190,9 +190,9 @@ func TestMonotoneInC(t *testing.T) {
 func TestMonotoneInL(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		h := NewHistogram()
+		h := NewHistogram(8)
 		for i := 0; i < 1+r.Intn(25); i++ {
-			h.Add(chain.TxID(r.Intn(8)))
+			h.Add(r.Intn(8))
 		}
 		c := 0.1 + r.Float64()
 		l := 1 + r.Intn(4)
@@ -207,7 +207,7 @@ func TestMonotoneInL(t *testing.T) {
 }
 
 func TestDistinctHTsNeeded(t *testing.T) {
-	h := NewHistogram()
+	h := NewHistogram(3)
 	h.Add(1)
 	h.Add(2)
 	if got := h.DistinctHTsNeeded(Requirement{C: 1, L: 5}); got != 3 {

@@ -18,6 +18,9 @@ func (h *Histogram) Entropy() float64 {
 	}
 	e := 0.0
 	for _, c := range h.counts {
+		if c == 0 {
+			continue
+		}
 		p := float64(c) / float64(h.total)
 		e -= p * math.Log2(p)
 	}

@@ -5,12 +5,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"tokenmagic/internal/chain"
 )
 
 func TestEntropyKnownValues(t *testing.T) {
-	h := NewHistogram()
+	h := NewHistogram(2)
 	if h.Entropy() != 0 || h.EffectiveClasses() != 0 {
 		t.Fatal("empty histogram: entropy and effective classes must be 0")
 	}
@@ -19,8 +17,8 @@ func TestEntropyKnownValues(t *testing.T) {
 		t.Fatalf("single class entropy = %v", h.Entropy())
 	}
 	// Uniform over 4 classes: entropy = 2 bits, effective classes = 4.
-	u := NewHistogram()
-	for i := chain.TxID(0); i < 4; i++ {
+	u := NewHistogram(4)
+	for i := 0; i < 4; i++ {
 		u.AddN(i, 3)
 	}
 	if math.Abs(u.Entropy()-2) > 1e-9 {
@@ -32,8 +30,8 @@ func TestEntropyKnownValues(t *testing.T) {
 }
 
 func TestSatisfiesEntropy(t *testing.T) {
-	u := NewHistogram()
-	for i := chain.TxID(0); i < 4; i++ {
+	u := NewHistogram(4)
+	for i := 0; i < 4; i++ {
 		u.Add(i)
 	}
 	if !u.SatisfiesEntropy(4) {
@@ -43,7 +41,7 @@ func TestSatisfiesEntropy(t *testing.T) {
 		t.Fatal("uniform-4 cannot be entropy 5-diverse")
 	}
 	// Skew: 4 classes but dominated by one.
-	s := NewHistogram()
+	s := NewHistogram(4)
 	s.AddN(0, 9)
 	s.AddN(1, 1)
 	s.AddN(2, 1)
@@ -52,7 +50,7 @@ func TestSatisfiesEntropy(t *testing.T) {
 		t.Fatal("skewed distribution must fail entropy 4-diversity")
 	}
 	// Vacuous cases.
-	if !NewHistogram().SatisfiesEntropy(10) {
+	if !NewHistogram(0).SatisfiesEntropy(10) {
 		t.Fatal("empty histogram vacuously satisfies")
 	}
 	if !s.SatisfiesEntropy(1) {
@@ -66,9 +64,9 @@ func TestSatisfiesEntropy(t *testing.T) {
 func TestEntropyImpliesDistinct(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := NewHistogram()
+		h := NewHistogram(8)
 		for i := 0; i < 1+rng.Intn(30); i++ {
-			h.Add(chain.TxID(rng.Intn(8)))
+			h.Add(rng.Intn(8))
 		}
 		l := 2 + rng.Intn(5)
 		if h.SatisfiesEntropy(l) {
@@ -85,9 +83,9 @@ func TestEntropyImpliesDistinct(t *testing.T) {
 func TestEffectiveClassesBounded(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := NewHistogram()
+		h := NewHistogram(6)
 		for i := 0; i < 1+rng.Intn(30); i++ {
-			h.Add(chain.TxID(rng.Intn(6)))
+			h.Add(rng.Intn(6))
 		}
 		return h.EffectiveClasses() <= float64(h.Classes())+1e-9
 	}

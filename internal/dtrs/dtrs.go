@@ -290,11 +290,11 @@ func ClosedFormSets(ringTokens chain.TokenSet, subsetCount int, origin func(chai
 func AllSatisfyClosedForm(ringTokens chain.TokenSet, subsetCount int, origin func(chain.TokenID) chain.TxID, req diversity.Requirement) bool {
 	h := diversity.HistogramOf(ringTokens, origin)
 	ok := true
-	h.Each(func(ht chain.TxID, n int) bool {
+	h.Each(func(cls, n int) bool {
 		if subsetCount < len(ringTokens)-n+1 {
-			return true // Theorem 6.1: no DTRS can determine ht
+			return true // Theorem 6.1: no DTRS can determine this HT
 		}
-		if h.SlackWithout(req, ht) >= 0 {
+		if h.SlackWithout(req, cls) >= 0 {
 			ok = false
 			return false
 		}

@@ -1,6 +1,7 @@
 package dtrs
 
 import (
+	"math/rand"
 	"testing"
 
 	"tokenmagic/internal/chain"
@@ -201,6 +202,56 @@ func TestAllSatisfyClosedForm(t *testing.T) {
 	// With v=3 only ψ(h1) is realisable and it passes (1.5,2).
 	if !AllSatisfyClosedForm(ringToks, 3, origin, diversity.Requirement{C: 1.5, L: 2}) {
 		t.Fatal("(1.5,2) should pass when only ψ(h1) is realisable")
+	}
+}
+
+// TestAllSatisfyClosedFormSparseHTs gives rings sparse, huge HTs (about
+// 10⁹ + k) and requires AllSatisfyClosedForm to agree with two oracles:
+// the ψ sets of ClosedFormSets checked one by one, and the same ring with
+// its HTs relabelled densely 0, 1, 2, …. The histogram interns HTs as class
+// ids, so their magnitude must never matter.
+func TestAllSatisfyClosedFormSparseHTs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	reqs := []diversity.Requirement{{C: 0.6, L: 2}, {C: 1, L: 3}, {C: 2, L: 4}, {C: 0.3, L: 2}}
+	verdicts := map[bool]int{}
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(19)
+		sparse := map[chain.TokenID]chain.TxID{}
+		dense := map[chain.TokenID]chain.TxID{}
+		rank := map[chain.TxID]chain.TxID{}
+		var toks []chain.TokenID
+		for len(toks) < n {
+			tok := chain.TokenID(rng.Intn(10000))
+			if _, dup := sparse[tok]; dup {
+				continue
+			}
+			ht := chain.TxID(1_000_000_000 + 104729*rng.Intn(1+rng.Intn(8)))
+			if _, ok := rank[ht]; !ok {
+				rank[ht] = chain.TxID(len(rank))
+			}
+			sparse[tok], dense[tok] = ht, rank[ht]
+			toks = append(toks, tok)
+		}
+		ringToks := chain.NewTokenSet(toks...)
+		v := 1 + rng.Intn(n)
+		origin := originOf(sparse)
+		for _, req := range reqs {
+			got := AllSatisfyClosedForm(ringToks, v, origin, req)
+			want := true
+			for _, cf := range ClosedFormSets(ringToks, v, origin) {
+				want = want && diversity.SatisfiesTokens(cf.Psi, origin, req)
+			}
+			if got != want {
+				t.Fatalf("trial %d: AllSatisfyClosedForm(%v, v=%d, %v) = %v, ψ-by-ψ oracle %v", trial, ringToks, v, req, got, want)
+			}
+			if d := AllSatisfyClosedForm(ringToks, v, originOf(dense), req); d != got {
+				t.Fatalf("trial %d: sparse HTs give %v, dense relabelling %v", trial, got, d)
+			}
+			verdicts[got]++
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("verdicts %v, want both", verdicts)
 	}
 }
 

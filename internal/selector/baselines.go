@@ -18,6 +18,7 @@ func Smallest(p *Problem) (Result, error) {
 // first one-token module, which is the one a full scan returns.
 func SmallestCtx(ctx context.Context, p *Problem) (Result, error) {
 	st := newState(p)
+	defer st.release()
 	for !st.hist.Satisfies(p.Req) {
 		if cancelled(ctx) {
 			return Result{}, ctxErr(ctx)
@@ -55,6 +56,7 @@ func Random(p *Problem, rng *rand.Rand) (Result, error) {
 // cancellation timing: a cancelled solve simply stops drawing.
 func RandomCtx(ctx context.Context, p *Problem, rng *rand.Rand) (Result, error) {
 	st := newState(p)
+	defer st.release()
 	unselected := st.candidates()
 	for !st.hist.Satisfies(p.Req) {
 		if cancelled(ctx) {

@@ -55,16 +55,17 @@ func BFSCtx(ctx context.Context, p *ExactProblem) (Result, error) {
 	sigma := p.Universe.Remove(p.Target) // candidate mixins
 	iters := 0
 
-	// Precompute every candidate's HT once and reuse one incremental
+	// Precompute every candidate's HT class once and reuse one incremental
 	// histogram across the enumeration: the diversity constraint is checked
 	// allocation-free before any candidate ring is materialised or the
 	// exponential DTRS machinery runs.
-	hts := make([]chain.TxID, len(sigma))
+	ids := make(map[chain.TxID]int)
+	targetHT := intern(ids, p.Origin(p.Target))
+	hts := make([]int, len(sigma))
 	for i, t := range sigma {
-		hts[i] = p.Origin(t)
+		hts[i] = intern(ids, p.Origin(t))
 	}
-	targetHT := p.Origin(p.Target)
-	h := diversity.NewHistogram()
+	h := diversity.NewHistogram(len(ids))
 
 	// Minimum mixin count: the ring needs ≥ ℓ distinct HTs, hence ≥ ℓ
 	// tokens, hence ≥ ℓ−1 mixins (Algorithm 2 line 2).
@@ -83,7 +84,7 @@ func BFSCtx(ctx context.Context, p *ExactProblem) (Result, error) {
 				return false, ctxErr(ctx)
 			}
 			// Diversity pre-check (Algorithm 2 lines 6–8) on the index.
-			h.Reset()
+			h.Reset(len(ids))
 			h.Add(targetHT)
 			for _, j := range idx {
 				h.Add(hts[j])

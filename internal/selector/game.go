@@ -32,6 +32,7 @@ func Game(p *Problem) (Result, error) {
 // best-response sweep (each sweep visits every player).
 func GameCtx(ctx context.Context, p *Problem) (Result, error) {
 	st := newState(p)
+	defer st.release()
 	if !st.hist.Satisfies(p.Req) {
 		if err := st.coverHTPhase(ctx); err != nil {
 			return Result{}, err

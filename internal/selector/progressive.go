@@ -20,6 +20,7 @@ func Progressive(p *Problem) (Result, error) {
 // candidate (the parallel executor) can abandon in-flight solves cheaply.
 func ProgressiveCtx(ctx context.Context, p *Problem) (Result, error) {
 	st := newState(p)
+	defer st.release()
 	if st.hist.Satisfies(p.Req) {
 		return st.result(), nil
 	}

@@ -15,17 +15,20 @@
 // requirement (c, ℓ+1) so that every DTRS retains (c, ℓ) (Theorem 6.4) and
 // existing rings keep their declared diversity (immutability for free).
 //
-// The greedy hot loops are allocation-free: each module's HT footprint
+// The greedy hot loops are allocation-free. Each module's HT footprint
 // (distinct HTs plus multiplicities) is computed once per module Table —
-// once per decomposition, shared by every target's Problem — slack
-// probes are delta evaluations against the incremental diversity index
-// (diversity.Histogram), and the running selection tracks only a token
-// count — the result TokenSet is materialised once, at the end. Every
-// greedy scan stops at the first module that reaches its proven bound
-// (α_i ≥ 1 in the HT-cover phase, β_i ≤ c in Progressive's second phase
-// when c is dyadic, |x_i| ≥ 1 for Smallest); it keeps the first strictly
-// better value, so it returns the module a full scan would (DESIGN.md,
-// "Incremental diversity-slack engine").
+// once per decomposition, shared by every target's Problem — with every HT
+// interned as a dense class id, so the incremental diversity index
+// (diversity.Histogram) is a slice index, not a map lookup. Slack probes
+// are delta evaluations against that index. The running selection lives in
+// pooled scratch that records its picks and a token count, and the result
+// TokenSet is materialised once, at the end, from the picks, so a TM_P
+// solve allocates only its Problem and its ring. Every greedy scan stops
+// at the first module that reaches its proven bound (α_i ≥ 1 in the
+// HT-cover phase, β_i ≤ c in Progressive's second phase when c is dyadic,
+// |x_i| ≥ 1 for Smallest); it keeps the first strictly better value, so it
+// returns the module a full scan would (DESIGN.md, "Incremental
+// diversity-slack engine").
 package selector
 
 import (
@@ -35,6 +38,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/diversity"
@@ -69,15 +73,18 @@ type Module struct {
 func (m Module) Size() int { return len(m.Tokens) }
 
 // footprints holds the HT footprint of every module of a Table in one flat
-// layout: module i's distinct HTs are txs[off[i]:off[i+1]], and ns[j] of
-// its tokens map to txs[j]. Computed once per Table, so the greedy loops
-// never call Origin or build scratch maps. tokens is the table's token
-// count, which bounds every count a slack evaluation reads.
+// layout: module i's distinct HTs are cls[off[i]:off[i+1]], and ns[j] of
+// its tokens map to cls[j]. Each HT is a dense class id 0..classes−1,
+// interned once per Table in module order, so the greedy loops index the
+// histogram's counts instead of hashing HTs, and never call Origin or
+// build scratch maps. tokens is the table's token count, which bounds
+// every count a slack evaluation reads.
 type footprints struct {
-	off    []int
-	txs    []chain.TxID
-	ns     []int
-	tokens int
+	off     []int
+	cls     []int
+	ns      []int
+	classes int
+	tokens  int
 }
 
 func footprintsOf(mods []Module, origin func(chain.TokenID) chain.TxID) footprints {
@@ -87,38 +94,51 @@ func footprintsOf(mods []Module, origin func(chain.TokenID) chain.TxID) footprin
 	}
 	fp := footprints{
 		off:    make([]int, 1, len(mods)+1),
-		txs:    make([]chain.TxID, 0, total),
+		cls:    make([]int, 0, total),
 		ns:     make([]int, 0, total),
 		tokens: total,
 	}
+	ids := make(map[chain.TxID]int)
 	for _, m := range mods {
-		start := len(fp.txs)
+		start := len(fp.cls)
 		for _, t := range m.Tokens {
-			h := origin(t)
+			c := intern(ids, origin(t))
 			found := false
-			for j := start; j < len(fp.txs); j++ {
-				if fp.txs[j] == h {
+			for j := start; j < len(fp.cls); j++ {
+				if fp.cls[j] == c {
 					fp.ns[j]++
 					found = true
 					break
 				}
 			}
 			if !found {
-				fp.txs = append(fp.txs, h)
+				fp.cls = append(fp.cls, c)
 				fp.ns = append(fp.ns, 1)
 			}
 		}
-		fp.off = append(fp.off, len(fp.txs))
+		fp.off = append(fp.off, len(fp.cls))
 	}
+	fp.classes = len(ids)
 	return fp
 }
 
-// of returns module i's distinct HTs and their multiplicities.
+// intern returns tx's dense class id in ids, assigning the next free one
+// the first time tx is seen.
+func intern(ids map[chain.TxID]int, tx chain.TxID) int {
+	c, ok := ids[tx]
+	if !ok {
+		c = len(ids)
+		ids[tx] = c
+	}
+	return c
+}
+
+// of returns module i's distinct HT classes and their multiplicities.
 //
 //tmlint:hotpath
-func (fp *footprints) of(i int) ([]chain.TxID, []int) {
+func (fp *footprints) of(i int) ([]int, []int) {
 	lo, hi := fp.off[i], fp.off[i+1]
-	return fp.txs[lo:hi], fp.ns[lo:hi]
+	return fp.cls[lo:hi], fp.ns[lo:hi]
 }
 
 // Super is a super ring signature (Definition 7) with its subset count v.
@@ -369,37 +389,61 @@ func (r Result) Size() int { return len(r.Tokens) }
 var ErrNoEligible = errors.New("selector: no eligible ring signature exists; relax the diversity requirement")
 
 // state tracks the running selection shared by the greedy algorithms. Module
-// unions are tracked as an incremental HT histogram plus a token count;
-// modules never overlap under the first practical configuration, so the
-// union's cardinality is the sum of the selected modules' sizes and the full
-// TokenSet only needs materialising once, in result().
+// unions are tracked as an incremental HT histogram over the table's class
+// ids plus a token count; modules never overlap under the first practical
+// configuration, so the union's cardinality is the sum of the selected
+// modules' sizes and the full TokenSet only needs materialising once, in
+// result(), from the list of picks.
 //
 // The selection ranges over the problem's whole module table with the
 // mandatory module pre-selected, so every candidate loop skips it through
 // selected and visits the other modules in table order — the order of
 // NewProblem's Candidates.
+//
+// A state is solve scratch: newState takes one from statePool and sizes it
+// for the problem, and the solver hands it back with release when it
+// returns. Reset invariant: newState overwrites or clears every field, so
+// nothing of an earlier solve — another table's size, class count, picks or
+// iteration count — reaches the next one.
 type state struct {
 	p        *Problem
 	mods     []Module
 	fp       *footprints
-	hist     *diversity.Histogram
-	selected []bool // over mods; the mandatory module is always selected
-	modules  int
-	nTokens  int // |union of selected modules|
+	hist     diversity.Histogram // over fp's class ids
+	selected []bool              // over mods; the mandatory module is always selected
+	picks    []int               // the selected modules, in no particular order
+	nTokens  int                 // |union of selected modules|
 	iters    int
 }
 
+// statePool recycles solve states, so a steady-state solve allocates no
+// scratch that grows with the table. It holds nothing between solves but
+// the capacity of the slices.
+var statePool = sync.Pool{New: func() any { return new(state) }}
+
 func newState(p *Problem) *state {
 	p.prepare()
-	st := &state{
-		p:        p,
-		mods:     p.tab.mods,
-		fp:       &p.tab.fp,
-		hist:     diversity.NewHistogram(),
-		selected: make([]bool, len(p.tab.mods)),
+	st := statePool.Get().(*state)
+	n := len(p.tab.mods)
+	st.p, st.mods, st.fp = p, p.tab.mods, &p.tab.fp
+	st.hist.Reset(p.tab.fp.classes)
+	if cap(st.selected) < n {
+		st.selected = make([]bool, n)
+	} else {
+		st.selected = st.selected[:n]
+		clear(st.selected)
 	}
+	st.picks = st.picks[:0]
+	st.nTokens, st.iters = 0, 0
 	st.add(p.mand)
 	return st
+}
+
+// release returns the state to statePool. The solver must not touch it
+// afterwards; a Result from result() owns its tokens and stays valid.
+func (st *state) release() {
+	st.p, st.mods, st.fp = nil, nil, nil
+	statePool.Put(st)
 }
 
 // candidates returns the indices of every module but the mandatory one, in
@@ -419,37 +463,45 @@ func (st *state) candidates() []int {
 //tmlint:hotpath
 func (st *state) add(i int) {
 	st.selected[i] = true
-	st.modules++
+	st.picks = append(st.picks, i)
 	st.nTokens += st.mods[i].Size()
-	txs, ns := st.fp.of(i)
-	for j, tx := range txs {
-		st.hist.AddN(tx, ns[j])
+	cls, ns := st.fp.of(i)
+	for j, c := range cls {
+		st.hist.AddN(c, ns[j])
 	}
 }
 
-// remove deselects module i. Only valid when modules do not overlap
-// (guaranteed under the first practical configuration).
+// remove deselects module i, swap-deleting it from the picks. Only valid
+// when modules do not overlap (guaranteed under the first practical
+// configuration).
 //
 //tmlint:hotpath
 func (st *state) remove(i int) {
 	st.selected[i] = false
-	st.modules--
+	last := len(st.picks) - 1
+	for k, j := range st.picks {
+		if j == i {
+			st.picks[k] = st.picks[last]
+			break
+		}
+	}
+	st.picks = st.picks[:last]
 	st.nTokens -= st.mods[i].Size()
-	txs, ns := st.fp.of(i)
-	for j, tx := range txs {
-		st.hist.RemoveN(tx, ns[j])
+	cls, ns := st.fp.of(i)
+	for j, c := range cls {
+		st.hist.RemoveN(c, ns[j])
 	}
 }
 
-// result materialises the selection as a TokenSet.
+// result materialises the selection as a TokenSet: the picked modules'
+// tokens, sorted and deduplicated exactly as chain.NewTokenSet would.
 func (st *state) result() Result {
-	ids := make([]chain.TokenID, 0, st.nTokens)
-	for i, sel := range st.selected {
-		if sel {
-			ids = append(ids, st.mods[i].Tokens...)
-		}
+	ids := make(chain.TokenSet, 0, st.nTokens)
+	for _, i := range st.picks {
+		ids = append(ids, st.mods[i].Tokens...)
 	}
-	return Result{Tokens: chain.NewTokenSet(ids...), Modules: st.modules, Iterations: st.iters}
+	slices.Sort(ids)
+	return Result{Tokens: slices.Compact(ids), Modules: len(st.picks), Iterations: st.iters}
 }
 
 // newHTs counts |H_i \ H|: distinct HTs candidate i would newly contribute.
@@ -457,9 +509,9 @@ func (st *state) result() Result {
 //tmlint:hotpath
 func (st *state) newHTs(i int) int {
 	n := 0
-	txs, _ := st.fp.of(i)
-	for _, tx := range txs {
-		if st.hist.Count(tx) == 0 {
+	cls, _ := st.fp.of(i)
+	for _, c := range cls {
+		if st.hist.Count(c) == 0 {
 			n++
 		}
 	}
@@ -473,8 +525,8 @@ func (st *state) newHTs(i int) int {
 //
 //tmlint:hotpath
 func (st *state) slackWith(i int) float64 {
-	txs, ns := st.fp.of(i)
-	return st.hist.SlackIfAddedN(st.p.Req, txs, ns)
+	cls, ns := st.fp.of(i)
+	return st.hist.SlackIfAddedN(st.p.Req, cls, ns)
 }
 
 // coverHTPhase runs the shared first phase of Progressive and Game

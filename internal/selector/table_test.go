@@ -62,10 +62,11 @@ func tableState(t *Table) Table {
 	c := Table{
 		universe: t.universe.Clone(),
 		fp: footprints{
-			off:    append([]int(nil), t.fp.off...),
-			txs:    append([]chain.TxID(nil), t.fp.txs...),
-			ns:     append([]int(nil), t.fp.ns...),
-			tokens: t.fp.tokens,
+			off:     append([]int(nil), t.fp.off...),
+			cls:     append([]int(nil), t.fp.cls...),
+			ns:      append([]int(nil), t.fp.ns...),
+			classes: t.fp.classes,
+			tokens:  t.fp.tokens,
 		},
 		owner: append([]int32(nil), t.owner...),
 	}
