@@ -1,6 +1,9 @@
 package chain
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // TokenSet is a sorted, duplicate-free slice of TokenIDs. The solvers treat a
 // ring signature as a TokenSet (its consumed token plus mixins), so set
@@ -156,8 +159,32 @@ func (s TokenSet) SubsetOf(t TokenSet) bool {
 	return true
 }
 
-// Disjoint reports whether s and t share no members.
+// Disjoint reports whether s and t share no members. Sets whose ranges do
+// not overlap are settled from their ends. When one set is at least
+// disjointSkew times smaller, its members are binary-searched in the
+// larger one — a ring against a λ-token batch universe costs O(|ring| log λ)
+// instead of a walk over the whole universe. Otherwise the two are merged.
 func (s TokenSet) Disjoint(t TokenSet) bool {
+	if len(s) == 0 || len(t) == 0 || s[len(s)-1] < t[0] || t[len(t)-1] < s[0] {
+		return true
+	}
+	if len(s) > len(t) {
+		s, t = t, s
+	}
+	if len(s)*disjointSkew <= len(t) {
+		// s is sorted, so each search starts where the last one ended.
+		lo := 0
+		for _, id := range s {
+			k, found := slices.BinarySearch(t[lo:], id)
+			if found {
+				return false
+			}
+			if lo += k; lo == len(t) {
+				return true
+			}
+		}
+		return true
+	}
 	i, j := 0, 0
 	for i < len(s) && j < len(t) {
 		switch {
@@ -171,6 +198,10 @@ func (s TokenSet) Disjoint(t TokenSet) bool {
 	}
 	return true
 }
+
+// disjointSkew is the size ratio from which Disjoint binary-searches the
+// smaller set's members instead of merging.
+const disjointSkew = 8
 
 // Equal reports whether s and t contain exactly the same members.
 func (s TokenSet) Equal(t TokenSet) bool {

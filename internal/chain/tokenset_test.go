@@ -123,6 +123,15 @@ func randomTokenSet(r *rand.Rand, maxLen, maxVal int) TokenSet {
 	return NewTokenSet(ids...)
 }
 
+// sizedTokenSet draws exactly n distinct ids below maxVal.
+func sizedTokenSet(r *rand.Rand, n, maxVal int) TokenSet {
+	ids := make([]TokenID, n)
+	for i, v := range r.Perm(maxVal)[:n] {
+		ids[i] = TokenID(v)
+	}
+	return NewTokenSet(ids...)
+}
+
 // Property: union and minus satisfy (a ∪ b) \ b == a \ b for all sets.
 func TestTokenSetAlgebraProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
@@ -152,13 +161,32 @@ func TestTokenSetAlgebraProperty(t *testing.T) {
 	}
 }
 
-// Property: Disjoint(a,b) iff Intersect(a,b) is empty.
+// Property: Disjoint(a,b) iff Intersect(a,b) is empty, in both argument
+// orders. The generator covers every branch of Disjoint: dense sets of
+// similar size (the merge), a ring of 1–16 tokens against a universe of
+// 100–1000 (the binary search), and sets whose ranges are shifted apart
+// so they may not overlap at all (the range check).
 func TestTokenSetDisjointMatchesIntersect(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
-		a := randomTokenSet(rr, 15, 20)
-		b := randomTokenSet(rr, 15, 20)
-		return a.Disjoint(b) == (len(a.Intersect(b)) == 0)
+		var a, b TokenSet
+		switch rr.Intn(3) {
+		case 0:
+			a = randomTokenSet(rr, 15, 20)
+			b = randomTokenSet(rr, 15, 20)
+		case 1:
+			a = sizedTokenSet(rr, 1+rr.Intn(16), 2000)
+			b = sizedTokenSet(rr, 100+rr.Intn(901), 2000)
+		default:
+			a = randomTokenSet(rr, 15, 50)
+			b = randomTokenSet(rr, 15, 50)
+			shift := TokenID(rr.Intn(100))
+			for i := range b {
+				b[i] += shift
+			}
+		}
+		want := len(a.Intersect(b)) == 0
+		return a.Disjoint(b) == want && b.Disjoint(a) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

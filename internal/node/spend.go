@@ -129,7 +129,7 @@ func (n *Node) spendOnce(ctx context.Context, target chain.TokenID, req diversit
 				signerIdx = i
 			}
 		}
-		sig, err = ringsig.SignCtx(ctx, crand.Reader, sk, ring, signerIdx, msg)
+		sig, err = n.engine.SignCtx(ctx, crand.Reader, sk, ring, signerIdx, msg)
 		if err != nil {
 			return SpendResult{}, err
 		}

@@ -14,14 +14,14 @@ import (
 	"sync/atomic"
 )
 
-// Engine verifies ring signatures through the scalar-mult kernels with
+// Engine signs and verifies ring signatures through the ring walk with
 // optional cross-call amortisation. The zero value is ready to use and
-// caches nothing; package-level Verify routes through it. Fields are
+// caches nothing; package-level Sign and Verify route through it. Fields are
 // configuration, set before first use and not mutated afterwards; the
 // caches themselves are safe for concurrent use.
 type Engine struct {
 	// Hp memoises hash-to-point across calls. nil: VerifyBatch installs a
-	// fresh memo per batch (single Verify calls compute directly).
+	// fresh memo per batch (single Sign and Verify calls compute directly).
 	Hp *HpCache
 	// Seen remembers transcripts that verified, so re-validating a
 	// signature the node already admitted (block validation at mine time)
@@ -158,7 +158,7 @@ func (e *Engine) VerifyBatch(ctx context.Context, reqs []VerifyRequest) BatchRes
 // verifyOne runs the full single-signature check: structural validation in
 // the same order (and with the same error identities) as the stock
 // implementation, then the transcript cache, then the challenge chain
-// through the kernels. Successful chains are recorded in the cache.
+// through the ring walk. Successful chains are recorded in the cache.
 func (e *Engine) verifyOne(sig *Signature, ring []Point, msg []byte, hp *HpCache) (err error, cacheHit bool) {
 	n := len(ring)
 	if sig == nil || n < 2 || len(sig.S) != n || sig.C0 == nil {
@@ -196,10 +196,12 @@ func (e *Engine) verifyOne(sig *Signature, ring []Point, msg []byte, hp *HpCache
 		}
 	}
 
+	w := startWalk(hp, msg, ring, sig.S, 0, n)
 	c := sig.C0
-	for i := 0; i < n; i++ {
-		c = ringStep(msg, ring[i], sig.Image, sig.S[i], c, hp)
+	for j := 0; j < n; j++ {
+		c = w.step(j, sig.Image, c)
 	}
+	w.finish()
 	if c.Cmp(sig.C0) != 0 {
 		return ErrInvalid, false
 	}

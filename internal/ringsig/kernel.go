@@ -1,16 +1,20 @@
 package ringsig
 
-// Double-scalar multiplication kernels for the verification challenge
-// chain. Each ring member costs two point pairs:
+// Multiplication kernels for the challenge chain. Each ring member costs
+// two point pairs:
 //
 //	L = s·G  + c·P   (fixed base + variable point)
 //	R = s·Hp + c·I   (two variable points)
 //
-// mulPairBase and mulPair are the only multiplication entry points the
-// verify path uses. The standard library's P-256 exposes the fused
-// CombinedMult on every platform, so L costs one fused call — the same
-// price as a single ScalarMult — instead of ScalarBaseMult + ScalarMult +
-// Add.
+// mulPairBase computes L through the standard library's P-256
+// CombinedMult, which exists on every platform. On Go 1.24 that call is
+// ScalarBaseMult + ScalarMult + Add inside crypto/elliptic, not a fused
+// ladder: it saves only the affine round trips between them, and costs
+// more than a single ScalarMult (103–116 µs against 86–93 µs for
+// ScalarMult and 20–26 µs for ScalarBaseMult on a 2-vCPU amd64 VM,
+// BenchmarkMultiplications). The ring walk (walk.go) computes R as two
+// stock ScalarMults and an Add, split across its two goroutines; mulPair
+// computes the same pair in one call for the MLSAG layers.
 //
 // Scalars are encoded fixed-width via FillBytes: big.Int.Bytes() drops
 // leading zero bytes, and while the stock API tolerates short scalars, the
@@ -59,12 +63,4 @@ func mulPair(a *big.Int, q Point, b *big.Int, r Point) Point {
 	rx, ry := Curve.ScalarMult(r.X, r.Y, bb[:])
 	x, y := Curve.Add(qx, qy, rx, ry)
 	return Point{X: x, Y: y}
-}
-
-// ringStep computes c_{i+1} = H(msg, s·G + c·P, s·Hp(P) + c·I) through the
-// kernels, resolving Hp(P) via the memo when one is supplied.
-func ringStep(msg []byte, pub, image Point, s, c *big.Int, hp *HpCache) *big.Int {
-	l := mulPairBase(s, c, pub)
-	r := mulPair(s, hp.hashPoint(pub), c, image)
-	return challenge(msg, l, r)
 }

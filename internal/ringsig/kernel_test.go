@@ -458,3 +458,29 @@ func FuzzVerifyBatchEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkMultiplications prices the three P-256 calls a ring step is
+// made of, so the kernel costs quoted in kernel.go and DESIGN.md can be
+// re-measured.
+func BenchmarkMultiplications(b *testing.B) {
+	_, ring := genRing(b, 1)
+	ks := kernelScalars(b) // indices 8 and up are uniform random scalars
+	s, c := ks[8], ks[9]
+	b.Run("CombinedMult", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mulPairBase(s, c, ring[0])
+		}
+	})
+	b.Run("ScalarMult", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mulPoint(s, ring[0])
+		}
+	})
+	b.Run("ScalarBaseMult", func(b *testing.B) {
+		var sb [32]byte
+		s.FillBytes(sb[:])
+		for i := 0; i < b.N; i++ {
+			Curve.ScalarBaseMult(sb[:])
+		}
+	})
+}

@@ -87,12 +87,17 @@ func GenerateKey(rng io.Reader) (*PrivateKey, error) {
 
 // KeyImage computes I = x·Hp(P), the linkability tag. Two signatures by the
 // same key always share the image; images of different keys collide only
-// with negligible probability. The multiplication involves the private
-// scalar, so it stays on the stock constant-time ScalarMult — never the
-// variable-time verification kernels — with the scalar encoded fixed-width
-// (Bytes() would shorten the encoding for scalars with leading zero bytes).
+// with negligible probability.
 func (k *PrivateKey) KeyImage() Point {
-	hp := hashToPoint(k.Public)
+	return k.image(hashToPoint(k.Public))
+}
+
+// image returns x·hp, the key image given hp = Hp(P). The multiplication
+// involves the private scalar, so it stays on the stock constant-time
+// ScalarMult — never the variable-time verification kernels — with the
+// scalar encoded fixed-width (Bytes() would shorten the encoding for
+// scalars with leading zero bytes).
+func (k *PrivateKey) image(hp Point) Point {
 	var d [32]byte
 	k.D.FillBytes(d[:])
 	x, y := Curve.ScalarMult(hp.X, hp.Y, d[:])
@@ -117,8 +122,16 @@ var (
 
 // Sign produces a ring signature over msg with the given ring of public
 // keys. signerIdx is the position of sk's public key inside ring. rng
-// supplies the per-signature nonces.
+// supplies the per-signature nonces. It is a thin wrapper over a cache-less
+// Engine; callers signing over a known key population should hold an
+// Engine whose Hp memo covers it.
 func Sign(rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte) (*Signature, error) {
+	return defaultEngine.sign(rng, sk, ring, signerIdx, msg)
+}
+
+// sign is the package Sign with hash-to-point resolved through e.Hp. For
+// the same rng stream it produces the same signature bytes.
+func (e *Engine) sign(rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte) (*Signature, error) {
 	n := len(ring)
 	if n < 2 {
 		return nil, ErrSmallRing
@@ -132,7 +145,6 @@ func Sign(rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte
 		}
 	}
 	order := Curve.Params().N
-	image := sk.KeyImage()
 
 	alpha, err := randScalar(rng)
 	if err != nil {
@@ -140,28 +152,37 @@ func Sign(rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte
 	}
 	s := make([]*big.Int, n)
 	c := make([]*big.Int, n)
+	// Random responses for every other member, drawn after α in walk
+	// order: the rng stream's order, which same-stream signatures (and
+	// StockSign) depend on.
+	for off := 1; off < n; off++ {
+		if s[(signerIdx+off)%n], err = randResponse(rng); err != nil {
+			return nil, err
+		}
+	}
+	// The walk covers the decoys only. Its helper starts now, so its
+	// wake-up overlaps the key image and the α step below.
+	w := startWalk(e.Hp, msg, ring, s, signerIdx+1, n-1)
 
 	// Start the ring at the signer: c_{π+1} = H(msg, α·G, α·Hp(P_π)).
-	// α is a secret nonce, so these two multiplications use the stock
-	// constant-time ops with fixed-width scalar encoding — the
-	// variable-time kernels below only ever see the public decoy scalars.
+	// α and x are secret, so the key image and these two multiplications
+	// use the stock constant-time ops with fixed-width scalar encoding —
+	// the walk only ever sees the public decoy scalars.
+	hpPi := e.Hp.hashPoint(sk.Public)
+	image := sk.image(hpPi)
 	var ab [32]byte
 	alpha.FillBytes(ab[:])
 	agx, agy := Curve.ScalarBaseMult(ab[:])
-	hpPi := hashToPoint(ring[signerIdx])
 	ahx, ahy := Curve.ScalarMult(hpPi.X, hpPi.Y, ab[:])
 	c[(signerIdx+1)%n] = challenge(msg, Point{agx, agy}, Point{ahx, ahy})
 
-	// Walk the ring with random responses for every other member:
+	// Walk the ring through the decoys:
 	// c_{i+1} = H(msg, s_i·G + c_i·P_i, s_i·Hp(P_i) + c_i·I).
-	for off := 1; off < n; off++ {
-		i := (signerIdx + off) % n
-		s[i], err = randResponse(rng)
-		if err != nil {
-			return nil, err
-		}
-		c[(i+1)%n] = ringStep(msg, ring[i], image, s[i], c[i], nil)
+	for j := 0; j < n-1; j++ {
+		i := (signerIdx + 1 + j) % n
+		c[(i+1)%n] = w.step(j, image, c[i])
 	}
+	w.finish()
 
 	// Close the ring: s_π = α − c_π·x (mod N).
 	sPi := new(big.Int).Mul(c[signerIdx], sk.D)

@@ -14,10 +14,16 @@ import (
 
 // SignCtx is Sign recorded as a "sign" span of the trace in ctx.
 func SignCtx(ctx context.Context, rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte) (*Signature, error) {
+	return defaultEngine.SignCtx(ctx, rng, sk, ring, signerIdx, msg)
+}
+
+// SignCtx is Sign, with hash-to-point resolved through e.Hp, recorded as a
+// "sign" span of the trace in ctx.
+func (e *Engine) SignCtx(ctx context.Context, rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte) (*Signature, error) {
 	_, sp := trace.StartSpan(ctx, "sign")
 	defer sp.End()
 	sp.AnnotateInt("ring_size", int64(len(ring)))
-	sig, err := Sign(rng, sk, ring, signerIdx, msg)
+	sig, err := e.sign(rng, sk, ring, signerIdx, msg)
 	if err != nil {
 		sp.Annotate("outcome", "error")
 	}
