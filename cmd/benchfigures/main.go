@@ -34,7 +34,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		maxBFS    = flag.Int("max-bfs", 4, "rings to generate in the Figure-4 exact run")
 		benchOut  = flag.String("bench-solver", "", "run solver hot-path microbenchmarks and write BENCH_solver.json to this path")
-		parOut    = flag.String("bench-parallel", "", "run the sequential-vs-parallel GenerateRS sweep and write BENCH_parallel.json to this path")
 		rsOut     = flag.String("bench-ringsig", "", "run the ring-signature kernel vs stock sweep and write BENCH_ringsig.json to this path")
 		anonOut   = flag.String("bench-anonymity", "", "run the solver × attack anonymity sweep and write BENCH_anonymity.json to this path")
 	)
@@ -42,10 +41,6 @@ func main() {
 
 	if *benchOut != "" {
 		runSolverBench(*benchOut)
-		return
-	}
-	if *parOut != "" {
-		runParallelBench(*parOut)
 		return
 	}
 	if *rsOut != "" {
@@ -116,25 +111,6 @@ func runSolverBench(path string) {
 	for _, q := range rep.SolveLatency {
 		fmt.Printf("  %s: n=%d p50=%.0fµs p99=%.0fµs mean=%.0fµs\n",
 			q.Metric, q.Count, q.P50US, q.P99US, q.MeanUS)
-	}
-	fmt.Println("wrote", path)
-}
-
-func runParallelBench(path string) {
-	fmt.Println("Parallel GenerateRS sweep (equivalence check, then λ × workers grid)…")
-	rep, err := bench.ParallelBenchmarks()
-	fail(err)
-	rep.Commit = bench.Commit()
-	data, err := json.MarshalIndent(rep, "", "  ")
-	fail(err)
-	data = append(data, '\n')
-	fail(os.WriteFile(path, data, 0o644))
-	fmt.Printf("  gomaxprocs=%d num_cpu=%d equivalence_checked=%v\n",
-		rep.GOMAXPROCS, rep.NumCPU, rep.EquivalenceChecked)
-	fmt.Printf("  %-8s %-8s %14s %12s %10s\n", "lambda", "workers", "ns/op", "ops/sec", "speedup")
-	for _, p := range rep.Points {
-		fmt.Printf("  %-8d %-8d %14.0f %12.2f %9.2fx\n",
-			p.Lambda, p.Workers, p.NsPerOp, p.OpsPerSec, p.SpeedupVs1Worker)
 	}
 	fmt.Println("wrote", path)
 }

@@ -92,8 +92,7 @@ func main() {
 		l          = flag.Int("l", 3, "diversity requirement ℓ")
 		eta        = flag.Float64("eta", 0, "liveness guard η for in-process nodes")
 		randomize  = flag.Bool("randomize", true, "candidate sampling (Algorithm 1) on in-process nodes")
-		stopAfter  = flag.Int("stop-after", 8, "candidate executor early-stop (0 = full sweep)")
-		par        = flag.Int("parallelism", 0, "candidate executor workers (0 = GOMAXPROCS)")
+		stopAfter  = flag.Int("stop-after", 8, "candidate sweep early-stop (0 = full sweep)")
 		maxInF     = flag.Int("max-inflight", 4, "in-process admission gate: concurrent requests (0 disables)")
 		maxQueue   = flag.Int("max-queue", 8, "in-process admission gate: waiting room")
 		out        = flag.String("out", "", "write the JSON report to this path")
@@ -177,7 +176,6 @@ func main() {
 					Lambda:      lambda,
 					Eta:         *eta,
 					Seed:        *seed,
-					Parallelism: *par,
 					Randomize:   *randomize,
 					StopAfter:   *stopAfter,
 					MaxInFlight: *maxInF,

@@ -264,39 +264,34 @@ func Summarise(a Analysis) Metrics {
 
 // NeighborSets maintains the per-batch ring history and exposes the number
 // of provably-consumed tokens μ used by the η liveness guard (Section 4).
-// Feed it rings in proposal order.
+// Feed it rings in proposal order. Appending is O(1); the consumed-token
+// closure is computed only when asked for, since the guard reads only
+// WouldConsume and RingCount.
 type NeighborSets struct {
-	rings    []chain.RingRecord
-	consumed chain.TokenSet
+	rings []chain.RingRecord
 }
 
 // NewNeighborSets returns empty bookkeeping.
 func NewNeighborSets() *NeighborSets { return &NeighborSets{} }
 
-// Append records one more ring and refreshes the consumed-token closure.
+// Append records one more ring.
 func (ns *NeighborSets) Append(r chain.RingRecord) {
 	ns.rings = append(ns.rings, r)
-	ns.consumed = provablyConsumed(ns.rings)
 }
 
 // Clone returns a copy that can be Appended to without disturbing the
 // receiver: the ring slice is re-capped so the clone's first append
-// reallocates instead of scribbling into the shared backing array, and the
-// consumed set is replaced wholesale by Append, never mutated. tokenmagic
-// uses this to publish copy-on-write guard state per epoch.
+// reallocates instead of scribbling into the shared backing array.
+// tokenmagic uses this to publish copy-on-write guard state per epoch.
 func (ns *NeighborSets) Clone() *NeighborSets {
-	return &NeighborSets{
-		rings:    ns.rings[:len(ns.rings):len(ns.rings)],
-		consumed: ns.consumed,
-	}
+	return &NeighborSets{rings: ns.rings[:len(ns.rings):len(ns.rings)]}
 }
 
 // WouldConsume reports how many tokens would be provably consumed if r were
 // appended, without mutating state. The η guard calls this before admitting
 // a candidate ring.
 func (ns *NeighborSets) WouldConsume(r chain.RingRecord) int {
-	tmp := append(append([]chain.RingRecord{}, ns.rings...), r)
-	return len(provablyConsumed(tmp))
+	return len(provablyConsumed(append(ns.rings[:len(ns.rings):len(ns.rings)], r)))
 }
 
 // provablyConsumed is the exact consumed-token closure of rings, read off
@@ -306,10 +301,11 @@ func provablyConsumed(rings []chain.RingRecord) chain.TokenSet {
 }
 
 // ConsumedCount returns μ, the number of tokens provably consumed so far.
-func (ns *NeighborSets) ConsumedCount() int { return len(ns.consumed) }
+func (ns *NeighborSets) ConsumedCount() int { return len(ns.Consumed()) }
 
 // RingCount returns i, the number of rings recorded.
 func (ns *NeighborSets) RingCount() int { return len(ns.rings) }
 
-// Consumed returns the provably-consumed token set (shared; do not mutate).
-func (ns *NeighborSets) Consumed() chain.TokenSet { return ns.consumed }
+// Consumed returns the provably-consumed token set, computed afresh from
+// the recorded rings.
+func (ns *NeighborSets) Consumed() chain.TokenSet { return provablyConsumed(ns.rings) }

@@ -5,8 +5,9 @@ import (
 	"tokenmagic/internal/analysis/dataflow"
 )
 
-// Hotalloc keeps the //tmlint:hotpath functions — the PR 2 slack probes
-// and PR 4 executor inner loops whose 0 allocs/op the benchmarks assert —
+// Hotalloc keeps the //tmlint:hotpath functions — the diversity slack
+// probes, the solvers' inner loops and the candidate sweep's seed
+// derivation, whose 0 allocs/op the benchmarks assert —
 // free of allocating constructs: map/slice literals, make/new, append
 // whose result escapes its source, closures capturing outer variables, and
 // concrete→interface boxing at call sites. Callees are checked one level

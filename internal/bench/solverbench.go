@@ -43,8 +43,7 @@ type LatencyQuantiles struct {
 
 // SolverBenchReport is the BENCH_solver.json payload. Commit names the
 // checkout it was measured at (the caller fills it in); GOMAXPROCS and
-// NumCPU record the measuring machine's parallelism, which the generate
-// arms' candidate sweep fans out over.
+// NumCPU record the measuring machine.
 type SolverBenchReport struct {
 	GeneratedBy    string             `json:"generated_by"`
 	Commit         string             `json:"commit"`
@@ -201,8 +200,9 @@ func BenchSolve(b *testing.B, algo tokenmagic.Algorithm) {
 }
 
 // BenchGenerateRS measures end-to-end Algorithm 1 with candidate
-// randomisation: one solve per batch token, then a uniform pick. reg
-// receives the framework's telemetry (pass nil for the process default).
+// randomisation: a candidate per batch token (one TM_P solve per module),
+// then a uniform pick. reg receives the framework's telemetry (pass nil for
+// the process default).
 func BenchGenerateRS(b *testing.B, lambda int, reg *obs.Registry) {
 	d, err := workload.RealMonero(1)
 	if err != nil {

@@ -1,9 +1,6 @@
 package chain
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // TokenSet is a sorted, duplicate-free slice of TokenIDs. The solvers treat a
 // ring signature as a TokenSet (its consumed token plus mixins), so set
@@ -16,7 +13,7 @@ type TokenSet []TokenID
 func NewTokenSet(ids ...TokenID) TokenSet {
 	s := make(TokenSet, len(ids))
 	copy(s, ids)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	return s.dedup()
 }
 

@@ -26,11 +26,10 @@ type NodeOptions struct {
 	// Seed fixes the synthetic chain; the per-token keys are still drawn
 	// from crypto/rand (key material does not affect load shape).
 	Seed int64
-	// Parallelism and Randomize configure the framework's Algorithm-1
-	// executor; StopAfter caps its candidate sweep.
-	Parallelism int
-	Randomize   bool
-	StopAfter   int
+	// Randomize turns on the framework's Algorithm-1 candidate sweep;
+	// StopAfter caps it.
+	Randomize bool
+	StopAfter int
 	// MaxInFlight and MaxQueue configure the admission gate
 	// (obs.LimitConcurrency); 0 MaxInFlight disables shedding.
 	MaxInFlight int
@@ -79,13 +78,12 @@ func StartInProcNode(opts NodeOptions) (*InProcNode, error) {
 	}
 	nd, err := node.New(d.Ledger, node.Config{
 		Framework: itm.Config{
-			Lambda:      lambda,
-			Eta:         opts.Eta,
-			Headroom:    true,
-			Algorithm:   itm.Progressive,
-			Randomize:   opts.Randomize,
-			Parallelism: opts.Parallelism,
-			StopAfter:   opts.StopAfter,
+			Lambda:    lambda,
+			Eta:       opts.Eta,
+			Headroom:  true,
+			Algorithm: itm.Progressive,
+			Randomize: opts.Randomize,
+			StopAfter: opts.StopAfter,
 		},
 		Keys: keys,
 	})

@@ -3,8 +3,8 @@ package ringsig
 // Engine + VerifyBatch: the batch verification front-end over the kernel
 // layer. An Engine owns the two caches that amortise repeated work — the
 // hash-to-point memo and the verified-transcript cache — and fans batches
-// across a bounded worker pool using the same atomic-cursor pattern as the
-// candidate executor in internal/tokenmagic.
+// across a bounded worker pool whose workers claim indices off an atomic
+// cursor.
 
 import (
 	"context"
@@ -65,8 +65,8 @@ func (e *Engine) Verify(sig *Signature, ring []Point, msg []byte) error {
 
 // VerifyBatch checks a batch of ring signatures over a bounded worker pool.
 // Requests are independent, so workers claim indices off an atomic cursor
-// (the executor pattern from internal/tokenmagic) and record per-index
-// results; the merged BatchResult is identical at every worker count.
+// and record per-index results; the merged BatchResult is identical at
+// every worker count.
 //
 // Failure handling: when the kernel path rejects a signature, the batch
 // falls back to per-signature verification on the stock curve ops for that

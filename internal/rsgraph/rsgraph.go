@@ -343,11 +343,19 @@ func RelatedSet(records []chain.RingRecord, candidate chain.TokenSet) []chain.Ri
 	return out
 }
 
-// UnionTokens returns the union of all ring token sets in the instance.
+// UnionTokens returns the union of all ring token sets in the instance:
+// every ring token collected once, then sorted and deduplicated.
 func (in *Instance) UnionTokens() chain.TokenSet {
-	var u chain.TokenSet
+	n := 0
 	for _, r := range in.Rings {
-		u = u.Union(r.Tokens)
+		n += len(r.Tokens)
 	}
-	return u
+	if n == 0 {
+		return nil
+	}
+	all := make([]chain.TokenID, 0, n)
+	for _, r := range in.Rings {
+		all = append(all, r.Tokens...)
+	}
+	return chain.NewTokenSet(all...)
 }

@@ -255,6 +255,44 @@ func TestUnionTokens(t *testing.T) {
 	}
 }
 
+// UnionTokens collects every ring token once; it must equal the ring-by-ring
+// Union fold it replaced, on random instances that include empty rings,
+// duplicate rings and no rings at all.
+func TestUnionTokensMatchesFold(t *testing.T) {
+	fold := func(in *Instance) chain.TokenSet {
+		var u chain.TokenSet
+		for _, r := range in.Rings {
+			u = u.Union(r.Tokens)
+		}
+		return u
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		var rings []Ring
+		for i, n := 0, rng.Intn(8); i < n; i++ {
+			if i > 0 && rng.Intn(4) == 0 {
+				rings = append(rings, Ring{ID: chain.RSID(i), Tokens: rings[rng.Intn(i)].Tokens})
+				continue
+			}
+			toks := make([]chain.TokenID, rng.Intn(5)) // 0 … 4: empty rings too
+			for k := range toks {
+				toks[k] = chain.TokenID(rng.Intn(20))
+			}
+			rings = append(rings, ring(i, toks...))
+		}
+		in := NewInstance(rings)
+		got, want := in.UnionTokens(), fold(in)
+		if !got.Equal(want) {
+			t.Fatalf("trial %d: UnionTokens = %v, fold = %v over %v", trial, got, want, rings)
+		}
+		for k := 1; k < len(got); k++ {
+			if got[k-1] >= got[k] {
+				t.Fatalf("trial %d: UnionTokens %v is not sorted and duplicate-free", trial, got)
+			}
+		}
+	}
+}
+
 func TestFromRecords(t *testing.T) {
 	records := []chain.RingRecord{
 		{ID: 7, Tokens: chain.NewTokenSet(1, 2)},

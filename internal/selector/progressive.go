@@ -16,8 +16,8 @@ func Progressive(p *Problem) (Result, error) {
 }
 
 // ProgressiveCtx is Progressive with cooperative cancellation: the greedy
-// loops poll ctx at every step, so a caller that already has a satisfying
-// candidate (the parallel executor) can abandon in-flight solves cheaply.
+// loops poll ctx at every step, so a caller whose request was cancelled
+// abandons the in-flight solve cheaply.
 func ProgressiveCtx(ctx context.Context, p *Problem) (Result, error) {
 	st := newState(p)
 	defer st.release()

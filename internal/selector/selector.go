@@ -367,6 +367,21 @@ func (t *Table) Problem(target chain.TokenID, req diversity.Requirement) (*Probl
 	return &Problem{Target: target, Mandatory: t.mods[m], Origin: t.origin, Req: req, tab: t, mand: m}, nil
 }
 
+// Len returns the number of modules in the table.
+func (t *Table) Len() int { return len(t.mods) }
+
+// ModuleAt returns the index of the module holding the k-th universe token,
+// or -1 when no module or more than one holds it (Problem rejects those
+// tokens). Tokens with the same index share their Problem's mandatory
+// module, so a solver that never reads Problem.Target returns one result
+// for all of them.
+func (t *Table) ModuleAt(k int) int {
+	if m := t.owner[k]; m >= 0 {
+		return int(m)
+	}
+	return -1
+}
+
 // Result is a solved DA-MS instance.
 type Result struct {
 	// Tokens is the full new ring signature: the consuming token plus

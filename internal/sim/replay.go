@@ -34,10 +34,9 @@ type Outcome struct {
 }
 
 // Replay runs every request against f and returns outcomes position-aligned
-// with reqs. workers bounds the pool (≤ 1 runs sequentially); the framework's
-// own Config.Parallelism still applies inside each GenerateRSSeeded call, so
-// total concurrency is the product. If ctx dies, unstarted requests report
-// its error.
+// with reqs. workers bounds the pool (≤ 1 runs sequentially); each
+// GenerateRSSeeded call runs its candidate sweep on its worker's goroutine.
+// If ctx dies, unstarted requests report its error.
 func Replay(ctx context.Context, f *itm.Framework, reqs []Request, seed int64, workers int) []Outcome {
 	out := make([]Outcome, len(reqs))
 	run := func(i int) {

@@ -11,7 +11,7 @@ import (
 	"tokenmagic/internal/workload"
 )
 
-func replayFixture(t *testing.T, parallelism int) (*itm.Framework, []Request) {
+func replayFixture(t *testing.T) (*itm.Framework, []Request) {
 	t.Helper()
 	d, err := workload.Synthetic(workload.SyntheticParams{
 		NumSupers: 0, SuperSizeMin: 1, SuperSizeMax: 1,
@@ -21,11 +21,10 @@ func replayFixture(t *testing.T, parallelism int) (*itm.Framework, []Request) {
 		t.Fatal(err)
 	}
 	f, err := itm.New(d.Ledger, itm.Config{
-		Lambda:      d.Ledger.NumTokens(),
-		Headroom:    true,
-		Algorithm:   itm.Progressive,
-		Randomize:   true,
-		Parallelism: parallelism,
+		Lambda:    d.Ledger.NumTokens(),
+		Headroom:  true,
+		Algorithm: itm.Progressive,
+		Randomize: true,
 	}, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +42,7 @@ func replayFixture(t *testing.T, parallelism int) (*itm.Framework, []Request) {
 // the requests.
 func TestReplayDeterministicAcrossWorkers(t *testing.T) {
 	const seed = 17
-	f1, reqs := replayFixture(t, 1)
+	f1, reqs := replayFixture(t)
 	base := Replay(context.Background(), f1, reqs, seed, 1)
 	if len(base) != len(reqs) {
 		t.Fatalf("got %d outcomes for %d requests", len(base), len(reqs))
@@ -64,7 +63,7 @@ func TestReplayDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal("vacuous: no replayed request produced a ring")
 	}
 	for _, workers := range []int{2, 4, 8} {
-		fw, _ := replayFixture(t, 2) // inner executor parallel too
+		fw, _ := replayFixture(t)
 		got := Replay(context.Background(), fw, reqs, seed, workers)
 		for i := range base {
 			if (base[i].Err == nil) != (got[i].Err == nil) {
@@ -80,7 +79,7 @@ func TestReplayDeterministicAcrossWorkers(t *testing.T) {
 // A dead context surfaces per-outcome errors instead of hanging or
 // panicking.
 func TestReplayCancelled(t *testing.T) {
-	f, reqs := replayFixture(t, 1)
+	f, reqs := replayFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i, o := range Replay(ctx, f, reqs, 5, 4) {

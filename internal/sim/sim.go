@@ -51,11 +51,6 @@ type Config struct {
 	SnapshotEvery int
 	// Eta configures the liveness guard of the shared framework.
 	Eta float64
-	// Parallelism is handed to each framework's candidate-sampling executor
-	// (0 = one worker per CPU, 1 = sequential). The simulated outcome is
-	// identical at every setting — per-request seeds make the executor
-	// replayable — only wall-clock changes.
-	Parallelism int
 	// Seed fixes all randomness.
 	Seed int64
 	// Persist, when non-nil, is handed the freshly generated dataset ledger
@@ -163,12 +158,11 @@ func Run(cfg Config) (*Result, error) {
 			return f, nil
 		}
 		f, err := itm.New(led, itm.Config{
-			Lambda:      led.NumTokens(),
-			Eta:         cfg.Eta,
-			Headroom:    true,
-			Algorithm:   a,
-			Parallelism: cfg.Parallelism,
-			Metrics:     reg,
+			Lambda:    led.NumTokens(),
+			Eta:       cfg.Eta,
+			Headroom:  true,
+			Algorithm: a,
+			Metrics:   reg,
 		}, rng)
 		if err != nil {
 			return nil, err

@@ -23,13 +23,12 @@ import (
 
 func diffConfig() Config {
 	return Config{
-		Lambda:      8,
-		Eta:         0.1,
-		Headroom:    true,
-		Algorithm:   Progressive,
-		Randomize:   true,
-		Parallelism: 2,
-		Metrics:     obs.NewRegistry(),
+		Lambda:    8,
+		Eta:       0.1,
+		Headroom:  true,
+		Algorithm: Progressive,
+		Randomize: true,
+		Metrics:   obs.NewRegistry(),
 	}
 }
 

@@ -1,32 +1,30 @@
 package tokenmagic
 
-// The parallel solve executor behind Algorithm 1's candidate sampling.
+// Algorithm 1's candidate sweep and the seed streams behind it.
 //
-// GenerateRS sweeps one DA-MS solve per batch token; the solves are
-// independent, so they fan out over a bounded worker pool
-// (Config.Parallelism). Three properties make the fan-out safe to rely on:
+// GenerateRS takes one candidate ring per batch token and picks uniformly
+// among those containing the consuming token. The sweep runs in batch token
+// order on the request's own goroutine, and two properties make it cheap to
+// rely on:
 //
 //  1. Determinism. Every request owns a 64-bit seed; the rng stream each
 //     candidate solve consumes (only TM_R draws) and the stream behind the
 //     final uniform pick are derived from that seed with a SplitMix64-style
-//     split, keyed by candidate index. No stream is shared across
-//     goroutines, so the scheduler cannot influence any draw and a request
-//     replays byte-identically at every worker count — the contract the
-//     property and fuzz suites (prop_test.go, fuzz_test.go) enforce.
-//  2. Ordered merge. Results are gathered by candidate index, so the merged
-//     candidate list — and therefore the uniform pick — is identical to the
-//     sequential executor's.
-//  3. Cancellation. Workers solve under a context; when Config.StopAfter
-//     satisfying candidates are decided (in index order), or when the
-//     caller's context dies, in-flight sibling solves are cancelled and
-//     abandon at their next loop boundary.
+//     split, keyed by candidate index, so a request replays byte-identically
+//     — the contract the property and fuzz suites (prop_test.go,
+//     fuzz_test.go) enforce.
+//  2. One solve per module. A Problem depends on its target only through
+//     the mandatory module, and TM_P, TM_G and TM_S never read the target,
+//     so every token of one module gets the same candidate. The sweep solves
+//     each module once, at its first token, and hands the result to the
+//     module's other tokens. TM_R (a derived stream per token) and TM_B
+//     (BFSCtx reads the target) still solve once per token. The candidate
+//     list is exactly the per-token sweep's, which sweep_oracle_test.go
+//     keeps as the oracle.
 
 import (
 	"context"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/diversity"
@@ -52,8 +50,7 @@ const (
 // deterministic sub-stream. The mix is the SplitMix64 finaliser over the
 // seed offset by the stream's multiple of the golden-ratio increment: the
 // standard recipe for statistically independent fixed-seed streams, and a
-// pure function, so replaying a request re-derives the identical streams no
-// matter how many workers race over the candidates.
+// pure function, so replaying a request re-derives the identical streams.
 //
 //tmlint:hotpath
 func DeriveSeed(seed int64, stream uint64) int64 {
@@ -75,27 +72,9 @@ func streamRand(seed int64, stream uint64) *rand.Rand {
 	return rand.New(rand.NewSource(DeriveSeed(seed, stream)))
 }
 
-// parallelism resolves Config.Parallelism: 0 means one worker per available
-// CPU, 1 forces the sequential executor, anything else is taken as given.
-func (f *Framework) parallelism() int {
-	if f.cfg.Parallelism > 0 {
-		return f.cfg.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Candidate slot states. A slot is decided once its solve finished (or was
-// skipped); the prefix pointer below only advances over decided slots, which
-// is what makes StopAfter deterministic under arbitrary completion order.
-const (
-	candPending uint8 = iota
-	candUnsat         // solve failed, was cancelled, or ring misses the target
-	candSat           // eligible candidate containing the target
-)
-
 // sweep is what every solve of one selection request shares: the consuming
 // token's batch, the rings over it (TM_B's input) and the module table of
-// its decomposition. The Algorithm-1 sweep solves every batch token over it;
+// its decomposition. The Algorithm-1 sweep solves every batch module over it;
 // the single-solve path (Randomize off) solves only the target. It lives only
 // as long as the request. Nothing is cached across requests: the
 // decomposition depends on the ring list, which every commit changes, and a
@@ -109,9 +88,8 @@ type sweep struct {
 	seed     int64
 
 	// solves and solveUS tally the request's solves for its sample span:
-	// how many ran and their summed latency. Every worker adds to them, so
-	// with several workers solveUS can exceed the span's wall time.
-	solves, solveUS atomic.Int64
+	// how many ran and their summed latency.
+	solves, solveUS int64
 }
 
 // newSweep decomposes b at the pinned epoch and builds its module table.
@@ -147,113 +125,48 @@ func (f *Framework) solveCandidate(ctx context.Context, sw *sweep, tok chain.Tok
 	return res, true
 }
 
-// sampleCandidates runs Algorithm 1 lines 2–6 over the sweep's batch: one
-// solve per batch token, keeping the candidates that contain the consuming
-// token, merged in batch token order. The sweep's module table is shared
-// read-only by every worker. With one worker the solves run in-place;
-// otherwise they fan out over the pool. Both paths return byte-identical
-// slices for the same seed. A non-nil error is only ever the caller's
-// context failing.
-func (f *Framework) sampleCandidates(ctx context.Context, sw *sweep) ([]selector.Result, error) {
-	universe := sw.universe
-	n := len(universe)
-	if n == 0 {
-		return nil, ctx.Err()
-	}
-	workers := f.parallelism()
-	if workers > n {
-		workers = n
-	}
-	results := make([]selector.Result, n)
-	states := make([]uint8, n)
-
-	if workers <= 1 {
-		sat := 0
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if res, ok := f.solveCandidate(ctx, sw, universe[i], i); ok {
-				results[i], states[i] = res, candSat
-				sat++
-				if f.cfg.StopAfter > 0 && sat >= f.cfg.StopAfter {
-					break
-				}
-			} else {
-				states[i] = candUnsat
-			}
-		}
-		return gatherCandidates(results, states, f.cfg.StopAfter), nil
-	}
-
-	// Parallel path. cancel() fires either when the caller's context dies or
-	// when the decided prefix proves the first StopAfter satisfying
-	// candidates are in hand; cancelled workers leave their slot pending,
-	// which is fine — a pending slot can only sit beyond the prefix that
-	// triggered the stop, and the gather below never reads past it.
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu      sync.Mutex
-		decided int // slots [0, decided) are all non-pending
-		sat     int // satisfying slots within [0, decided)
-	)
-	finish := func(i int, res selector.Result, ok bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if ok {
-			results[i], states[i] = res, candSat
-		} else {
-			states[i] = candUnsat
-		}
-		for decided < n && states[decided] != candPending {
-			if states[decided] == candSat {
-				sat++
-				if f.cfg.StopAfter > 0 && sat >= f.cfg.StopAfter {
-					decided++
-					cancel() // first StopAfter candidates decided: stop siblings
-					return
-				}
-			}
-			decided++
-		}
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || cctx.Err() != nil {
-					return
-				}
-				res, ok := f.solveCandidate(cctx, sw, universe[i], i)
-				finish(i, res, ok)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err // the caller's context died, not a StopAfter stop
-	}
-	return gatherCandidates(results, states, f.cfg.StopAfter), nil
+// moduleCandidate is one module's candidate, memoised for the rest of the
+// sweep.
+type moduleCandidate struct {
+	res        selector.Result
+	ok, solved bool
 }
 
-// gatherCandidates merges the decided slots in candidate order, truncating
-// at the StopAfter budget so sequential and parallel executors agree even
-// when a fast sibling decided extra slots before cancellation landed.
-func gatherCandidates(results []selector.Result, states []uint8, stopAfter int) []selector.Result {
+// sampleCandidates runs Algorithm 1 lines 2–6 over the sweep's batch: a
+// candidate per batch token, keeping those that contain the consuming token,
+// in batch token order, and stopping at the first Config.StopAfter of them.
+// Under TM_P, TM_G and TM_S a token's candidate is its module's, solved once.
+// A non-nil error is only ever the caller's context failing.
+func (f *Framework) sampleCandidates(ctx context.Context, sw *sweep) ([]selector.Result, error) {
+	var memo []moduleCandidate
+	switch f.cfg.Algorithm {
+	case Progressive, Game, Smallest:
+		memo = make([]moduleCandidate, sw.table.Len())
+	}
 	var out []selector.Result
-	for i, s := range states {
-		if s != candSat {
+	for i, tok := range sw.universe {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var res selector.Result
+		var ok bool
+		if m := sw.table.ModuleAt(i); memo != nil && m >= 0 {
+			c := &memo[m]
+			if !c.solved {
+				c.res, c.ok = f.solveCandidate(ctx, sw, tok, i)
+				c.solved = true
+			}
+			res, ok = c.res, c.ok
+		} else {
+			res, ok = f.solveCandidate(ctx, sw, tok, i)
+		}
+		if !ok {
 			continue
 		}
-		out = append(out, results[i])
-		if stopAfter > 0 && len(out) >= stopAfter {
+		out = append(out, res)
+		if f.cfg.StopAfter > 0 && len(out) >= f.cfg.StopAfter {
 			break
 		}
 	}
-	return out
+	return out, nil
 }

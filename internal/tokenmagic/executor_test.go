@@ -55,17 +55,17 @@ func TestGenerateRSContextPreCancelled(t *testing.T) {
 	}
 }
 
-// StopAfter must pick from the deterministic prefix: the sequential and
-// parallel executors agree, and the prefix semantics match an explicit
+// StopAfter must pick from the deterministic prefix: the sweep agrees with
+// the per-token oracle, and the prefix semantics match an explicit
 // sequential scan (first satisfying candidate in batch-token order when
 // StopAfter=1).
 func TestStopAfterDeterministicPrefix(t *testing.T) {
 	l := samplingLedger(t, 14)
 	req := diversity.Requirement{C: 1, L: 3}
-	mk := func(workers, stopAfter int) *Framework {
+	mk := func(stopAfter int) *Framework {
 		f, err := New(l, Config{
 			Lambda: 100, Headroom: true, Algorithm: Progressive,
-			Randomize: true, Parallelism: workers, StopAfter: stopAfter,
+			Randomize: true, StopAfter: stopAfter,
 		}, rand.New(rand.NewSource(2)))
 		if err != nil {
 			t.Fatal(err)
@@ -73,22 +73,16 @@ func TestStopAfterDeterministicPrefix(t *testing.T) {
 		return f
 	}
 	const seed = 77
-	seq, err := mk(1, 1).GenerateRSSeeded(context.Background(), 5, req, seed)
+	first := mk(1)
+	seq, err := first.GenerateRSSeeded(context.Background(), 5, req, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 8} {
-		par, err := mk(workers, 1).GenerateRSSeeded(context.Background(), 5, req, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !seq.Tokens.Equal(par.Tokens) {
-			t.Fatalf("StopAfter=1 w=%d diverged: %v vs %v", workers, seq.Tokens, par.Tokens)
-		}
-	}
+	got, want, _, _, _ := sweepPair(t, first, 5, req, seed)
+	assertSameSweep(t, "StopAfter=1", first, 5, req, seed, got, want)
 	// With a single satisfying prefix candidate the pick is forced, so the
 	// full run's candidate list must start with the StopAfter=1 ring.
-	full := mk(1, 0)
+	full := mk(0)
 	b, err := full.Batches().BatchOf(5)
 	if err != nil {
 		t.Fatal(err)
@@ -134,29 +128,5 @@ func TestUpdateLedgerExtendsSpendableRange(t *testing.T) {
 	}
 	if !res.Tokens.Contains(newTok) {
 		t.Fatalf("ring %v misses new token %d", res.Tokens, newTok)
-	}
-}
-
-// Parallelism=0 must resolve to the machine's GOMAXPROCS and still produce
-// the sequential executor's ring (default-config determinism).
-func TestDefaultParallelismMatchesSequential(t *testing.T) {
-	l := samplingLedger(t, 12)
-	req := diversity.Requirement{C: 1, L: 3}
-	mk := func(workers int) *Framework {
-		f, err := New(l, Config{Lambda: 100, Headroom: true, Algorithm: Game, Randomize: true, Parallelism: workers},
-			rand.New(rand.NewSource(9)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	const seed = 41
-	a, errA := mk(1).GenerateRSSeeded(context.Background(), 2, req, seed)
-	b, errB := mk(0).GenerateRSSeeded(context.Background(), 2, req, seed)
-	if (errA == nil) != (errB == nil) {
-		t.Fatalf("err mismatch: %v vs %v", errA, errB)
-	}
-	if errA == nil && !a.Tokens.Equal(b.Tokens) {
-		t.Fatalf("default parallelism diverged: %v vs %v", a.Tokens, b.Tokens)
 	}
 }

@@ -82,18 +82,12 @@ type Config struct {
 	// false, GenerateRS runs exactly one solve for the consuming token —
 	// what the paper's timing figures measure.
 	Randomize bool
-	// Parallelism bounds the candidate-sampling worker pool: 0 uses one
-	// worker per available CPU (GOMAXPROCS), 1 forces the sequential
-	// executor, n > 1 caps the pool at n goroutines. The output is
-	// byte-identical per seed at every setting (see executor.go).
-	Parallelism int
 	// StopAfter, when positive, stops candidate sampling once the first
-	// StopAfter satisfying candidates — in batch-token order — are decided,
-	// cancelling in-flight sibling solves. The pick then ranges over that
-	// deterministic prefix, so results still replay per seed, but the
-	// anonymity set of the pick shrinks from "every satisfying candidate"
-	// to "the first StopAfter": a latency/anonymity trade-off. 0 (the
-	// default) runs full Algorithm 1.
+	// StopAfter satisfying candidates — in batch-token order — are in hand.
+	// The pick then ranges over that deterministic prefix, so results still
+	// replay per seed, but the anonymity set of the pick shrinks from "every
+	// satisfying candidate" to "the first StopAfter": a latency/anonymity
+	// trade-off. 0 (the default) runs full Algorithm 1.
 	StopAfter int
 	// Metrics receives the framework's runtime telemetry; nil reports to
 	// the process-wide obs.Default() registry.
@@ -115,8 +109,8 @@ func DefaultConfig() Config {
 // fwEpoch — ledger view, batch partition, copy-on-write guard state — via
 // one atomic store. Read paths (GenerateRS, VerifyRS, Batches) pin the
 // current epoch with one atomic load and run entirely against that
-// snapshot: the candidate-sampling worker pool and the Step-3 checks all
-// see a single consistent generation even while commits land concurrently.
+// snapshot: the candidate sweep and the Step-3 checks all see a single
+// consistent generation even while commits land concurrently.
 type Framework struct {
 	cfg Config
 
@@ -418,12 +412,13 @@ func (f *Framework) effectiveReq(req diversity.Requirement) diversity.Requiremen
 
 // solve dispatches to the configured solver and is the one instrument of a
 // solve (candidate sampling makes this the hot path: one call per batch
-// token per spend). One clock reading feeds the per-algorithm latency
-// histogram and the sweep's solve_us tally; the count and failures cover the
-// same call. The solvers themselves record nothing. Counter order matters to
-// ReadStats: the count is bumped before the failure counter so snapshots
-// never see SolveFailures > Solves. rng is the solve's private derived
-// stream; only TM_R consumes it.
+// module, or per batch token under TM_R and TM_B, per spend). One clock
+// reading feeds the per-algorithm latency histogram and the sweep's
+// solve_us tally; the count and failures cover the same call. The solvers
+// themselves record nothing. Counter order matters to ReadStats: the count
+// is bumped before the failure counter so snapshots never see
+// SolveFailures > Solves. rng is the solve's private derived stream; only
+// TM_R consumes it.
 func (f *Framework) solve(ctx context.Context, sw *sweep, p *selector.Problem, rng *rand.Rand) (selector.Result, error) {
 	start := time.Now()
 	res, err := f.dispatch(ctx, sw, p, rng)
@@ -433,8 +428,8 @@ func (f *Framework) solve(ctx context.Context, sw *sweep, p *selector.Problem, r
 	if err != nil {
 		f.metrics.solveFailures.Inc()
 	}
-	sw.solves.Add(1)
-	sw.solveUS.Add(us)
+	sw.solves++
+	sw.solveUS += us
 	return res, err
 }
 
@@ -480,7 +475,7 @@ func (f *Framework) drawSeed() int64 {
 }
 
 // GenerateRS produces an eligible ring for consuming target under req
-// (Algorithm 1). With cfg.Randomize set, it generates a candidate per batch
+// (Algorithm 1). With cfg.Randomize set, it takes a candidate per batch
 // token and picks uniformly among those containing target; otherwise it runs
 // a single solve.
 func (f *Framework) GenerateRS(target chain.TokenID, req diversity.Requirement) (selector.Result, error) {
@@ -488,7 +483,7 @@ func (f *Framework) GenerateRS(target chain.TokenID, req diversity.Requirement) 
 }
 
 // GenerateRSContext is GenerateRS with cooperative cancellation: when ctx
-// dies, in-flight candidate solves are abandoned and the context's error is
+// dies, the in-flight solve is abandoned and the context's error is
 // returned. Safe for concurrent use.
 func (f *Framework) GenerateRSContext(ctx context.Context, target chain.TokenID, req diversity.Requirement) (selector.Result, error) {
 	needRand := f.cfg.Randomize || f.cfg.Algorithm == RandomPick
@@ -505,20 +500,20 @@ func (f *Framework) GenerateRSContext(ctx context.Context, target chain.TokenID,
 // GenerateRSSeeded is the replayable core of GenerateRS: the whole request —
 // every candidate solve's rng stream and the final uniform pick — is derived
 // from seed via DeriveSeed, so the same (ledger, config, seed) triple yields
-// the same ring at any Parallelism setting. GenerateRSContext draws seeds
-// from the framework rng; simulation replay (internal/sim) and the
-// equivalence test suites supply their own.
+// the same ring. GenerateRSContext draws seeds from the framework rng;
+// simulation replay (internal/sim) and the equivalence test suites supply
+// their own.
 //
 // Selection lands in one "sample" span of the request's trace, carrying the
-// seed and the sweep's aggregates: universe (batch size), solves, candidates
-// (the satisfying ones the ring was picked from) and solve_us (the solves'
-// summed latency, so with several workers it can exceed the span's wall
-// time). Each solve is also recorded once in framework.solve.<ALGO>.*.
+// seed and the sweep's aggregates: universe (batch size), modules (the
+// batch decomposition's module count), solves (the solves performed),
+// candidates (the satisfying ones the ring was picked from) and solve_us
+// (the solves' summed latency). Each solve is also recorded once in
+// framework.solve.<ALGO>.*.
 func (f *Framework) GenerateRSSeeded(ctx context.Context, target chain.TokenID, req diversity.Requirement, seed int64) (selector.Result, error) {
-	// The request runs lock-free against the pinned epoch; the sampling
-	// worker pool is joined before it returns, and every solver access reads
-	// the epoch's immutable view, so concurrent commits can never expose a
-	// half-applied mutation to the request.
+	// The request runs lock-free against the pinned epoch; every solver
+	// access reads the epoch's immutable view, so concurrent commits can
+	// never expose a half-applied mutation to the request.
 	e, err := f.currentEpoch()
 	if err != nil {
 		return selector.Result{}, err
@@ -539,9 +534,10 @@ func (f *Framework) GenerateRSSeeded(ctx context.Context, target chain.TokenID, 
 	res, candidates, err := f.pick(ctx, sw)
 	sp.AnnotateInt("seed", seed)
 	sp.AnnotateInt("universe", int64(len(sw.universe)))
-	sp.AnnotateInt("solves", sw.solves.Load())
+	sp.AnnotateInt("modules", int64(sw.table.Len()))
+	sp.AnnotateInt("solves", sw.solves)
 	sp.AnnotateInt("candidates", int64(candidates))
-	sp.AnnotateInt("solve_us", sw.solveUS.Load())
+	sp.AnnotateInt("solve_us", sw.solveUS)
 	if err == nil {
 		f.metrics.ringSize.Observe(int64(res.Size()))
 	}

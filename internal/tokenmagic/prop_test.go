@@ -9,14 +9,14 @@ package tokenmagic
 //  2. a chain grown through GenerateAndCommit resists the adversary's
 //     chain-reaction analysis — no ring is traced, no HT revealed — the
 //     operational form of the non-eliminated constraint;
-//  3. sequential and parallel executors return byte-identical rings for the
-//     same seed, at every worker count, StopAfter setting and algorithm.
+//  3. the module-memoised sweep returns the per-token oracle's candidates
+//     and pick for the same seed, at every StopAfter setting and algorithm.
 //
 // Everything is driven by per-trial *rand.Rand streams with fixed seeds, so
 // a failure reproduces by trial number.
 
 import (
-	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -153,10 +153,10 @@ func TestPropCommittedChainResistsChainReaction(t *testing.T) {
 	}
 }
 
-// Property 3: the parallel executor is an implementation detail — for any
-// seed, instance, algorithm and StopAfter budget, every worker count yields
-// the identical ring (or the identical failure).
-func TestPropParallelSequentialEquivalence(t *testing.T) {
+// Property 3: the module memo is an implementation detail — for any seed,
+// instance, algorithm and StopAfter budget, the sweep returns the per-token
+// oracle's candidates and GenerateRSSeeded its pick (or the same failure).
+func TestPropSweepMatchesOracle(t *testing.T) {
 	const trials = 15
 	matchedRings := 0
 	for trial := 0; trial < trials; trial++ {
@@ -168,34 +168,22 @@ func TestPropParallelSequentialEquivalence(t *testing.T) {
 		target := chain.TokenID(rng.Intn(l.NumTokens()))
 		seed := rng.Int63()
 
-		mk := func(workers int) *Framework {
-			f, err := New(l, Config{
-				Lambda:      l.NumTokens(),
-				Headroom:    true,
-				Algorithm:   algo,
-				Randomize:   true,
-				Parallelism: workers,
-				StopAfter:   stopAfter,
-			}, rand.New(rand.NewSource(int64(trial))))
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			return f
+		f, err := New(l, Config{
+			Lambda:    l.NumTokens(),
+			Headroom:  true,
+			Algorithm: algo,
+			Randomize: true,
+			StopAfter: stopAfter,
+		}, rand.New(rand.NewSource(int64(trial))))
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		seqRes, seqErr := mk(1).GenerateRSSeeded(context.Background(), target, req, seed)
-		for _, workers := range []int{2, 4, 8} {
-			parRes, parErr := mk(workers).GenerateRSSeeded(context.Background(), target, req, seed)
-			if (seqErr == nil) != (parErr == nil) {
-				t.Fatalf("trial %d (%v, stop=%d, w=%d): seq err %v vs par err %v",
-					trial, algo, stopAfter, workers, seqErr, parErr)
-			}
-			if seqErr != nil {
-				continue
-			}
-			if !seqRes.Tokens.Equal(parRes.Tokens) {
-				t.Fatalf("trial %d (%v, stop=%d, w=%d): seq ring %v != par ring %v",
-					trial, algo, stopAfter, workers, seqRes.Tokens, parRes.Tokens)
-			}
+		got, want, _, _, ok := sweepPair(t, f, target, req, seed)
+		if !ok {
+			t.Fatalf("trial %d: target %d has no batch", trial, target)
+		}
+		assertSameSweep(t, fmt.Sprintf("trial %d (%v, stop=%d)", trial, algo, stopAfter), f, target, req, seed, got, want)
+		if len(want) > 0 {
 			matchedRings++
 		}
 	}

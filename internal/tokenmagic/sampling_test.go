@@ -20,9 +20,8 @@ func samplingLedger(tb testing.TB, nTx int) *chain.Ledger {
 	return l
 }
 
-// Parallel candidate sampling must stay deterministic per seed: the worker
-// pool only fills independent slots; the random pick consumes the rng in a
-// fixed order.
+// Candidate sampling must stay deterministic per seed: the random pick
+// consumes the rng in a fixed order.
 func TestRandomizedSamplingDeterministic(t *testing.T) {
 	run := func() chain.TokenSet {
 		l := samplingLedger(t, 12)
@@ -39,13 +38,12 @@ func TestRandomizedSamplingDeterministic(t *testing.T) {
 	}
 	a, b := run(), run()
 	if !a.Equal(b) {
-		t.Fatalf("parallel sampling nondeterministic: %v vs %v", a, b)
+		t.Fatalf("sampling nondeterministic: %v vs %v", a, b)
 	}
 }
 
-// TM_R's solver consumes randomness, which used to force sampling onto the
-// sequential path; with per-candidate derived streams it parallelises like
-// every other algorithm and must still produce a target-bearing ring.
+// TM_R's solver consumes randomness, so each candidate draws from its own
+// derived stream; the sweep must still produce a target-bearing ring.
 func TestRandomizedSamplingWithRandomPick(t *testing.T) {
 	l := samplingLedger(t, 10)
 	cfg := Config{Lambda: 100, Headroom: true, Algorithm: RandomPick, Randomize: true}

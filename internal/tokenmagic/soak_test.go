@@ -36,13 +36,12 @@ func TestSoakConcurrentFrameworkUnderRefresh(t *testing.T) {
 	initialTokens := l.NumTokens()
 	reg := obs.NewRegistry()
 	f, err := New(l, Config{
-		Lambda:      16,
-		Eta:         0.1,
-		Headroom:    true,
-		Algorithm:   Progressive,
-		Randomize:   true,
-		Parallelism: 2,
-		Metrics:     reg,
+		Lambda:    16,
+		Eta:       0.1,
+		Headroom:  true,
+		Algorithm: Progressive,
+		Randomize: true,
+		Metrics:   reg,
 	}, rand.New(rand.NewSource(99)))
 	if err != nil {
 		t.Fatal(err)
@@ -165,12 +164,11 @@ func TestSoakEpochPinnedReadersVsSnapshotter(t *testing.T) {
 	}
 	initialTokens := st.Ledger.NumTokens()
 	f, err := New(st.Ledger, Config{
-		Lambda:      8,
-		Eta:         0.1,
-		Headroom:    true,
-		Algorithm:   Progressive,
-		Randomize:   true,
-		Parallelism: 2,
+		Lambda:    8,
+		Eta:       0.1,
+		Headroom:  true,
+		Algorithm: Progressive,
+		Randomize: true,
 	}, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
