@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 
 	"tokenmagic/internal/adversary/graphattack"
@@ -91,6 +92,7 @@ func main() {
 	}
 
 	if *out != "" {
+		rep.Commit = bench.Commit()
 		data, err := json.MarshalIndent(rep, "", "  ")
 		fail(err)
 		fail(os.WriteFile(*out, append(data, '\n'), 0o644))
@@ -114,6 +116,8 @@ func auditDataDir(dir string, shards, lambda, window int, attacks []string) (*be
 	defer st.Close()
 	rep := &bench.AnonymityReport{
 		GeneratedBy: "cmd/anonaudit -data-dir " + dir,
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		NumCPU:      runtime.NumCPU(),
 		Window:      window,
 	}
 	opts := graphattack.Options{

@@ -143,6 +143,7 @@ func runAnonymityBench(path string, seed int64) {
 	fmt.Println("Anonymity under attack: solver × attack matrix (graphattack suite)…")
 	rep, err := bench.AnonymitySweep(40, 6, seed, 2)
 	fail(err)
+	rep.Commit = bench.Commit()
 	data, err := json.MarshalIndent(rep, "", "  ")
 	fail(err)
 	data = append(data, '\n')

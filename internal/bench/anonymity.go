@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"tokenmagic/internal/adversary/graphattack"
 	"tokenmagic/internal/chain"
@@ -31,9 +32,14 @@ type AnonymityRow struct {
 // solver × attack sweep plus the parameters that reproduce it. The CI gate
 // (cmd/anonaudit -assert) reads the committed copy as the regression
 // baseline and fails the build when any cell's min_anonymity drops below
-// it.
+// it. Commit names the checkout it was measured at (the caller fills it
+// in); GOMAXPROCS and NumCPU record the measuring machine. The gate reads
+// only the rows.
 type AnonymityReport struct {
 	GeneratedBy string         `json:"generated_by"`
+	Commit      string         `json:"commit"`
+	GOMAXPROCS  int            `json:"gomaxprocs"`
+	NumCPU      int            `json:"num_cpu"`
 	Seed        int64          `json:"seed"`
 	Spends      int            `json:"spends"`
 	BFSSpends   int            `json:"bfs_spends"`
@@ -145,6 +151,8 @@ func AnonymitySweepSubset(solvers, attacks []string, spends, bfsSpends int, seed
 	}
 	rep := &AnonymityReport{
 		GeneratedBy: "cmd/benchfigures -bench-anonymity (or cmd/anonaudit -out)",
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		NumCPU:      runtime.NumCPU(),
 		Seed:        seed,
 		Spends:      spends,
 		BFSSpends:   bfsSpends,

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 
 	"tokenmagic/internal/chain"
@@ -352,5 +353,29 @@ func TestVerifyBatchCtx(t *testing.T) {
 	res = n.VerifyBatchCtx(context.Background(), []Submission{good})
 	if !res.OK() || res.CacheHits != 1 {
 		t.Fatalf("cached re-verify: ok=%v hits=%d", res.OK(), res.CacheHits)
+	}
+}
+
+// TestGenerateKeysReproducible: one seed fixes every token's key, so a
+// seeded experiment chain gets the same keys on every run.
+func TestGenerateKeysReproducible(t *testing.T) {
+	l, _ := testChain(t, 25)
+	for round := 0; round < 5; round++ {
+		a, err := GenerateKeys(mrand.New(mrand.NewSource(7)), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := GenerateKeys(mrand.New(mrand.NewSource(7)), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) != l.NumTokens() || len(b) != l.NumTokens() {
+			t.Fatalf("keyed %d and %d tokens, want %d", len(a), len(b), l.NumTokens())
+		}
+		for tok, k := range a {
+			if k.D.Cmp(b[tok].D) != 0 || !k.Public.Equal(b[tok].Public) {
+				t.Fatalf("round %d: token %v got different keys from the same seed", round, tok)
+			}
+		}
 	}
 }

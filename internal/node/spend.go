@@ -163,16 +163,18 @@ func (n *Node) spendOnce(ctx context.Context, target chain.TokenID, req diversit
 
 // GenerateKeys creates one keypair per ledger token from rng (nil uses
 // crypto/rand), suitable for Config.Keys on experiment and load-test nodes.
+// Token i gets the i-th key of ringsig.GenerateKeys, so a seeded rng fixes
+// every key.
 func GenerateKeys(rng io.Reader, ledger *chain.Ledger) (map[chain.TokenID]*ringsig.PrivateKey, error) {
 	if rng == nil {
 		rng = crand.Reader
 	}
-	keys := make(map[chain.TokenID]*ringsig.PrivateKey, ledger.NumTokens())
-	for i := 0; i < ledger.NumTokens(); i++ {
-		sk, err := ringsig.GenerateKey(rng)
-		if err != nil {
-			return nil, err
-		}
+	sks, err := ringsig.GenerateKeys(rng, ledger.NumTokens())
+	if err != nil {
+		return nil, err
+	}
+	keys := make(map[chain.TokenID]*ringsig.PrivateKey, len(sks))
+	for i, sk := range sks {
 		keys[chain.TokenID(i)] = sk
 	}
 	return keys, nil

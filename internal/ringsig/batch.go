@@ -91,12 +91,15 @@ func (e *Engine) VerifyBatch(ctx context.Context, reqs []VerifyRequest) BatchRes
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
 
 	var hits, rechecked atomic.Int64
-	check := func(i int) {
+	for i := range res.Errs {
+		res.Errs[i] = errUndecided
+	}
+	parallelFor(workers, len(reqs), func(i int) {
+		if ctx.Err() != nil {
+			return // cancelled: the slot stays undecided
+		}
 		err, hit := e.verifyOne(reqs[i].Sig, reqs[i].Ring, reqs[i].Msg, hp)
 		if hit {
 			hits.Add(1)
@@ -107,40 +110,10 @@ func (e *Engine) VerifyBatch(ctx context.Context, reqs []VerifyRequest) BatchRes
 			rechecked.Add(1)
 		}
 		res.Errs[i] = err
-	}
-
-	if workers <= 1 {
-		for i := range reqs {
-			if ctx.Err() != nil {
-				res.Errs[i] = ctx.Err()
-				continue
-			}
-			check(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for i := range res.Errs {
-			res.Errs[i] = errUndecided
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(reqs) || ctx.Err() != nil {
-						return
-					}
-					check(i)
-				}
-			}()
-		}
-		wg.Wait()
-		for i, err := range res.Errs {
-			if err == errUndecided { // cancelled before this slot was claimed
-				res.Errs[i] = ctx.Err()
-			}
+	})
+	for i, err := range res.Errs {
+		if err == errUndecided { // cancelled before this slot was reached
+			res.Errs[i] = ctx.Err()
 		}
 	}
 
@@ -153,6 +126,34 @@ func (e *Engine) VerifyBatch(ctx context.Context, reqs []VerifyRequest) BatchRes
 		}
 	}
 	return res
+}
+
+// parallelFor calls fn(i) for every i in [0, n) and returns once every
+// call has returned. Up to workers goroutines (never more than n) claim
+// indices off one atomic cursor, so fn must only write state owned by its
+// index; with one worker, fn runs inline on the caller's goroutine.
+func parallelFor(workers, n int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // verifyOne runs the full single-signature check: structural validation in

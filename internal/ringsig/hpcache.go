@@ -11,6 +11,7 @@ import (
 	"crypto/elliptic"
 	"crypto/sha256"
 	"math/big"
+	"runtime"
 	"sync"
 )
 
@@ -72,13 +73,46 @@ func (c *HpCache) fill(k hpKey, p Point) Point {
 
 // Precompute warms the memo for a known key population (e.g. a node's key
 // registry), so later verifications never pay the hash-to-point search.
+// Each distinct, non-zero key the memo lacks is hashed once, on up to
+// GOMAXPROCS workers (inline when only one is missing), and the results go
+// in under one write lock: the memo ends up exactly as a sequential pass
+// would leave it. Concurrent hashPoint readers stay safe throughout;
+// one that fills a key first stores the same point. On a nil memo it does
+// nothing.
 func (c *HpCache) Precompute(keys []Point) {
+	if c == nil {
+		return
+	}
+	var ks []hpKey
+	var pts []Point
+	queued := make(map[hpKey]struct{}, len(keys))
+	c.mu.RLock()
 	for _, p := range keys {
 		if p.IsZero() {
 			continue
 		}
-		c.hashPoint(p)
+		k := makeHpKey(p)
+		if _, ok := c.m[k]; ok {
+			continue
+		}
+		if _, ok := queued[k]; ok {
+			continue
+		}
+		queued[k] = struct{}{}
+		ks = append(ks, k)
+		pts = append(pts, p)
 	}
+	c.mu.RUnlock()
+
+	hps := make([]Point, len(pts))
+	parallelFor(runtime.GOMAXPROCS(0), len(pts), func(i int) {
+		hps[i] = hashToPoint(pts[i])
+	})
+	c.mu.Lock()
+	for i, k := range ks {
+		c.m[k] = hps[i]
+	}
+	c.mu.Unlock()
 }
 
 // Len reports the number of memoised keys.

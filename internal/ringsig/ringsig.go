@@ -15,7 +15,6 @@
 package ringsig
 
 import (
-	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
@@ -24,6 +23,7 @@ import (
 	"hash"
 	"io"
 	"math/big"
+	"runtime"
 )
 
 // Curve is the group all keys and signatures live in.
@@ -73,16 +73,38 @@ type PrivateKey struct {
 }
 
 // GenerateKey creates a fresh keypair from the given entropy source
-// (crypto/rand.Reader in production, a deterministic reader in tests).
+// (crypto/rand.Reader in production, a deterministic reader in tests). It
+// is GenerateKeys with n = 1.
 func GenerateKey(rng io.Reader) (*PrivateKey, error) {
-	key, err := ecdsa.GenerateKey(Curve, rng)
+	keys, err := GenerateKeys(rng, 1)
 	if err != nil {
-		return nil, fmt.Errorf("ringsig: keygen: %w", err)
+		return nil, err
 	}
-	return &PrivateKey{
-		D:      key.D,
-		Public: Point{X: key.PublicKey.X, Y: key.PublicKey.Y},
-	}, nil
+	return keys[0], nil
+}
+
+// GenerateKeys creates n keypairs from rng. The caller's goroutine draws
+// every private scalar in stream order, so a seeded rng fixes every key
+// whatever GOMAXPROCS is. The public points x·G then run on up to
+// GOMAXPROCS workers: they are independent, and a node keying its whole
+// ledger spends almost all of its start-up here. x is secret, so it only
+// ever meets the stock constant-time ScalarBaseMult, fixed-width encoded.
+func GenerateKeys(rng io.Reader, n int) ([]*PrivateKey, error) {
+	keys := make([]*PrivateKey, n)
+	for i := range keys {
+		d, err := randScalar(rng)
+		if err != nil {
+			return nil, fmt.Errorf("ringsig: keygen: %w", err)
+		}
+		keys[i] = &PrivateKey{D: d}
+	}
+	parallelFor(runtime.GOMAXPROCS(0), n, func(i int) {
+		var d [32]byte
+		keys[i].D.FillBytes(d[:])
+		x, y := Curve.ScalarBaseMult(d[:])
+		keys[i].Public = Point{X: x, Y: y}
+	})
+	return keys, nil
 }
 
 // KeyImage computes I = x·Hp(P), the linkability tag. Two signatures by the

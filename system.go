@@ -1,6 +1,7 @@
 package tokenmagic
 
 import (
+	"context"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -75,6 +76,9 @@ type System struct {
 	keys   map[TokenID]*ringsig.PrivateKey
 	pubs   map[TokenID]ringsig.Point
 	images map[string]RSID // key-image encoding → spending ring
+	// engine signs and self-verifies every spend. Seal gives it an Hp memo
+	// holding every minted public key, unless signing is disabled.
+	engine ringsig.Engine
 
 	curBlock chain.BlockID
 	sealed   bool
@@ -126,16 +130,16 @@ func (s *System) MintBlock(outputsPerTx ...int) ([]TokenID, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, tok := range rec.Outputs {
-			if !s.opts.DisableSigning {
-				key, err := ringsig.GenerateKey(rand.Reader)
-				if err != nil {
-					return nil, err
-				}
-				s.keys[tok] = key
-				s.pubs[tok] = key.Public
-			}
-			minted = append(minted, tok)
+		minted = append(minted, rec.Outputs...)
+	}
+	if !s.opts.DisableSigning {
+		keys, err := ringsig.GenerateKeys(rand.Reader, len(minted))
+		if err != nil {
+			return nil, err
+		}
+		for i, tok := range minted {
+			s.keys[tok] = keys[i]
+			s.pubs[tok] = keys[i].Public
 		}
 	}
 	s.curBlock = block
@@ -161,6 +165,14 @@ func (s *System) Seal() error {
 	fw, err := itm.New(s.ledger, cfg, s.rng)
 	if err != nil {
 		return err
+	}
+	if !s.opts.DisableSigning {
+		pubs := make([]ringsig.Point, 0, len(s.pubs))
+		for _, p := range s.pubs {
+			pubs = append(pubs, p)
+		}
+		s.engine.Hp = ringsig.NewHpCache()
+		s.engine.Hp.Precompute(pubs)
 	}
 	s.fw = fw
 	s.sealed = true
@@ -273,15 +285,20 @@ func (s *System) sign(target TokenID, ring TokenSet) (*ringsig.Signature, error)
 			signerIdx = i
 		}
 	}
-	msg := []byte(fmt.Sprintf("spend ring over %v", ring))
-	sig, err := ringsig.Sign(rand.Reader, key, pubs, signerIdx, msg)
+	msg := spendMessage(ring)
+	sig, err := s.engine.SignCtx(context.Background(), rand.Reader, key, pubs, signerIdx, msg)
 	if err != nil {
 		return nil, err
 	}
-	if err := ringsig.Verify(sig, pubs, msg); err != nil {
+	if err := s.engine.Verify(sig, pubs, msg); err != nil {
 		return nil, fmt.Errorf("tokenmagic: self-verification failed: %w", err)
 	}
 	return sig, nil
+}
+
+// spendMessage is the message a spend's ring signature signs.
+func spendMessage(ring TokenSet) []byte {
+	return []byte(fmt.Sprintf("spend ring over %v", ring))
 }
 
 // unsigned double-spend bookkeeping when crypto is disabled.

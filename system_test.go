@@ -3,6 +3,8 @@ package tokenmagic
 import (
 	"errors"
 	"testing"
+
+	"tokenmagic/internal/ringsig"
 )
 
 // mintStandard builds a sealed system with n transactions of two outputs
@@ -49,6 +51,41 @@ func TestSystemSpendEndToEnd(t *testing.T) {
 	}
 	if !ring.Equal(rcpt.Tokens) {
 		t.Fatal("ledger ring differs from receipt")
+	}
+}
+
+// TestSystemSignaturesVerifyWithoutMemo: signatures made through the
+// System's memo-warmed engine verify under the cache-less package Verify,
+// and Seal memoised every minted key exactly once.
+func TestSystemSignaturesVerifyWithoutMemo(t *testing.T) {
+	sys, ids := mintStandard(t, Options{}, 12)
+	if got := sys.engine.Hp.Len(); got != len(ids) {
+		t.Fatalf("Seal memoised %d keys, want %d", got, len(ids))
+	}
+	for _, target := range ids[:4] {
+		rcpt, err := sys.Spend(target, Requirement{C: 1, L: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pubs := make([]ringsig.Point, len(rcpt.Tokens))
+		for i, tok := range rcpt.Tokens {
+			pubs[i] = sys.pubs[tok]
+		}
+		if err := ringsig.Verify(rcpt.Signature, pubs, spendMessage(rcpt.Tokens)); err != nil {
+			t.Fatalf("spend of %v: %v", target, err)
+		}
+	}
+	if got := sys.engine.Hp.Len(); got != len(ids) {
+		t.Fatalf("memo grew to %d keys past the %d minted", got, len(ids))
+	}
+}
+
+// TestSystemUnsignedHoldsNoKeys: with signing disabled, minting draws no
+// keys and Seal builds no memo.
+func TestSystemUnsignedHoldsNoKeys(t *testing.T) {
+	sys, _ := mintStandard(t, Options{DisableSigning: true}, 6)
+	if len(sys.keys) != 0 || sys.engine.Hp != nil {
+		t.Fatalf("unsigned system holds %d keys, memo %v", len(sys.keys), sys.engine.Hp)
 	}
 }
 
