@@ -34,7 +34,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		maxBFS    = flag.Int("max-bfs", 4, "rings to generate in the Figure-4 exact run")
 		benchOut  = flag.String("bench-solver", "", "run solver hot-path microbenchmarks and write BENCH_solver.json to this path")
-		rsOut     = flag.String("bench-ringsig", "", "run the ring-signature kernel vs stock sweep and write BENCH_ringsig.json to this path")
+		rsOut     = flag.String("bench-ringsig", "", "run the ring-signature sign/verify sweep and write BENCH_ringsig.json to this path")
 		anonOut   = flag.String("bench-anonymity", "", "run the solver × attack anonymity sweep and write BENCH_anonymity.json to this path")
 	)
 	flag.Parse()
@@ -116,7 +116,7 @@ func runSolverBench(path string) {
 }
 
 func runRingsigBench(path string) {
-	fmt.Println("Ring-signature kernel sweep (equivalence check, then ring × batch × workers grid)…")
+	fmt.Println("Ring-signature sweep (workload check, then sign/verify per ring and batch arms)…")
 	rep, err := bench.RingsigBenchmarks()
 	fail(err)
 	rep.Commit = bench.Commit()
@@ -124,17 +124,14 @@ func runRingsigBench(path string) {
 	fail(err)
 	data = append(data, '\n')
 	fail(os.WriteFile(path, data, 0o644))
-	fmt.Printf("  gomaxprocs=%d num_cpu=%d equivalence_checked=%v\n",
-		rep.GOMAXPROCS, rep.NumCPU, rep.EquivalenceChecked)
-	fmt.Printf("  %-24s %-5s %-6s %-8s %14s %12s %9s\n",
-		"arm", "ring", "batch", "workers", "ns/op", "sigs/sec", "speedup")
+	fmt.Printf("  gomaxprocs=%d num_cpu=%d workload_checked=%v\n",
+		rep.GOMAXPROCS, rep.NumCPU, rep.WorkloadChecked)
+	fmt.Printf("  %-24s %-5s %-6s %14s %12s\n", "arm", "ring", "batch", "ns/op", "sigs/sec")
 	for _, p := range rep.Single {
-		fmt.Printf("  %-24s %-5d %-6s %-8s %14.0f %12.1f %8.2fx\n",
-			p.Arm, p.Ring, "-", "-", p.NsPerOp, p.SigsPerSec, p.SpeedupVsStock)
+		fmt.Printf("  %-24s %-5d %-6s %14.0f %12.1f\n", p.Arm, p.Ring, "-", p.NsPerOp, p.SigsPerSec)
 	}
 	for _, p := range rep.BatchArms {
-		fmt.Printf("  %-24s %-5d %-6d %-8d %14.0f %12.1f %8.2fx\n",
-			p.Arm, p.Ring, p.Batch, p.Workers, p.NsPerOp, p.SigsPerSec, p.SpeedupVsStock)
+		fmt.Printf("  %-24s %-5d %-6d %14.0f %12.1f\n", p.Arm, p.Ring, p.Batch, p.NsPerOp, p.SigsPerSec)
 	}
 	fmt.Println("wrote", path)
 }

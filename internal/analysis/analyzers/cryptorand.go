@@ -9,20 +9,19 @@ import (
 // Cryptorand forbids math/rand in the anonymity-critical paths. The bLSAG
 // layer's unlinkability is only as good as its signer randomness (cf.
 // "Privacy on the Blockchain: Unique Ring Signatures"), so inside
-// internal/ringsig, internal/wallet and the TokenMagic sampling layer any
-// call that draws from math/rand's global source — or constructs a
-// generator locally — is a finding. Holding an injected *rand.Rand (which
+// internal/ringsig and the TokenMagic sampling layer any call that draws
+// from math/rand's global source — or constructs a generator locally — is
+// a finding. Holding an injected *rand.Rand (which
 // tokenmagic.New seeds from crypto/rand unless the caller supplies a
 // deterministic one for sim/tests) is allowed: the construction site, not
 // the use site, is where seed quality is decided.
 var Cryptorand = &analysis.Analyzer{
 	Name: "cryptorand",
 	Doc: "forbid math/rand calls in signing/selection paths " +
-		"(internal/ringsig, internal/wallet, internal/tokenmagic); " +
+		"(internal/ringsig, internal/tokenmagic); " +
 		"randomness must be injected, crypto-seeded by default",
 	Scope: []string{
 		"tokenmagic/internal/ringsig",
-		"tokenmagic/internal/wallet",
 		"tokenmagic/internal/tokenmagic",
 	},
 	Run: runCryptorand,

@@ -121,7 +121,7 @@ func TestGolden(t *testing.T) {
 		{name: "errdrop", dir: "errdrop",
 			importPath: "tokenmagic/internal/analysis/testdata/errdrop", analyzer: "errdrop"},
 		{name: "suppress", dir: "suppress",
-			importPath: "tokenmagic/internal/wallet/goldenfix", analyzer: "cryptorand"},
+			importPath: "tokenmagic/internal/tokenmagic/goldenfix", analyzer: "cryptorand"},
 		{name: "hotalloc", dir: "hotalloc",
 			importPath: "tokenmagic/internal/diversity/hotallocfix", analyzer: "hotalloc"},
 		{name: "cttime", dir: "cttime",

@@ -339,9 +339,10 @@ func (n *Node) MineCtx(ctx context.Context, maxRings int) ([]MinedRing, error) {
 // VerifyBatchCtx checks the ring signatures of a batch of submissions
 // without admitting them — the verification half of block validation,
 // exposed for peers auditing a block template (nodesvc's /v1/verify).
-// Malformed entries (missing signature, key/token count mismatch) fail with
-// the same errors Submit would return; well-formed ones fan out across the
-// engine's worker pool.
+// Each entry gets the verdict Submit's signature check gives it: malformed
+// entries (missing signature, key/token count mismatch) fail with the same
+// errors, and well-formed ones take the engine's verdict, from the same
+// call MineCtx's block validation makes, wrapped in ErrBadSignature.
 func (n *Node) VerifyBatchCtx(ctx context.Context, subs []Submission) ringsig.BatchResult {
 	out := ringsig.BatchResult{Errs: make([]error, len(subs)), FirstFailure: -1}
 	reqs := make([]ringsig.VerifyRequest, 0, len(subs))
@@ -367,7 +368,7 @@ func (n *Node) VerifyBatchCtx(ctx context.Context, subs []Submission) ringsig.Ba
 			out.Errs[idxs[k]] = fmt.Errorf("%w: %v", ErrBadSignature, err)
 		}
 	}
-	out.CacheHits, out.Rechecked = res.CacheHits, res.Rechecked
+	out.CacheHits = res.CacheHits
 	for i, err := range out.Errs {
 		if err != nil {
 			out.FirstFailure = i

@@ -356,6 +356,101 @@ func TestVerifyBatchCtx(t *testing.T) {
 	}
 }
 
+// TestOneSignatureVerdict: every tamper class gets the same verdict from
+// Submit's admission check and from VerifyBatchCtx, which makes the engine
+// call MineCtx's block validation makes: the same error, wrapping
+// ErrBadSignature around the same cause, at every index of one batch.
+func TestOneSignatureVerdict(t *testing.T) {
+	l, keys := testChain(t, 10)
+	n := defaultNode(t, l)
+	req := diversity.Requirement{C: 1, L: 3}
+	good := makeSubmission(t, l, keys, 0, req)
+	other := makeSubmission(t, l, keys, 5, req)
+	last := len(good.Keys) - 1
+	if last < 2 {
+		t.Fatalf("ring of %d keys; the tamper classes need three", len(good.Keys))
+	}
+
+	withSig := func(edit func(s *ringsig.Signature)) Submission {
+		sub := good
+		sig := *good.Signature
+		sig.C0 = new(big.Int).Set(sig.C0)
+		sig.S = make([]*big.Int, len(good.Signature.S))
+		for i, v := range good.Signature.S {
+			sig.S[i] = new(big.Int).Set(v)
+		}
+		edit(&sig)
+		sub.Signature = &sig
+		return sub
+	}
+	withKeys := func(edit func(k []ringsig.Point)) Submission {
+		sub := good
+		sub.Keys = append([]ringsig.Point{}, good.Keys...)
+		edit(sub.Keys)
+		return sub
+	}
+	curveN := ringsig.Curve.Params().N
+	offCurve := ringsig.Point{X: big.NewInt(7), Y: big.NewInt(9)}
+	wrongMsg := good
+	wrongMsg.Tokens = append(chain.TokenSet{}, good.Tokens...)
+	wrongMsg.Tokens[last] = chain.TokenID(l.NumTokens()) // the message names another ring
+	unsigned := good
+	unsigned.Signature = nil
+	mismatch := good
+	mismatch.Keys = good.Keys[:last]
+
+	classes := []struct {
+		name string
+		sub  Submission
+	}{
+		{"bumped C0", withSig(func(s *ringsig.Signature) { s.C0.Add(s.C0, big.NewInt(1)).Mod(s.C0, curveN) })},
+		{"bumped s", withSig(func(s *ringsig.Signature) { s.S[1].Add(s.S[1], big.NewInt(1)).Mod(s.S[1], curveN) })},
+		{"zero s", withSig(func(s *ringsig.Signature) { s.S[0].SetInt64(0) })},
+		{"huge C0", withSig(func(s *ringsig.Signature) { s.C0.Lsh(big.NewInt(1), 300) })},
+		{"s = N", withSig(func(s *ringsig.Signature) { s.S[last].Set(curveN) })},
+		{"nil s", withSig(func(s *ringsig.Signature) { s.S[1] = nil })},
+		{"short S", withSig(func(s *ringsig.Signature) { s.S = s.S[:last] })},
+		{"nil C0", withSig(func(s *ringsig.Signature) { s.C0 = nil })},
+		{"negative C0", withSig(func(s *ringsig.Signature) { s.C0.SetInt64(-1) })},
+		{"negative s", withSig(func(s *ringsig.Signature) { s.S[last].Neg(s.S[last]) })},
+		{"off-curve image", withSig(func(s *ringsig.Signature) { s.Image = offCurve })},
+		{"zero image", withSig(func(s *ringsig.Signature) { s.Image = ringsig.Point{} })},
+		{"image of another signer", withSig(func(s *ringsig.Signature) { s.Image = other.Signature.Image })},
+		{"wrong message", wrongMsg},
+		{"swapped ring keys", withKeys(func(k []ringsig.Point) { k[0], k[1] = k[1], k[0] })},
+		{"zero ring key", withKeys(func(k []ringsig.Point) { k[last] = ringsig.Point{} })},
+		{"off-curve ring key", withKeys(func(k []ringsig.Point) { k[1] = offCurve })},
+	}
+
+	// One batch: the valid submission, every tamper class, then the two
+	// malformed submissions.
+	subs := []Submission{good}
+	for _, c := range classes {
+		subs = append(subs, c.sub)
+	}
+	subs = append(subs, unsigned, mismatch)
+	res := n.VerifyBatchCtx(context.Background(), subs)
+	for i, c := range classes {
+		_, err := n.Submit(c.sub)
+		got := res.Errs[1+i]
+		if !errors.Is(err, ErrBadSignature) || got == nil || err.Error() != got.Error() {
+			t.Fatalf("%s: Submit %v, VerifyBatchCtx %v", c.name, err, got)
+		}
+	}
+	for i, want := range []error{ErrUnsignedDenied, ErrKeysMismatch} {
+		_, err := n.Submit(subs[1+len(classes)+i])
+		if got := res.Errs[1+len(classes)+i]; !errors.Is(err, want) || !errors.Is(got, want) {
+			t.Fatalf("malformed entry: Submit %v, VerifyBatchCtx %v, want %v", err, got, want)
+		}
+	}
+	if res.Errs[0] != nil || res.FirstFailure != 1 {
+		t.Fatalf("valid entry: err %v, FirstFailure %d", res.Errs[0], res.FirstFailure)
+	}
+	if _, err := n.Submit(good); err != nil {
+		t.Fatalf("valid submission rejected: %v", err)
+	}
+}
+
 // TestGenerateKeysReproducible: one seed fixes every token's key, so a
 // seeded experiment chain gets the same keys on every run.
 func TestGenerateKeysReproducible(t *testing.T) {

@@ -1,10 +1,11 @@
 package ringsig
 
-// Engine + VerifyBatch: the batch verification front-end over the kernel
-// layer. An Engine owns the two caches that amortise repeated work — the
+// Engine + VerifyBatch: the batch verification front-end over the ring
+// walk. An Engine owns the two caches that amortise repeated work — the
 // hash-to-point memo and the verified-transcript cache — and fans batches
-// across a bounded worker pool whose workers claim indices off an atomic
-// cursor.
+// across GOMAXPROCS workers that claim indices off an atomic cursor. Every
+// signature gets one verdict, verifyOne's, whether it arrives alone or in
+// a batch.
 
 import (
 	"context"
@@ -27,8 +28,6 @@ type Engine struct {
 	// signature the node already admitted (block validation at mine time)
 	// skips the challenge chain. nil: every call walks the chain.
 	Seen *SigCache
-	// Workers bounds the VerifyBatch pool; 0 means GOMAXPROCS.
-	Workers int
 }
 
 // VerifyRequest is one signature check in a batch.
@@ -46,9 +45,6 @@ type BatchResult struct {
 	FirstFailure int
 	// CacheHits counts signatures settled by the transcript cache.
 	CacheHits int
-	// Rechecked counts kernel rejects confirmed by the stock-curve
-	// fallback path.
-	Rechecked int
 }
 
 // OK reports whether every signature in the batch verified.
@@ -63,16 +59,12 @@ func (e *Engine) Verify(sig *Signature, ring []Point, msg []byte) error {
 	return err
 }
 
-// VerifyBatch checks a batch of ring signatures over a bounded worker pool.
-// Requests are independent, so workers claim indices off an atomic cursor
-// and record per-index results; the merged BatchResult is identical at
-// every worker count.
-//
-// Failure handling: when the kernel path rejects a signature, the batch
-// falls back to per-signature verification on the stock curve ops for that
-// index — the identification step. The stock decision is authoritative, so
-// a reject can never be an artefact of the optimised path, and the first
-// confirmed failure's index is reported for the caller to attribute blame.
+// VerifyBatch checks a batch of ring signatures on up to GOMAXPROCS
+// workers. Requests are independent, so workers claim indices off an atomic
+// cursor and record per-index results; each entry of Errs is exactly what
+// Verify returns for that request, so the merged BatchResult is identical
+// at every GOMAXPROCS. FirstFailure names the lowest rejected index, for
+// the caller to attribute blame.
 //
 // Cancellation marks unvisited requests with ctx.Err(); already-decided
 // indices keep their verdicts.
@@ -87,27 +79,18 @@ func (e *Engine) VerifyBatch(ctx context.Context, reqs []VerifyRequest) BatchRes
 		// so even a batch-scoped memo removes most hash-to-point work.
 		hp = NewHpCache()
 	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
-	var hits, rechecked atomic.Int64
+	var hits atomic.Int64
 	for i := range res.Errs {
 		res.Errs[i] = errUndecided
 	}
-	parallelFor(workers, len(reqs), func(i int) {
+	parallelFor(runtime.GOMAXPROCS(0), len(reqs), func(i int) {
 		if ctx.Err() != nil {
 			return // cancelled: the slot stays undecided
 		}
 		err, hit := e.verifyOne(reqs[i].Sig, reqs[i].Ring, reqs[i].Msg, hp)
 		if hit {
 			hits.Add(1)
-		}
-		if err != nil {
-			// Identification fallback: confirm on the stock path.
-			err = StockVerify(reqs[i].Sig, reqs[i].Ring, reqs[i].Msg)
-			rechecked.Add(1)
 		}
 		res.Errs[i] = err
 	})
@@ -118,7 +101,6 @@ func (e *Engine) VerifyBatch(ctx context.Context, reqs []VerifyRequest) BatchRes
 	}
 
 	res.CacheHits = int(hits.Load())
-	res.Rechecked = int(rechecked.Load())
 	for i, err := range res.Errs {
 		if err != nil {
 			res.FirstFailure = i
@@ -157,9 +139,9 @@ func parallelFor(workers, n int, fn func(i int)) {
 }
 
 // verifyOne runs the full single-signature check: structural validation in
-// the same order (and with the same error identities) as the stock
-// implementation, then the transcript cache, then the challenge chain
-// through the ring walk. Successful chains are recorded in the cache.
+// the same order (and with the same error identities) as the test oracle,
+// then the transcript cache, then the challenge chain through the ring
+// walk. Successful chains are recorded in the cache.
 func (e *Engine) verifyOne(sig *Signature, ring []Point, msg []byte, hp *HpCache) (err error, cacheHit bool) {
 	n := len(ring)
 	if sig == nil || n < 2 || len(sig.S) != n || sig.C0 == nil {
@@ -173,11 +155,11 @@ func (e *Engine) verifyOne(sig *Signature, ring []Point, msg []byte, hp *HpCache
 			return ErrBadRingKeys, false
 		}
 	}
-	// The stock path range-checks scalars lazily inside the chain loop and
+	// The test oracle range-checks scalars lazily inside the chain loop and
 	// C0 implicitly (an out-of-range C0 can never equal the reduced final
 	// challenge). Hoisting both here changes no decision — any bad scalar
-	// yields ErrInvalid on both paths — and lets the kernels assume
-	// fixed-width 32-byte operands.
+	// yields ErrInvalid on both — and lets the walk assume fixed-width
+	// 32-byte operands.
 	if sig.C0.Sign() < 0 || sig.C0.Cmp(curveN) >= 0 {
 		return ErrInvalid, false
 	}
@@ -212,5 +194,5 @@ func (e *Engine) verifyOne(sig *Signature, ring []Point, msg []byte, hp *HpCache
 	return nil, false
 }
 
-// defaultEngine backs the package-level Verify wrapper: kernels, no caches.
+// defaultEngine backs the package-level Sign and Verify wrappers: no caches.
 var defaultEngine Engine

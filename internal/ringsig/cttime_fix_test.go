@@ -3,18 +3,17 @@ package ringsig
 // Tests for the fixes the cttime analyzer forced (see DESIGN.md
 // "Constant-time policy"):
 //
-//   - stock.go now encodes every secret scalar fixed-width (FillBytes(32))
-//     instead of variable-width Bytes(). The scalar VALUES are unchanged,
-//     so the differential tests here prove signatures byte-identical and
-//     verify decisions unchanged against test-local copies of the pre-fix
-//     encodings.
+//   - the stock-curve code, now the test oracle in stock_oracle_test.go,
+//     encodes every secret scalar fixed-width (FillBytes(32)) instead of
+//     variable-width Bytes(). The scalar VALUES are unchanged, so the
+//     differential tests here prove signatures byte-identical and verify
+//     decisions unchanged against test-local copies of the pre-fix
+//     encodings. The production path is held to the oracle by
+//     kernel_test.go, so these pin the chain back to the pre-fix code.
 //   - sigcache.go's transcript key encodes C0 fixed-width (v2): the
 //     collision tests demonstrate the aliasing a naive variable-width
 //     concatenation admits and pin that the shipped key is injective across
 //     boundary-shifted transcripts.
-//   - mlsag.go's multiChallenge frames the message length and part count
-//     (v2): the pre-fix unframed transcript aliased a message ending in a
-//     point encoding against a transcript with one more column.
 //   - a dudect-style paired Welch's t-test smoke compares Sign latency
 //     across fixed-vs-random secret bit patterns (advisory only).
 
@@ -22,13 +21,14 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
+	"errors"
 	"math"
 	"math/big"
 	"testing"
 	"time"
 )
 
-// prefixStockSign is the pre-fix StockSign: variable-width alpha.Bytes()
+// prefixStockSign is the pre-fix oracleSign: variable-width alpha.Bytes()
 // handed to the curve ops, same rng draw order. Kept test-local as the
 // differential baseline proving the FillBytes fix changed no output.
 func prefixStockSign(rng *detReader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte) (*Signature, error) {
@@ -44,7 +44,7 @@ func prefixStockSign(rng *detReader, sk *PrivateKey, ring []Point, signerIdx int
 	c := make([]*big.Int, n)
 
 	agx, agy := Curve.ScalarBaseMult(alpha.Bytes())
-	hpPi := stockHashToPoint(ring[signerIdx])
+	hpPi := oracleHashToPoint(ring[signerIdx])
 	ahx, ahy := Curve.ScalarMult(hpPi.X, hpPi.Y, alpha.Bytes())
 	c[(signerIdx+1)%n] = challenge(msg, Point{agx, agy}, Point{ahx, ahy})
 
@@ -66,7 +66,7 @@ func prefixStockSign(rng *detReader, sk *PrivateKey, ring []Point, signerIdx int
 }
 
 func prefixStockKeyImage(k *PrivateKey) Point {
-	hp := stockHashToPoint(k.Public)
+	hp := oracleHashToPoint(k.Public)
 	x, y := Curve.ScalarMult(hp.X, hp.Y, k.D.Bytes())
 	return Point{X: x, Y: y}
 }
@@ -76,7 +76,7 @@ func prefixStockRingStep(msg []byte, pub, image Point, s, c *big.Int) *big.Int {
 	cpx, cpy := Curve.ScalarMult(pub.X, pub.Y, c.Bytes())
 	lx, ly := Curve.Add(sgx, sgy, cpx, cpy)
 
-	hp := stockHashToPoint(pub)
+	hp := oracleHashToPoint(pub)
 	shx, shy := Curve.ScalarMult(hp.X, hp.Y, s.Bytes())
 	cix, ciy := Curve.ScalarMult(image.X, image.Y, c.Bytes())
 	rx, ry := Curve.Add(shx, shy, cix, ciy)
@@ -84,7 +84,7 @@ func prefixStockRingStep(msg []byte, pub, image Point, s, c *big.Int) *big.Int {
 	return challenge(msg, Point{lx, ly}, Point{rx, ry})
 }
 
-// prefixStockVerify is StockVerify with the pre-fix variable-width chain.
+// prefixStockVerify is oracleVerify with the pre-fix variable-width chain.
 func prefixStockVerify(sig *Signature, ring []Point, msg []byte) error {
 	n := len(ring)
 	if sig == nil || n < 2 || len(sig.S) != n || sig.C0 == nil {
@@ -113,7 +113,7 @@ func prefixStockVerify(sig *Signature, ring []Point, msg []byte) error {
 }
 
 // TestStockSignFixedWidthByteIdentical proves the FillBytes(32) fix is a
-// pure encoding change: given the same rng stream, the fixed-width StockSign
+// pure encoding change: given the same rng stream, the fixed-width oracleSign
 // emits bit-for-bit the signature the variable-width pre-fix code produced,
 // for every signer position.
 func TestStockSignFixedWidthByteIdentical(t *testing.T) {
@@ -129,7 +129,7 @@ func TestStockSignFixedWidthByteIdentical(t *testing.T) {
 	}
 	msg := []byte("fixed-width encoding differential")
 	for idx := range keys {
-		got, err := StockSign(newDetReader("cttime-fix-nonces"), keys[idx], ring, idx, msg)
+		got, err := oracleSign(newDetReader("cttime-fix-nonces"), keys[idx], ring, idx, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,16 +148,16 @@ func TestStockSignFixedWidthByteIdentical(t *testing.T) {
 				t.Fatalf("idx %d: s[%d] differs after encoding fix", idx, i)
 			}
 		}
-		if err := StockVerify(got, ring, msg); err != nil {
+		if err := oracleVerify(got, ring, msg); err != nil {
 			t.Fatalf("idx %d: fixed-width signature rejected: %v", idx, err)
 		}
 	}
 }
 
 // TestStockVerifyDecisionsUnchangedByEncoding runs the tamper grid through
-// both verifier encodings: every accept/reject decision must agree,
-// including the oversized C0 case that exercises the reduceScalar guard in
-// front of FillBytes.
+// both verifier encodings: every verdict, error identity included, must
+// agree, including the oversized and negative C0 cases that exercise the
+// reduceScalar guard in front of FillBytes.
 func TestStockVerifyDecisionsUnchangedByEncoding(t *testing.T) {
 	keys, ring := genRing(t, 5)
 	msg := []byte("decision parity across encodings")
@@ -165,12 +165,17 @@ func TestStockVerifyDecisionsUnchangedByEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := append([]*Signature{sig}, mutateSig(sig, ring)...)
-	for i, sc := range cases {
-		got := StockVerify(sc, ring, msg)
-		want := prefixStockVerify(sc, ring, msg)
-		if (got == nil) != (want == nil) {
-			t.Errorf("case %d: decision differs: fixed-width %v, pre-fix %v", i, got, want)
+	other, err := Sign(rand.Reader, keys[0], ring, 0, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := append([]tamper{{"valid", VerifyRequest{Sig: sig, Ring: ring, Msg: msg}}},
+		mutateSig(sig, ring, msg, other)...)
+	for _, tc := range cases {
+		got := oracleVerify(tc.req.Sig, tc.req.Ring, tc.req.Msg)
+		want := prefixStockVerify(tc.req.Sig, tc.req.Ring, tc.req.Msg)
+		if !errors.Is(got, want) {
+			t.Errorf("%s: verdict differs: fixed-width %v, pre-fix %v", tc.name, got, want)
 		}
 	}
 }
@@ -279,55 +284,9 @@ func TestTranscriptCacheRejectsBeforeKeying(t *testing.T) {
 	}
 }
 
-// prefixMultiChallenge is the pre-fix v1 transcript: unframed message
-// directly before the point parts.
-func prefixMultiChallenge(msg []byte, parts []Point) *big.Int {
-	h := sha256.New()
-	hashWrite(h, []byte("tokenmagic/mlsag/v1"), msg)
-	for _, p := range parts {
-		hashWrite(h, p.Bytes())
-	}
-	d := new(big.Int).SetBytes(h.Sum(nil))
-	return d.Mod(d, Curve.Params().N)
-}
-
-// TestMultiChallengeV2Unambiguous pins the mlsag domain bump: the v1
-// transcript aliased a message ending in a point encoding against a
-// transcript with one more column; v2's length framing separates them. The
-// single-layer challenge needs no framing — its suffix is exactly two
-// points and Point.Bytes is fixed-width for the on-curve points the
-// verifier admits — which TestPointBytesFixedWidth pins below.
-func TestMultiChallengeV2Unambiguous(t *testing.T) {
-	_, ring := genRing(t, 3)
-	p1, p2 := ring[0], ring[1]
-
-	msgA := []byte("transfer#1")
-	partsA := []Point{p1, p2}
-	msgB := append(append([]byte{}, msgA...), p1.Bytes()...)
-	partsB := []Point{p2}
-
-	if prefixMultiChallenge(msgA, partsA).Cmp(prefixMultiChallenge(msgB, partsB)) != 0 {
-		t.Fatal("the v1 transcript was expected to alias the shifted pair (demo broken)")
-	}
-	if multiChallenge(msgA, partsA).Cmp(multiChallenge(msgB, partsB)) == 0 {
-		t.Fatal("v2 multiChallenge still aliases a message/part boundary shift")
-	}
-
-	// Part-count framing also separates equal concatenations split across
-	// column counts, and the single- and multi-layer transcripts live in
-	// disjoint domains.
-	if multiChallenge(msgA, []Point{p1, p2}).Cmp(multiChallenge(msgA, []Point{p1})) == 0 {
-		t.Fatal("part count does not separate transcripts")
-	}
-	if challenge(msgA, p1, p2).Cmp(multiChallenge(msgA, []Point{p1, p2})) == 0 {
-		t.Fatal("single- and multi-layer challenges share a domain")
-	}
-}
-
-// TestPointBytesFixedWidth pins the fact the unframed single-layer
-// challenge transcript relies on: every point a verifier admits (on-curve,
-// non-zero) marshals to exactly 65 bytes, so the msg|L|R boundaries cannot
-// shift.
+// TestPointBytesFixedWidth pins the fact the unframed challenge transcript
+// relies on: every point a verifier admits (on-curve, non-zero) marshals to
+// exactly 65 bytes, so the msg|L|R boundaries cannot shift.
 func TestPointBytesFixedWidth(t *testing.T) {
 	_, ring := genRing(t, 4)
 	pts := append([]Point{}, ring...)

@@ -126,9 +126,8 @@ func (c *HpCache) Len() int {
 // relative to G, via iterated hash-and-increment on the x-coordinate. The
 // square root runs through elliptic.UnmarshalCompressed, which on
 // assembly-backed platforms is several times cheaper than a big.Int
-// ModSqrt; the even-y prefix makes it also pick the canonical root (see
-// stockHashToPoint for the reference computation the differential tests
-// compare against).
+// ModSqrt; the even-y prefix makes it also pick the canonical root (the
+// differential tests compare it against that ModSqrt computation).
 func hashToPoint(p Point) Point {
 	seed := sha256.Sum256(append([]byte(hpDomain), p.Bytes()...))
 	x := new(big.Int).SetBytes(seed[:])

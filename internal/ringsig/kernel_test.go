@@ -1,10 +1,11 @@
 package ringsig
 
-// Differential tests: the kernel layer against the stock-curve
-// implementation. The contract is exact equality — byte-identical
-// signatures from the same rng stream, identical accept/reject decisions
-// (including error identity) on valid and tampered inputs, bit-identical
-// point results from every multiplication kernel.
+// Differential tests: the production path (Engine.sign, verifyOne, the
+// ring walk) against the stock-curve test oracle (stock_oracle_test.go).
+// The contract is exact equality — byte-identical signatures from the same
+// rng stream, the same verdict with the same error identity on valid and
+// tampered inputs, alone and in batches, and bit-identical point results
+// from every multiplication.
 
 import (
 	"context"
@@ -13,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/big"
+	"runtime"
 	"testing"
 )
 
@@ -107,7 +109,7 @@ func TestHashToPointMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		fast := hashToPoint(k.Public)
-		ref := stockHashToPoint(k.Public)
+		ref := oracleHashToPoint(k.Public)
 		if !fast.Equal(ref) {
 			t.Fatalf("hashToPoint(%v) = %v, reference = %v", k.Public, fast, ref)
 		}
@@ -120,9 +122,8 @@ func TestHashToPointMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSignByteIdenticalToStock: same keys, same entropy stream — the
-// kernel-path Sign and the stock-path StockSign must emit byte-identical
-// signatures.
+// TestSignByteIdenticalToStock: same keys, same entropy stream — Sign and
+// the oracle's oracleSign must emit byte-identical signatures.
 func TestSignByteIdenticalToStock(t *testing.T) {
 	keyRng := newDetReader("keys")
 	keys := make([]*PrivateKey, 8)
@@ -140,7 +141,7 @@ func TestSignByteIdenticalToStock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := StockSign(newDetReader("nonces"), keys[idx], ring, idx, msg)
+		b, err := oracleSign(newDetReader("nonces"), keys[idx], ring, idx, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,44 +156,90 @@ func TestSignByteIdenticalToStock(t *testing.T) {
 				t.Fatalf("idx %d: s[%d] differs: %v vs %v", idx, i, a.S[i], b.S[i])
 			}
 		}
-		if err := StockVerify(a, ring, msg); err != nil {
-			t.Fatalf("stock verify of kernel signature: %v", err)
+		if err := oracleVerify(a, ring, msg); err != nil {
+			t.Fatalf("oracle verify of Sign's signature: %v", err)
 		}
 		if err := Verify(b, ring, msg); err != nil {
-			t.Fatalf("kernel verify of stock signature: %v", err)
+			t.Fatalf("Verify of the oracle's signature: %v", err)
 		}
 	}
 }
 
-// mutateSig returns tampered variants of a valid signature (with fresh
-// backing big.Ints so the original stays intact), each of which both paths
-// must reject identically.
-func mutateSig(sig *Signature, ring []Point) []*Signature {
-	clone := func() *Signature {
+// tamper is one reject class: a request built from a valid one.
+type tamper struct {
+	name string
+	req  VerifyRequest
+}
+
+// mutateSig returns one tampered request per reject class of the valid
+// signature sig over ring and msg, which the production path and the oracle
+// must reject with the same error. Tampered signatures get fresh big.Ints
+// and tampered rings fresh slices, so the originals stay intact. other is a
+// valid signature by a different member of the same ring; its key image in
+// place of sig's is the swapped-images class. The ring needs three members.
+func mutateSig(sig *Signature, ring []Point, msg []byte, other *Signature) []tamper {
+	withSig := func(name string, edit func(s *Signature)) tamper {
 		c := &Signature{C0: new(big.Int).Set(sig.C0), Image: sig.Image, S: make([]*big.Int, len(sig.S))}
 		for i, s := range sig.S {
 			c.S[i] = new(big.Int).Set(s)
 		}
-		return c
+		edit(c)
+		return tamper{name, VerifyRequest{Sig: c, Ring: ring, Msg: msg}}
 	}
-	n := Curve.Params().N
-	bumpC0 := clone()
-	bumpC0.C0.Add(bumpC0.C0, big.NewInt(1))
-	bumpC0.C0.Mod(bumpC0.C0, n)
-	bumpS := clone()
-	bumpS.S[1].Add(bumpS.S[1], big.NewInt(1))
-	bumpS.S[1].Mod(bumpS.S[1], n)
-	zeroS := clone()
-	zeroS.S[0].SetInt64(0)
-	hugeC0 := clone()
-	hugeC0.C0.Lsh(big.NewInt(1), 300)
-	outS := clone()
-	outS.S[2].Set(n)
-	badImage := clone()
-	badImage.Image = hashToPoint(ring[0]) // on-curve but wrong image
-	return []*Signature{bumpC0, bumpS, zeroS, hugeC0, outS, badImage}
+	withRing := func(name string, edit func(r []Point)) tamper {
+		r := append([]Point{}, ring...)
+		edit(r)
+		return tamper{name, VerifyRequest{Sig: sig, Ring: r, Msg: msg}}
+	}
+	bump := func(k *big.Int) {
+		k.Add(k, big.NewInt(1))
+		k.Mod(k, curveN)
+	}
+	offCurve := Point{X: big.NewInt(7), Y: big.NewInt(9)}
+	return []tamper{
+		withSig("bumped C0", func(s *Signature) { bump(s.C0) }),
+		withSig("bumped s", func(s *Signature) { bump(s.S[1]) }),
+		withSig("zero s", func(s *Signature) { s.S[0].SetInt64(0) }),
+		withSig("huge C0", func(s *Signature) { s.C0.Lsh(big.NewInt(1), 300) }),
+		withSig("s = N", func(s *Signature) { s.S[2].Set(curveN) }),
+		withSig("wrong on-curve image", func(s *Signature) { s.Image = hashToPoint(ring[0]) }),
+		withSig("nil s", func(s *Signature) { s.S[1] = nil }),
+		withSig("short S", func(s *Signature) { s.S = s.S[:len(s.S)-1] }),
+		withSig("nil C0", func(s *Signature) { s.C0 = nil }),
+		withSig("negative C0", func(s *Signature) { s.C0.SetInt64(-1) }),
+		withSig("negative s", func(s *Signature) { s.S[2].Neg(s.S[2]) }),
+		withSig("off-curve image", func(s *Signature) { s.Image = offCurve }),
+		withSig("zero image", func(s *Signature) { s.Image = Point{} }),
+		withSig("image of another signer", func(s *Signature) { s.Image = other.Image }),
+		{"wrong message", VerifyRequest{Sig: sig, Ring: ring, Msg: append([]byte("not "), msg...)}},
+		withRing("swapped ring members", func(r []Point) { r[0], r[1] = r[1], r[0] }),
+		withRing("zero ring point", func(r []Point) { r[len(r)-1] = Point{} }),
+		withRing("off-curve ring point", func(r []Point) { r[1] = offCurve }),
+	}
 }
 
+// checkAgainstOracle fails t unless every entry of res is the oracle's
+// verdict on that request, error identity included, and FirstFailure is
+// the oracle's first reject.
+func checkAgainstOracle(t testing.TB, reqs []VerifyRequest, res BatchResult) {
+	t.Helper()
+	first := -1
+	for i, r := range reqs {
+		want := oracleVerify(r.Sig, r.Ring, r.Msg)
+		if !errors.Is(res.Errs[i], want) {
+			t.Fatalf("index %d: batch %v, oracle %v", i, res.Errs[i], want)
+		}
+		if want != nil && first == -1 {
+			first = i
+		}
+	}
+	if res.FirstFailure != first {
+		t.Fatalf("FirstFailure = %d, oracle's first reject %d", res.FirstFailure, first)
+	}
+}
+
+// TestVerifyDecisionsMatchStock: every reject class gets the oracle's
+// error, from Verify alone and from one VerifyBatch over all of them.
 func TestVerifyDecisionsMatchStock(t *testing.T) {
 	keys, ring := genRing(t, 6)
 	msg := []byte("decision parity")
@@ -200,26 +247,23 @@ func TestVerifyDecisionsMatchStock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkParity := func(s *Signature, r []Point, m []byte) {
-		t.Helper()
-		kerr := Verify(s, r, m)
-		serr := StockVerify(s, r, m)
-		if (kerr == nil) != (serr == nil) {
-			t.Fatalf("decision mismatch: kernel=%v stock=%v", kerr, serr)
-		}
-		if kerr != nil && !errors.Is(kerr, serr) && !errors.Is(serr, kerr) {
-			t.Fatalf("error identity mismatch: kernel=%v stock=%v", kerr, serr)
-		}
+	other, err := Sign(rand.Reader, keys[1], ring, 1, msg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	checkParity(sig, ring, msg)
-	checkParity(sig, ring, []byte("wrong message"))
-	for _, bad := range mutateSig(sig, ring) {
-		checkParity(bad, ring, msg)
+	reqs := []VerifyRequest{{Sig: sig, Ring: ring, Msg: msg}}
+	for _, bad := range mutateSig(sig, ring, msg, other) {
+		r := bad.req
+		got, want := Verify(r.Sig, r.Ring, r.Msg), oracleVerify(r.Sig, r.Ring, r.Msg)
+		if want == nil {
+			t.Fatalf("%s: the oracle accepts it", bad.name)
+		}
+		if !errors.Is(got, want) {
+			t.Fatalf("%s: Verify %v, oracle %v", bad.name, got, want)
+		}
+		reqs = append(reqs, r)
 	}
-	// Off-curve ring member.
-	badRing := append([]Point{}, ring...)
-	badRing[4] = Point{X: big.NewInt(7), Y: big.NewInt(9)}
-	checkParity(sig, badRing, msg)
+	checkAgainstOracle(t, reqs, (&Engine{}).VerifyBatch(context.Background(), reqs))
 }
 
 func TestVerifyBatchNegatives(t *testing.T) {
@@ -235,7 +279,7 @@ func TestVerifyBatchNegatives(t *testing.T) {
 		sigs[i] = sig
 		reqs[i] = VerifyRequest{Sig: sig, Ring: ring, Msg: msg(i)}
 	}
-	e := &Engine{Workers: 2}
+	e := &Engine{}
 
 	t.Run("all valid", func(t *testing.T) {
 		res := e.VerifyBatch(context.Background(), reqs)
@@ -246,8 +290,7 @@ func TestVerifyBatchNegatives(t *testing.T) {
 
 	t.Run("tampered s[i]", func(t *testing.T) {
 		bad := append([]VerifyRequest{}, reqs...)
-		tampered := mutateSig(sigs[3], ring)[1] // bumped s[1]
-		bad[3] = VerifyRequest{Sig: tampered, Ring: ring, Msg: msg(3)}
+		bad[3] = mutateSig(sigs[3], ring, msg(3), sigs[4])[1].req // bumped s[1]
 		res := e.VerifyBatch(context.Background(), bad)
 		if res.FirstFailure != 3 {
 			t.Fatalf("FirstFailure = %d, want 3", res.FirstFailure)
@@ -255,14 +298,7 @@ func TestVerifyBatchNegatives(t *testing.T) {
 		if !errors.Is(res.Errs[3], ErrInvalid) {
 			t.Fatalf("err = %v, want ErrInvalid", res.Errs[3])
 		}
-		if res.Rechecked == 0 {
-			t.Fatal("kernel reject must be confirmed on the stock path")
-		}
-		for i, err := range res.Errs {
-			if i != 3 && err != nil {
-				t.Fatalf("index %d wrongly rejected: %v", i, err)
-			}
-		}
+		checkAgainstOracle(t, bad, res)
 	})
 
 	t.Run("swapped key images", func(t *testing.T) {
@@ -278,6 +314,7 @@ func TestVerifyBatchNegatives(t *testing.T) {
 		if res.Errs[1] == nil || res.Errs[2] == nil {
 			t.Fatalf("swapped images must fail both: %v, %v", res.Errs[1], res.Errs[2])
 		}
+		checkAgainstOracle(t, bad, res)
 	})
 
 	t.Run("off-curve member mid-batch", func(t *testing.T) {
@@ -292,28 +329,22 @@ func TestVerifyBatchNegatives(t *testing.T) {
 		if !errors.Is(res.Errs[4], ErrBadRingKeys) {
 			t.Fatalf("err = %v, want ErrBadRingKeys", res.Errs[4])
 		}
+		checkAgainstOracle(t, bad, res)
 	})
 
 	t.Run("worker counts agree", func(t *testing.T) {
 		bad := append([]VerifyRequest{}, reqs...)
-		bad[5] = VerifyRequest{Sig: mutateSig(sigs[5], ring)[0], Ring: ring, Msg: msg(5)}
-		// The single-worker run is the baseline, so it must go first —
-		// iterating a map here left base unset whenever another width drew
-		// the first slot, indexing the nil Errs slice.
-		var base BatchResult
-		for _, w := range []int{1, 2, 4, 8} {
-			res := (&Engine{Workers: w}).VerifyBatch(context.Background(), bad)
-			if w == 1 {
-				base = res
-			}
+		bad[5] = mutateSig(sigs[5], ring, msg(5), sigs[6])[0].req
+		// VerifyBatch runs GOMAXPROCS workers, so the width is set here and
+		// restored afterwards; subtests of this test never run in parallel.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		for _, procs := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			res := e.VerifyBatch(context.Background(), bad)
 			if res.FirstFailure != 5 {
-				t.Fatalf("workers=%d: FirstFailure = %d, want 5", w, res.FirstFailure)
+				t.Fatalf("GOMAXPROCS=%d: FirstFailure = %d, want 5", procs, res.FirstFailure)
 			}
-			for i := range res.Errs {
-				if (res.Errs[i] == nil) != (base.Errs[i] == nil) {
-					t.Fatalf("workers=%d: decision for %d differs", w, i)
-				}
-			}
+			checkAgainstOracle(t, bad, res)
 		}
 	})
 
@@ -339,7 +370,7 @@ func TestEngineCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Hp: NewHpCache(), Seen: NewSigCache(128), Workers: 1}
+	e := &Engine{Hp: NewHpCache(), Seen: NewSigCache(128)}
 	e.Hp.Precompute(ring)
 	if e.Hp.Len() != len(ring) {
 		t.Fatalf("Precompute: Len = %d, want %d", e.Hp.Len(), len(ring))
@@ -353,9 +384,13 @@ func TestEngineCaches(t *testing.T) {
 		t.Fatalf("second pass must hit the transcript cache: %+v", res)
 	}
 	// A tampered variant of a cached signature must still be rejected.
-	for _, bad := range mutateSig(sig, ring) {
-		if err := e.Verify(bad, ring, msg); err == nil {
-			t.Fatal("tampered signature accepted after caching the valid one")
+	other, err := Sign(rand.Reader, keys[1], ring, 1, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range mutateSig(sig, ring, msg, other) {
+		if err := e.Verify(bad.req.Sig, bad.req.Ring, bad.req.Msg); err == nil {
+			t.Fatalf("%s: accepted after caching the valid signature", bad.name)
 		}
 	}
 	// Same transcript under a different message is a different key.
@@ -386,22 +421,11 @@ func TestSigCacheRotation(t *testing.T) {
 	nilCache.Record(key(1)) // must not panic
 }
 
-func TestLayerPointsMatchStock(t *testing.T) {
-	_, ring := genRing(t, 2)
-	for _, s := range kernelScalars(t) {
-		for _, c := range kernelScalars(t) {
-			l1, r1 := layerPoints(ring[0], ring[1], s, c)
-			l2, r2 := stockLayerPoints(ring[0], ring[1], s, c)
-			if !l1.Equal(l2) || !r1.Equal(r2) {
-				t.Fatalf("layerPoints(%v, %v) mismatch", s, c)
-			}
-		}
-	}
-}
-
-// FuzzVerifyBatchEquivalence asserts VerifyBatch ≡ per-signature
-// StockVerify on random valid/invalid mixes: the fuzzer controls which
-// requests are tampered and how.
+// FuzzVerifyBatchEquivalence asserts VerifyBatch ≡ per-signature oracle
+// verdicts, error identity included, on random valid/invalid mixes: the
+// fuzzer controls which requests are tampered and with which class. A
+// second pass over the same batch answers from the transcript cache and
+// must give the same verdicts.
 func FuzzVerifyBatchEquivalence(f *testing.F) {
 	keyRng := newDetReader("fuzz-keys")
 	keys := make([]*PrivateKey, 4)
@@ -413,55 +437,41 @@ func FuzzVerifyBatchEquivalence(f *testing.F) {
 		}
 		keys[i], ring[i] = k, k.Public
 	}
-	f.Add(uint16(0x0000), uint8(2), int64(1))
-	f.Add(uint16(0xffff), uint8(3), int64(2))
-	f.Add(uint16(0x5a5a), uint8(1), int64(3))
-	f.Fuzz(func(t *testing.T, tamperMask uint16, workers uint8, seed int64) {
+	f.Add(uint16(0x0000), int64(1))
+	f.Add(uint16(0xffff), int64(2))
+	f.Add(uint16(0x5a5a), int64(3))
+	f.Fuzz(func(t *testing.T, tamperMask uint16, seed int64) {
 		rng := newDetReader("fuzz-" + string(rune(seed)))
 		const batch = 6
-		reqs := make([]VerifyRequest, batch)
-		for i := range reqs {
+		sigs := make([]*Signature, batch)
+		msgs := make([][]byte, batch)
+		for i := range sigs {
 			idx := i % len(keys)
-			msg := []byte{byte(i), byte(seed)}
-			sig, err := Sign(rng, keys[idx], ring, idx, msg)
+			msgs[i] = []byte{byte(i), byte(seed)}
+			sig, err := Sign(rng, keys[idx], ring, idx, msgs[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tamperMask&(1<<uint(i)) != 0 {
-				muts := mutateSig(sig, ring)
-				sig = muts[int(tamperMask>>8)%len(muts)]
-			}
-			reqs[i] = VerifyRequest{Sig: sig, Ring: ring, Msg: msg}
+			sigs[i] = sig
 		}
-		e := &Engine{Workers: int(workers%8) + 1, Seen: NewSigCache(64)}
-		res := e.VerifyBatch(context.Background(), reqs)
-		firstFail := -1
-		for i, r := range reqs {
-			want := StockVerify(r.Sig, r.Ring, r.Msg)
-			if (res.Errs[i] == nil) != (want == nil) {
-				t.Fatalf("index %d: batch=%v stock=%v", i, res.Errs[i], want)
-			}
-			if want != nil && firstFail == -1 {
-				firstFail = i
-			}
-		}
-		if res.FirstFailure != firstFail {
-			t.Fatalf("FirstFailure = %d, want %d", res.FirstFailure, firstFail)
-		}
-		// Second pass over the same batch: cache hits must not change
-		// decisions.
-		res2 := e.VerifyBatch(context.Background(), reqs)
+		reqs := make([]VerifyRequest, batch)
 		for i := range reqs {
-			if (res.Errs[i] == nil) != (res2.Errs[i] == nil) {
-				t.Fatalf("index %d: cached pass flipped decision", i)
+			reqs[i] = VerifyRequest{Sig: sigs[i], Ring: ring, Msg: msgs[i]}
+			if tamperMask&(1<<uint(i)) != 0 {
+				// sigs[i+1] has a different signer: batch is not a
+				// multiple of the ring size.
+				muts := mutateSig(sigs[i], ring, msgs[i], sigs[(i+1)%batch])
+				reqs[i] = muts[int(tamperMask>>8)%len(muts)].req
 			}
 		}
+		e := &Engine{Seen: NewSigCache(64)}
+		checkAgainstOracle(t, reqs, e.VerifyBatch(context.Background(), reqs))
+		checkAgainstOracle(t, reqs, e.VerifyBatch(context.Background(), reqs))
 	})
 }
 
 // BenchmarkMultiplications prices the three P-256 calls a ring step is
-// made of, so the kernel costs quoted in kernel.go and DESIGN.md can be
-// re-measured.
+// made of, so the costs quoted in walk.go and DESIGN.md can be re-measured.
 func BenchmarkMultiplications(b *testing.B) {
 	_, ring := genRing(b, 1)
 	ks := kernelScalars(b) // indices 8 and up are uniform random scalars

@@ -29,12 +29,10 @@ import (
 // Curve is the group all keys and signatures live in.
 var Curve = elliptic.P256()
 
-// Cached curve constants: the field prime, the group order and the b
-// coefficient of y² = x³ − 3x + b.
+// Cached curve constants: the field prime and the group order.
 var (
 	curveP = Curve.Params().P
 	curveN = Curve.Params().N
-	curveB = Curve.Params().B
 )
 
 // Point is an elliptic curve point in affine coordinates.
@@ -175,8 +173,8 @@ func (e *Engine) sign(rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int
 	s := make([]*big.Int, n)
 	c := make([]*big.Int, n)
 	// Random responses for every other member, drawn after α in walk
-	// order: the rng stream's order, which same-stream signatures (and
-	// StockSign) depend on.
+	// order: the rng stream's order, which same-stream signatures (and the
+	// test oracle) depend on.
 	for off := 1; off < n; off++ {
 		if s[(signerIdx+off)%n], err = randResponse(rng); err != nil {
 			return nil, err
@@ -216,8 +214,8 @@ func (e *Engine) sign(rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int
 }
 
 // Verify checks the signature over msg against the ring. It is a thin
-// wrapper over a cache-less Engine: same decisions, kernel-accelerated
-// chain. Callers verifying many signatures should hold an Engine (or call
+// wrapper over a cache-less Engine, whose ring walk computes the chain.
+// Callers verifying many signatures should hold an Engine (or call
 // VerifyBatch) so the hash-to-point memo and transcript cache amortise.
 func Verify(sig *Signature, ring []Point, msg []byte) error {
 	return defaultEngine.Verify(sig, ring, msg)

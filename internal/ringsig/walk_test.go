@@ -18,6 +18,18 @@ import (
 	"time"
 )
 
+// mulPair returns a·Q + b·R on stock ScalarMults and an Add: the
+// one-goroutine form of the walk's s·Hp(P) + c·I.
+func mulPair(a *big.Int, q Point, b *big.Int, r Point) Point {
+	var ab, bb [32]byte
+	a.FillBytes(ab[:])
+	b.FillBytes(bb[:])
+	qx, qy := Curve.ScalarMult(q.X, q.Y, ab[:])
+	rx, ry := Curve.ScalarMult(r.X, r.Y, bb[:])
+	x, y := Curve.Add(qx, qy, rx, ry)
+	return Point{X: x, Y: y}
+}
+
 // ringStep is the walk's oracle: c_{i+1} = H(msg, s·G + c·P, s·Hp(P) + c·I)
 // on one goroutine.
 func ringStep(msg []byte, pub, image Point, s, c *big.Int) *big.Int {
@@ -146,13 +158,17 @@ func TestWalkLeavesNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := mutateSig(sig, ring)
+	other, err := Sign(rand.Reader, keys[4], ring, 4, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := mutateSig(sig, ring, msg, other)
 	reqs := make([]VerifyRequest, 0, 1+len(bad))
 	reqs = append(reqs, VerifyRequest{Sig: sig, Ring: ring, Msg: msg})
 	for _, b := range bad {
-		reqs = append(reqs, VerifyRequest{Sig: b, Ring: ring, Msg: msg})
+		reqs = append(reqs, b.req)
 	}
-	e := &Engine{Hp: NewHpCache(), Workers: 2}
+	e := &Engine{Hp: NewHpCache()}
 
 	runtime.GC()
 	base := runtime.NumGoroutine()
@@ -164,8 +180,8 @@ func TestWalkLeavesNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range bad {
-			if err := e.Verify(b, ring, msg); err == nil {
-				t.Fatal("tampered signature accepted")
+			if err := e.Verify(b.req.Sig, b.req.Ring, b.req.Msg); err == nil {
+				t.Fatalf("%s: accepted", b.name)
 			}
 		}
 		if res := e.VerifyBatch(context.Background(), reqs); res.FirstFailure != 1 {
@@ -200,7 +216,11 @@ func TestVerifyConcurrentSharedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := mutateSig(sig, ring)
+	other, err := e.sign(rand.Reader, keys[1], ring, 1, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := mutateSig(sig, ring, msg, other)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
@@ -222,8 +242,8 @@ func TestVerifyConcurrentSharedEngine(t *testing.T) {
 					errs <- err
 					return
 				}
-				if e.Verify(bad[(g+round)%len(bad)], ring, msg) == nil {
-					errs <- errors.New("tampered signature accepted")
+				if b := bad[(g+round)%len(bad)]; e.Verify(b.req.Sig, b.req.Ring, b.req.Msg) == nil {
+					errs <- errors.New(b.name + ": accepted")
 					return
 				}
 			}
