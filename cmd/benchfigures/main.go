@@ -126,12 +126,13 @@ func runRingsigBench(path string) {
 	fail(os.WriteFile(path, data, 0o644))
 	fmt.Printf("  gomaxprocs=%d num_cpu=%d workload_checked=%v\n",
 		rep.GOMAXPROCS, rep.NumCPU, rep.WorkloadChecked)
-	fmt.Printf("  %-24s %-5s %-6s %14s %12s\n", "arm", "ring", "batch", "ns/op", "sigs/sec")
-	for _, p := range rep.Single {
-		fmt.Printf("  %-24s %-5d %-6s %14.0f %12.1f\n", p.Arm, p.Ring, "-", p.NsPerOp, p.SigsPerSec)
-	}
-	for _, p := range rep.BatchArms {
-		fmt.Printf("  %-24s %-5d %-6d %14.0f %12.1f\n", p.Arm, p.Ring, p.Batch, p.NsPerOp, p.SigsPerSec)
+	fmt.Printf("  %-24s %-5s %-6s %14s %25s %12s\n", "arm", "ring", "batch", "ns/op (median)", "min–max", "sigs/sec")
+	for _, p := range append(rep.Single, rep.BatchArms...) {
+		batch := "-"
+		if p.Batch > 0 {
+			batch = fmt.Sprint(p.Batch)
+		}
+		fmt.Printf("  %-24s %-5d %-6s %14.0f %12.0f–%-12.0f %12.1f\n", p.Arm, p.Ring, batch, p.NsPerOp, p.NsPerOpMin, p.NsPerOpMax, p.SigsPerSec)
 	}
 	fmt.Println("wrote", path)
 }

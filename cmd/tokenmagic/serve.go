@@ -193,7 +193,7 @@ func cmdLightSelect(args []string) error {
 	records := batchsvc.Records(ringInfos)
 	supers, fresh := selector.Decompose(records, batch.Tokens)
 	req := diversity.Requirement{C: *c, L: *l}
-	p, err := selector.NewProblem(chain.TokenID(*target), supers, fresh, batch.Origin(), req.WithHeadroom())
+	p, err := selector.NewTable(batch.Tokens, supers, fresh, batch.Origin()).Problem(chain.TokenID(*target), req.WithHeadroom())
 	if err != nil {
 		return err
 	}

@@ -37,10 +37,11 @@ func TestServeFullLoopTelemetry(t *testing.T) {
 	defer operator.Close()
 
 	// --- lightselect round-trip: batch reads + client-side selection.
-	bc := batchsvc.NewClient(public.URL, public.Client())
-	if _, err := bc.Meta(); err != nil {
-		t.Fatal(err)
+	if err := cmdLightSelect([]string{"-node", public.URL, "-target", "0", "-c", "1", "-l", "3"}); err != nil {
+		t.Fatalf("lightselect: %v", err)
 	}
+	// The ring submitted below is selected the same way, over the same reads.
+	bc := batchsvc.NewClient(public.URL, public.Client())
 	target := chain.TokenID(0)
 	batch, err := bc.BatchOf(target)
 	if err != nil {
@@ -52,7 +53,7 @@ func TestServeFullLoopTelemetry(t *testing.T) {
 	}
 	supers, fresh := selector.Decompose(batchsvc.Records(ringInfos), batch.Tokens)
 	req := diversity.Requirement{C: 1, L: 3}
-	p, err := selector.NewProblem(target, supers, fresh, batch.Origin(), req.WithHeadroom())
+	p, err := selector.NewTable(batch.Tokens, supers, fresh, batch.Origin()).Problem(target, req.WithHeadroom())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func main() {
 	records := batchsvc.Records(ringInfos)
 	supers, fresh := selector.Decompose(records, batch.Tokens)
 	req := diversity.Requirement{C: 0.6, L: 20}
-	p, err := selector.NewProblem(target, supers, fresh, batch.Origin(), req.WithHeadroom())
+	p, err := selector.NewTable(batch.Tokens, supers, fresh, batch.Origin()).Problem(target, req.WithHeadroom())
 	if err != nil {
 		log.Fatal(err)
 	}

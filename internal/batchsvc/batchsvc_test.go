@@ -150,7 +150,7 @@ func TestLightNodeSelectsMixins(t *testing.T) {
 	}
 	records := Records(ringInfos)
 	supers, fresh := selector.Decompose(records, b.Tokens)
-	p, err := selector.NewProblem(6, supers, fresh, b.Origin(), diversity.Requirement{C: 1, L: 3})
+	p, err := selector.NewTable(b.Tokens, supers, fresh, b.Origin()).Problem(6, diversity.Requirement{C: 1, L: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func AblationHeadroom(headroom bool, n int, seed int64) (HeadroomAblation, error
 		if headroom {
 			eff = req.WithHeadroom()
 		}
-		p, err := selector.NewProblem(target, supers, fresh, origin, eff)
+		p, err := selector.NewTable(universe, supers, fresh, origin).Problem(target, eff)
 		if err != nil {
 			continue
 		}

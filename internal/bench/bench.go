@@ -66,22 +66,20 @@ type Series struct {
 	Points []Point
 }
 
-// instanceSet is a prepared data set plus everything a solver run needs.
+// instanceSet is a prepared data set plus everything a solver run needs:
+// its decomposition and the module table built from it once.
 type instanceSet struct {
 	universe chain.TokenSet
-	rings    []chain.RingRecord
 	origin   func(chain.TokenID) chain.TxID
 	supers   []selector.Super
 	fresh    chain.TokenSet
+	tab      *selector.Table
 }
 
 func prepare(d *workload.Dataset) *instanceSet {
-	s := &instanceSet{
-		universe: d.Universe,
-		rings:    d.Rings(),
-		origin:   d.Origin(),
-	}
-	s.supers, s.fresh = selector.Decompose(s.rings, s.universe)
+	s := &instanceSet{universe: d.Universe, origin: d.Origin()}
+	s.supers, s.fresh = selector.Decompose(d.Rings(), s.universe)
+	s.tab = selector.NewTable(s.universe, s.supers, s.fresh, s.origin)
 	return s
 }
 
@@ -106,7 +104,7 @@ func measurePoint(is *instanceSet, req diversity.Requirement, opts Options) map[
 
 	for n := 0; n < opts.Instances; n++ {
 		target := is.universe[rng.Intn(len(is.universe))]
-		p, err := selector.NewProblem(target, is.supers, is.fresh, is.origin, eff)
+		p, err := is.tab.Problem(target, eff)
 		if err != nil {
 			continue
 		}

@@ -57,11 +57,11 @@ func Quality(instances int, seed int64) ([]QualityPoint, error) {
 		is := prepare(d)
 		target := is.universe[rng.Intn(len(is.universe))]
 		req := diversity.Requirement{C: 0.8 + rng.Float64(), L: 2 + rng.Intn(3)}
-		prob, err := selector.NewProblem(target, is.supers, is.fresh, is.origin, req)
+		prob, err := is.tab.Problem(target, req)
 		if err != nil {
 			continue
 		}
-		if len(prob.Candidates) > maxModules {
+		if is.tab.Len()-1 > maxModules {
 			continue
 		}
 		opt, err := selector.ExactModular(prob, maxModules)

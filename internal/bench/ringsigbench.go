@@ -25,7 +25,10 @@ package bench
 //
 // Batch arms run on GOMAXPROCS workers, so their rates scale with
 // min(gomaxprocs, num_cpu), both recorded in the report; CI regenerates
-// the artefact on its own runners.
+// the artefact on its own runners. The arms of one sweep point are timed
+// round-robin, ringsigBenchRuns times each, and every point reports the
+// median run with the fastest and slowest, so a drift of the machine during
+// the sweep reaches every arm of a point alike.
 
 import (
 	"context"
@@ -34,17 +37,21 @@ import (
 	"fmt"
 	"math/big"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tokenmagic/internal/ringsig"
 )
 
-// RingsigBenchPoint is one measured arm.
+// RingsigBenchPoint is one measured arm: the median of its runs, with the
+// fastest and slowest run.
 type RingsigBenchPoint struct {
 	Arm        string  `json:"arm"`
 	Ring       int     `json:"ring"`
 	Batch      int     `json:"batch,omitempty"`
 	NsPerOp    float64 `json:"ns_per_op"`
+	NsPerOpMin float64 `json:"ns_per_op_min"`
+	NsPerOpMax float64 `json:"ns_per_op_max"`
 	SigsPerSec float64 `json:"sigs_per_sec"`
 }
 
@@ -57,6 +64,7 @@ type RingsigBenchReport struct {
 	GOARCH          string              `json:"goarch"`
 	GOMAXPROCS      int                 `json:"gomaxprocs"`
 	NumCPU          int                 `json:"num_cpu"`
+	Runs            int                 `json:"runs"`
 	Note            string              `json:"note"`
 	WorkloadChecked bool                `json:"workload_checked"`
 	Single          []RingsigBenchPoint `json:"single"`
@@ -68,6 +76,9 @@ var (
 	ringsigBenchRings   = []int{8, 16}
 	ringsigBenchBatches = []int{16, 64}
 )
+
+// ringsigBenchRuns is how many times each arm is timed.
+const ringsigBenchRuns = 3
 
 // benchRand is a deterministic byte stream (sha256 counter mode), so every
 // run signs the same workload with the same nonces.
@@ -214,12 +225,36 @@ func checkRingsigWorkload(w *ringsigWorkload) error {
 	return nil
 }
 
-// measureBatch times fn (which must process the whole batch) and converts
-// to per-batch and per-signature rates.
-func measureBatch(batch int, fn func(b *testing.B)) (nsPerOp, sigsPerSec float64) {
-	r := testing.Benchmark(fn)
-	ns := float64(r.T.Nanoseconds()) / float64(r.N)
-	return ns, float64(batch) / (ns / 1e9)
+// ringsigArm is one arm of a sweep point; fn must process the whole batch
+// per iteration.
+type ringsigArm struct {
+	name string
+	fn   func(b *testing.B)
+}
+
+// measureArms times every arm ringsigBenchRuns times, round-robin, and
+// returns one point per arm, in arm order: the median ns/op with the
+// fastest and slowest run, and the per-signature rate of the median. batch
+// is 0 for the single-signature arms, which handle one signature per op.
+func measureArms(ring, batch int, arms []ringsigArm) []RingsigBenchPoint {
+	ns := make([][]float64, len(arms))
+	for run := 0; run < ringsigBenchRuns; run++ {
+		for a, arm := range arms {
+			r := testing.Benchmark(arm.fn)
+			ns[a] = append(ns[a], float64(r.T.Nanoseconds())/float64(r.N))
+		}
+	}
+	out := make([]RingsigBenchPoint, len(arms))
+	for a, arm := range arms {
+		slices.Sort(ns[a])
+		med := ns[a][len(ns[a])/2]
+		out[a] = RingsigBenchPoint{
+			Arm: arm.name, Ring: ring, Batch: batch,
+			NsPerOp: med, NsPerOpMin: ns[a][0], NsPerOpMax: ns[a][len(ns[a])-1],
+			SigsPerSec: float64(max(batch, 1)) / (med / 1e9),
+		}
+	}
+	return out
 }
 
 // RingsigBenchmarks checks every workload, runs the sweep, and returns the
@@ -231,6 +266,7 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 		GOARCH:      runtime.GOARCH,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
+		Runs:        ringsigBenchRuns,
 		Note: "one sign/verify path (the ring walk); *_warm_hp arms use an Hp memo " +
 			"precomputed from the key pool; batch arms run on gomaxprocs workers; " +
 			"cached_block_validation is admission-warmed block re-validation " +
@@ -275,19 +311,12 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 				}
 			}
 		}
-		arms := []struct {
-			name string
-			fn   func(b *testing.B)
-		}{
+		rep.Single = append(rep.Single, measureArms(ringSize, 0, []ringsigArm{
 			{"sign", sign(cold)},
 			{"sign_warm_hp", sign(warm)},
 			{"verify", verify(cold)},
 			{"verify_warm_hp", verify(warm)},
-		}
-		for _, arm := range arms {
-			ns, sps := measureBatch(1, arm.fn)
-			rep.Single = append(rep.Single, RingsigBenchPoint{Arm: arm.name, Ring: ringSize, NsPerOp: ns, SigsPerSec: sps})
-		}
+		})...)
 	}
 
 	// Batch arms over ring size × batch size.
@@ -305,19 +334,18 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 			// so the transcript cache settles the re-verify with one hash
 			// each.
 			engines[2].VerifyBatch(context.Background(), w.reqs)
+			var arms []ringsigArm
 			for a, name := range []string{"batch", "batch_warm_hp", "cached_block_validation"} {
 				eng := engines[a]
-				ns, sps := measureBatch(batch, func(b *testing.B) {
+				arms = append(arms, ringsigArm{name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						if !eng.VerifyBatch(context.Background(), w.reqs).OK() {
 							b.Fatal("batch rejected")
 						}
 					}
-				})
-				rep.BatchArms = append(rep.BatchArms, RingsigBenchPoint{
-					Arm: name, Ring: ringSize, Batch: batch, NsPerOp: ns, SigsPerSec: sps,
-				})
+				}})
 			}
+			rep.BatchArms = append(rep.BatchArms, measureArms(ringSize, batch, arms)...)
 		}
 	}
 	rep.WorkloadChecked = true

@@ -10,6 +10,7 @@ package bench
 // ordinary `go test -bench` entries.
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -71,11 +72,14 @@ var SolverBaseline = []BenchResult{
 }
 
 // solverBenchEnv is the shared fixture: the real Monero data set decomposed
-// once, plus the Table-2 default requirement with headroom.
+// once, plus the Table-2 default requirement with headroom, the problem of
+// consuming its first token, and the module the slack arms add: the first
+// super ring that does not hold that token.
 type solverBenchEnv struct {
 	is  *instanceSet
 	req diversity.Requirement
 	p   *selector.Problem
+	mod chain.TokenSet
 }
 
 func newSolverBenchEnv() (*solverBenchEnv, error) {
@@ -85,11 +89,20 @@ func newSolverBenchEnv() (*solverBenchEnv, error) {
 	}
 	is := prepare(d)
 	req := diversity.Requirement{C: 0.6, L: 40}.WithHeadroom()
-	p, err := selector.NewProblem(is.universe[0], is.supers, is.fresh, is.origin, req)
+	target := is.universe[0]
+	p, err := is.tab.Problem(target, req)
 	if err != nil {
 		return nil, err
 	}
-	return &solverBenchEnv{is: is, req: req, p: p}, nil
+	// A token lies in at most one super ring, so one of the first two is it.
+	if len(is.supers) < 2 {
+		return nil, fmt.Errorf("bench: solver fixture has %d super rings, want two or more", len(is.supers))
+	}
+	mod := is.supers[0].Ring.Tokens
+	if mod.Contains(target) {
+		mod = is.supers[1].Ring.Tokens
+	}
+	return &solverBenchEnv{is: is, req: req, p: p, mod: mod}, nil
 }
 
 // BenchSlackReference measures the pre-engine slack evaluation strategy:
@@ -107,7 +120,6 @@ func BenchSlackReference(b *testing.B) {
 		base[env.is.origin(t)]++
 		total++
 	}
-	mod := env.p.Candidates[0]
 	req := env.req
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -117,7 +129,7 @@ func BenchSlackReference(b *testing.B) {
 			counts[k] = v
 		}
 		n := total
-		for _, t := range mod.Tokens {
+		for _, t := range env.mod {
 			counts[env.is.origin(t)]++
 			n++
 		}
@@ -152,14 +164,13 @@ func BenchSlackIncremental(b *testing.B) {
 		}
 		return c
 	}
-	mod := env.p.Candidates[0]
 	// Sized for the most classes the two token sets can hold.
-	hist := diversity.NewHistogram(len(env.p.Mandatory.Tokens) + len(mod.Tokens))
+	hist := diversity.NewHistogram(len(env.p.Mandatory.Tokens) + len(env.mod))
 	for _, t := range env.p.Mandatory.Tokens {
 		hist.Add(class(t))
 	}
-	hts := make([]int, len(mod.Tokens))
-	for i, t := range mod.Tokens {
+	hts := make([]int, len(env.mod))
+	for i, t := range env.mod {
 		hts[i] = class(t)
 	}
 	b.ReportAllocs()

@@ -199,7 +199,7 @@ func (n *Node) submit(ctx context.Context, sub Submission) (Receipt, error) {
 			return Receipt{}, ErrKeysMismatch
 		}
 		if err := n.engine.VerifyCtx(ctx, sub.Signature, sub.Keys, Message(sub.Tokens)); err != nil {
-			return Receipt{}, fmt.Errorf("%w: %v", ErrBadSignature, err)
+			return Receipt{}, fmt.Errorf("%w: %w", ErrBadSignature, err)
 		}
 		img := string(sub.Signature.Image.Bytes())
 		if prior, used := n.images[img]; used {
@@ -365,7 +365,7 @@ func (n *Node) VerifyBatchCtx(ctx context.Context, subs []Submission) ringsig.Ba
 	res := n.engine.VerifyBatchCtx(ctx, reqs)
 	for k, err := range res.Errs {
 		if err != nil {
-			out.Errs[idxs[k]] = fmt.Errorf("%w: %v", ErrBadSignature, err)
+			out.Errs[idxs[k]] = fmt.Errorf("%w: %w", ErrBadSignature, err)
 		}
 	}
 	out.CacheHits = res.CacheHits

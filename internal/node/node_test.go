@@ -47,7 +47,7 @@ func makeSubmission(t *testing.T, l *chain.Ledger, keys map[chain.TokenID]*rings
 	t.Helper()
 	universe := l.TokensInBlocks(0, chain.BlockID(l.NumBlocks()-1))
 	supers, fresh := selector.Decompose(l.RingsOver(universe), universe)
-	p, err := selector.NewProblem(target, supers, fresh, l.OriginFunc(), req.WithHeadroom())
+	p, err := selector.NewTable(universe, supers, fresh, l.OriginFunc()).Problem(target, req.WithHeadroom())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestUnsignedMode(t *testing.T) {
 	req := diversity.Requirement{C: 1, L: 3}
 	universe := l.TokensInBlocks(0, 0)
 	supers, fresh := selector.Decompose(nil, universe)
-	p, err := selector.NewProblem(0, supers, fresh, l.OriginFunc(), req.WithHeadroom())
+	p, err := selector.NewTable(universe, supers, fresh, l.OriginFunc()).Problem(0, req.WithHeadroom())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,12 +354,24 @@ func TestVerifyBatchCtx(t *testing.T) {
 	if !res.OK() || res.CacheHits != 1 {
 		t.Fatalf("cached re-verify: ok=%v hits=%d", res.OK(), res.CacheHits)
 	}
+
+	// An entry cancelled before it was verified is a signature failure whose
+	// cause is the cancellation.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res = n.VerifyBatchCtx(ctx, []Submission{good, tampered})
+	for i, err := range res.Errs {
+		if !errors.Is(err, ErrBadSignature) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled entry %d: err = %v", i, err)
+		}
+	}
 }
 
 // TestOneSignatureVerdict: every tamper class gets the same verdict from
 // Submit's admission check and from VerifyBatchCtx, which makes the engine
 // call MineCtx's block validation makes: the same error, wrapping
-// ErrBadSignature around the same cause, at every index of one batch.
+// ErrBadSignature around the same cause, at every index of one batch. Both
+// identities survive the wrap, so errors.Is finds the engine's cause too.
 func TestOneSignatureVerdict(t *testing.T) {
 	l, keys := testChain(t, 10)
 	n := defaultNode(t, l)
@@ -399,27 +411,29 @@ func TestOneSignatureVerdict(t *testing.T) {
 	mismatch := good
 	mismatch.Keys = good.Keys[:last]
 
+	bad, badKeys := ringsig.ErrInvalid, ringsig.ErrBadRingKeys
 	classes := []struct {
-		name string
-		sub  Submission
+		name  string
+		sub   Submission
+		cause error // the engine's error, which the verdict wraps
 	}{
-		{"bumped C0", withSig(func(s *ringsig.Signature) { s.C0.Add(s.C0, big.NewInt(1)).Mod(s.C0, curveN) })},
-		{"bumped s", withSig(func(s *ringsig.Signature) { s.S[1].Add(s.S[1], big.NewInt(1)).Mod(s.S[1], curveN) })},
-		{"zero s", withSig(func(s *ringsig.Signature) { s.S[0].SetInt64(0) })},
-		{"huge C0", withSig(func(s *ringsig.Signature) { s.C0.Lsh(big.NewInt(1), 300) })},
-		{"s = N", withSig(func(s *ringsig.Signature) { s.S[last].Set(curveN) })},
-		{"nil s", withSig(func(s *ringsig.Signature) { s.S[1] = nil })},
-		{"short S", withSig(func(s *ringsig.Signature) { s.S = s.S[:last] })},
-		{"nil C0", withSig(func(s *ringsig.Signature) { s.C0 = nil })},
-		{"negative C0", withSig(func(s *ringsig.Signature) { s.C0.SetInt64(-1) })},
-		{"negative s", withSig(func(s *ringsig.Signature) { s.S[last].Neg(s.S[last]) })},
-		{"off-curve image", withSig(func(s *ringsig.Signature) { s.Image = offCurve })},
-		{"zero image", withSig(func(s *ringsig.Signature) { s.Image = ringsig.Point{} })},
-		{"image of another signer", withSig(func(s *ringsig.Signature) { s.Image = other.Signature.Image })},
-		{"wrong message", wrongMsg},
-		{"swapped ring keys", withKeys(func(k []ringsig.Point) { k[0], k[1] = k[1], k[0] })},
-		{"zero ring key", withKeys(func(k []ringsig.Point) { k[last] = ringsig.Point{} })},
-		{"off-curve ring key", withKeys(func(k []ringsig.Point) { k[1] = offCurve })},
+		{"bumped C0", withSig(func(s *ringsig.Signature) { s.C0.Add(s.C0, big.NewInt(1)).Mod(s.C0, curveN) }), bad},
+		{"bumped s", withSig(func(s *ringsig.Signature) { s.S[1].Add(s.S[1], big.NewInt(1)).Mod(s.S[1], curveN) }), bad},
+		{"zero s", withSig(func(s *ringsig.Signature) { s.S[0].SetInt64(0) }), bad},
+		{"huge C0", withSig(func(s *ringsig.Signature) { s.C0.Lsh(big.NewInt(1), 300) }), bad},
+		{"s = N", withSig(func(s *ringsig.Signature) { s.S[last].Set(curveN) }), bad},
+		{"nil s", withSig(func(s *ringsig.Signature) { s.S[1] = nil }), bad},
+		{"short S", withSig(func(s *ringsig.Signature) { s.S = s.S[:last] }), bad},
+		{"nil C0", withSig(func(s *ringsig.Signature) { s.C0 = nil }), bad},
+		{"negative C0", withSig(func(s *ringsig.Signature) { s.C0.SetInt64(-1) }), bad},
+		{"negative s", withSig(func(s *ringsig.Signature) { s.S[last].Neg(s.S[last]) }), bad},
+		{"off-curve image", withSig(func(s *ringsig.Signature) { s.Image = offCurve }), bad},
+		{"zero image", withSig(func(s *ringsig.Signature) { s.Image = ringsig.Point{} }), bad},
+		{"image of another signer", withSig(func(s *ringsig.Signature) { s.Image = other.Signature.Image }), bad},
+		{"wrong message", wrongMsg, bad},
+		{"swapped ring keys", withKeys(func(k []ringsig.Point) { k[0], k[1] = k[1], k[0] }), bad},
+		{"zero ring key", withKeys(func(k []ringsig.Point) { k[last] = ringsig.Point{} }), badKeys},
+		{"off-curve ring key", withKeys(func(k []ringsig.Point) { k[1] = offCurve }), badKeys},
 	}
 
 	// One batch: the valid submission, every tamper class, then the two
@@ -435,6 +449,9 @@ func TestOneSignatureVerdict(t *testing.T) {
 		got := res.Errs[1+i]
 		if !errors.Is(err, ErrBadSignature) || got == nil || err.Error() != got.Error() {
 			t.Fatalf("%s: Submit %v, VerifyBatchCtx %v", c.name, err, got)
+		}
+		if !errors.Is(err, c.cause) || !errors.Is(got, c.cause) {
+			t.Fatalf("%s: Submit %v, VerifyBatchCtx %v, want both to wrap %v", c.name, err, got, c.cause)
 		}
 	}
 	for i, want := range []error{ErrUnsignedDenied, ErrKeysMismatch} {

@@ -134,7 +134,7 @@ func (n *Node) spendOnce(ctx context.Context, target chain.TokenID, req diversit
 			return SpendResult{}, err
 		}
 		if err := n.engine.VerifyCtx(ctx, sig, ring, msg); err != nil {
-			return SpendResult{}, fmt.Errorf("%w: %v", ErrBadSignature, err)
+			return SpendResult{}, fmt.Errorf("%w: %w", ErrBadSignature, err)
 		}
 	}
 

@@ -55,7 +55,7 @@ func prepareSpend(t *testing.T, l *chain.Ledger, keys map[chain.TokenID]*ringsig
 	req := diversity.Requirement{C: 1, L: 3}
 	universe := l.TokensInBlocks(0, chain.BlockID(l.NumBlocks()-1))
 	supers, fresh := selector.Decompose(l.RingsOver(universe), universe)
-	p, err := selector.NewProblem(target, supers, fresh, l.OriginFunc(), req.WithHeadroom())
+	p, err := selector.NewTable(universe, supers, fresh, l.OriginFunc()).Problem(target, req.WithHeadroom())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func Random(p *Problem, rng *rand.Rand) (Result, error) {
 func RandomCtx(ctx context.Context, p *Problem, rng *rand.Rand) (Result, error) {
 	st := newState(p)
 	defer st.release()
-	unselected := st.candidates()
+	unselected := st.p.candidates()
 	for !st.hist.Satisfies(p.Req) {
 		if cancelled(ctx) {
 			return Result{}, ctxErr(ctx)

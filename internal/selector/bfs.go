@@ -145,7 +145,7 @@ func eligible(p *ExactProblem, rs chain.TokenSet) (bool, error) {
 		ok, err := dtrs.AllSatisfyExact(in, k, p.Origin, reqs[k], p.Enum)
 		if err != nil {
 			if errors.Is(err, rsgraph.ErrWorkCapExceeded) {
-				return false, fmt.Errorf("%w: %v", ErrExactTooLarge, err)
+				return false, fmt.Errorf("%w: %w", ErrExactTooLarge, err)
 			}
 			return false, err
 		}

@@ -116,10 +116,7 @@ func TestBFSAtMostProgressive(t *testing.T) {
 		t.Fatal(err)
 	}
 	supers, fresh := Decompose(rings, universe)
-	p, err := NewProblem(4, supers, fresh, origin, req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustProblem(t, NewTable(universe, supers, fresh, origin), 4, req)
 	approx, err := Progressive(p)
 	if err != nil {
 		t.Fatal(err)
@@ -159,5 +156,26 @@ func TestForEachIndexSubset(t *testing.T) {
 	})
 	if count != 1 {
 		t.Fatalf("early stop, got %d calls", count)
+	}
+}
+
+// TestBFSWorkCapKeepsCause: an exact search stopped by its enumeration
+// work cap reports ErrExactTooLarge and keeps rsgraph's cause.
+func TestBFSWorkCapKeepsCause(t *testing.T) {
+	origin := originOf(map[chain.TokenID]chain.TxID{1: 1, 2: 2, 3: 1, 4: 3})
+	p := &ExactProblem{
+		Target:   3,
+		Universe: chain.NewTokenSet(1, 2, 3, 4),
+		Rings: []chain.RingRecord{
+			{ID: 0, Tokens: chain.NewTokenSet(1, 2), C: 10, L: 1, Pos: 0},
+			{ID: 1, Tokens: chain.NewTokenSet(1, 2), C: 10, L: 1, Pos: 1},
+		},
+		Origin: origin,
+		Req:    diversity.Requirement{C: 10, L: 2},
+		Enum:   rsgraph.EnumOptions{MaxSteps: 1},
+	}
+	_, err := BFS(p)
+	if !errors.Is(err, ErrExactTooLarge) || !errors.Is(err, rsgraph.ErrWorkCapExceeded) {
+		t.Fatalf("err = %v, want ErrExactTooLarge wrapping rsgraph.ErrWorkCapExceeded", err)
 	}
 }

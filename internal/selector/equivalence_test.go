@@ -69,9 +69,10 @@ func (h *refHist) slack(req diversity.Requirement) float64 {
 func (h *refHist) satisfies(req diversity.Requirement) bool { return h.slack(req) < 0 }
 
 // refState mirrors the pre-engine selection state: explicit TokenSet unions
-// and per-token Origin calls.
+// and per-token Origin calls over the candidate list oracleProblem returns.
 type refState struct {
 	p        *Problem
+	cands    []Module
 	tokens   chain.TokenSet
 	hist     *refHist
 	selected []bool
@@ -79,12 +80,13 @@ type refState struct {
 	iters    int
 }
 
-func newRefState(p *Problem) *refState {
+func newRefState(p *Problem, cands []Module) *refState {
 	st := &refState{
 		p:        p,
+		cands:    cands,
 		tokens:   p.Mandatory.Tokens.Clone(),
 		hist:     newRefHist(),
-		selected: make([]bool, len(p.Candidates)),
+		selected: make([]bool, len(cands)),
 		modules:  1,
 	}
 	for _, t := range p.Mandatory.Tokens {
@@ -96,19 +98,19 @@ func newRefState(p *Problem) *refState {
 func (st *refState) add(i int) {
 	st.selected[i] = true
 	st.modules++
-	for _, t := range st.p.Candidates[i].Tokens {
+	for _, t := range st.cands[i].Tokens {
 		st.hist.add(st.p.Origin(t))
 	}
-	st.tokens = st.tokens.Union(st.p.Candidates[i].Tokens)
+	st.tokens = st.tokens.Union(st.cands[i].Tokens)
 }
 
 func (st *refState) remove(i int) {
 	st.selected[i] = false
 	st.modules--
-	for _, t := range st.p.Candidates[i].Tokens {
+	for _, t := range st.cands[i].Tokens {
 		st.hist.remove(st.p.Origin(t))
 	}
-	st.tokens = st.tokens.Minus(st.p.Candidates[i].Tokens)
+	st.tokens = st.tokens.Minus(st.cands[i].Tokens)
 }
 
 func (st *refState) result() Result {
@@ -130,7 +132,7 @@ func (st *refState) newHTs(m Module) int {
 
 func (st *refState) slackWith(i int) float64 {
 	h := st.hist.clone()
-	for _, t := range st.p.Candidates[i].Tokens {
+	for _, t := range st.cands[i].Tokens {
 		h.add(st.p.Origin(t))
 	}
 	return h.slack(st.p.Req)
@@ -142,7 +144,7 @@ func (st *refState) coverHTPhase() error {
 		need := st.p.Req.L - st.hist.classes()
 		best := -1
 		bestAlpha := math.Inf(1)
-		for i, m := range st.p.Candidates {
+		for i, m := range st.cands {
 			if st.selected[i] {
 				continue
 			}
@@ -167,8 +169,8 @@ func (st *refState) coverHTPhase() error {
 	return nil
 }
 
-func refProgressive(p *Problem) (Result, error) {
-	st := newRefState(p)
+func refProgressive(p *Problem, cands []Module) (Result, error) {
+	st := newRefState(p, cands)
 	if st.hist.satisfies(p.Req) {
 		return st.result(), nil
 	}
@@ -180,7 +182,7 @@ func refProgressive(p *Problem) (Result, error) {
 		delta := st.hist.slack(p.Req)
 		best := -1
 		bestBeta := math.Inf(-1)
-		for i, m := range p.Candidates {
+		for i, m := range cands {
 			if st.selected[i] {
 				continue
 			}
@@ -197,14 +199,14 @@ func refProgressive(p *Problem) (Result, error) {
 	return st.result(), nil
 }
 
-func refGame(p *Problem) (Result, error) {
-	st := newRefState(p)
+func refGame(p *Problem, cands []Module) (Result, error) {
+	st := newRefState(p, cands)
 	if !st.hist.satisfies(p.Req) {
 		if err := st.coverHTPhase(); err != nil {
 			return Result{}, err
 		}
 	}
-	nPlayers := len(p.Candidates)
+	nPlayers := len(cands)
 	if nPlayers == 0 {
 		if st.hist.satisfies(p.Req) {
 			return st.result(), nil
@@ -221,7 +223,7 @@ func refGame(p *Problem) (Result, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sortBySizeAsc(order, p.Candidates)
+	sortBySizeAsc(order, cands)
 	maxSweeps := 4*nPlayers + 16
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		st.iters++
@@ -255,16 +257,16 @@ func refGame(p *Problem) (Result, error) {
 	return Result{}, ErrNoEligible
 }
 
-func refSmallest(p *Problem) (Result, error) {
-	st := newRefState(p)
+func refSmallest(p *Problem, cands []Module) (Result, error) {
+	st := newRefState(p, cands)
 	for !st.hist.satisfies(p.Req) {
 		st.iters++
 		best := -1
-		for i, m := range p.Candidates {
+		for i, m := range cands {
 			if st.selected[i] {
 				continue
 			}
-			if best == -1 || m.Size() < p.Candidates[best].Size() {
+			if best == -1 || m.Size() < cands[best].Size() {
 				best = i
 			}
 		}
@@ -276,10 +278,10 @@ func refSmallest(p *Problem) (Result, error) {
 	return st.result(), nil
 }
 
-func refRandom(p *Problem, rng *rand.Rand) (Result, error) {
-	st := newRefState(p)
+func refRandom(p *Problem, cands []Module, rng *rand.Rand) (Result, error) {
+	st := newRefState(p, cands)
 	var unselected []int
-	for i := range p.Candidates {
+	for i := range cands {
 		unselected = append(unselected, i)
 	}
 	for !st.hist.satisfies(p.Req) {
@@ -334,14 +336,16 @@ func equivalenceDatasets(t *testing.T) map[string]*workload.Dataset {
 	return out
 }
 
-// TestSolverEquivalence runs every practical solver against its reference
-// implementation on seeded real and synthetic instances and requires
-// identical rings, module counts and iteration counts.
+// TestSolverEquivalence runs every practical solver on Table-built Problems
+// against its reference implementation on the oracle's Problems, over
+// seeded real and synthetic instances, and requires identical rings, module
+// counts and iteration counts.
 func TestSolverEquivalence(t *testing.T) {
 	for name, d := range equivalenceDatasets(t) {
 		rings := d.Rings()
 		supers, fresh := Decompose(rings, d.Universe)
 		origin := d.Origin()
+		tab := NewTable(d.Universe, supers, fresh, origin)
 		reqs := []diversity.Requirement{
 			{C: 0.6, L: 41}, {C: 0.6, L: 11}, {C: 1, L: 5}, {C: 0.3, L: 2},
 		}
@@ -349,31 +353,31 @@ func TestSolverEquivalence(t *testing.T) {
 		for _, req := range reqs {
 			for n := 0; n < 25; n++ {
 				target := d.Universe[rng.Intn(len(d.Universe))]
-				p, err := NewProblem(target, supers, fresh, origin, req)
+				p, err := tab.Problem(target, req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pRef, err := NewProblem(target, supers, fresh, origin, req)
+				pRef, cands, err := oracleProblem(target, supers, fresh, origin, req)
 				if err != nil {
 					t.Fatal(err)
 				}
 
 				got, gotErr := Progressive(p)
-				want, wantErr := refProgressive(pRef)
+				want, wantErr := refProgressive(pRef, cands)
 				assertSameResult(t, name+"/TM_P", got, want, gotErr, wantErr)
 
 				got, gotErr = Game(p)
-				want, wantErr = refGame(pRef)
+				want, wantErr = refGame(pRef, cands)
 				assertSameResult(t, name+"/TM_G", got, want, gotErr, wantErr)
 
 				got, gotErr = Smallest(p)
-				want, wantErr = refSmallest(pRef)
+				want, wantErr = refSmallest(pRef, cands)
 				assertSameResult(t, name+"/TM_S", got, want, gotErr, wantErr)
 
 				rngA := rand.New(rand.NewSource(int64(n)))
 				rngB := rand.New(rand.NewSource(int64(n)))
 				got, gotErr = Random(p, rngA)
-				want, wantErr = refRandom(pRef, rngB)
+				want, wantErr = refRandom(pRef, cands, rngB)
 				assertSameResult(t, name+"/TM_R", got, want, gotErr, wantErr)
 			}
 		}
@@ -400,7 +404,7 @@ func TestSolverEquivalenceWide(t *testing.T) {
 	solvers := []struct {
 		name     string
 		solve    func(*Problem) (Result, error)
-		solveRef func(*Problem) (Result, error)
+		solveRef func(*Problem, []Module) (Result, error)
 	}{
 		{"TM_P", Progressive, refProgressive},
 		{"TM_G", Game, refGame},
@@ -414,13 +418,13 @@ func TestSolverEquivalenceWide(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pRef, err := NewProblem(target, supers, fresh, origin, req)
+				pRef, cands, err := oracleProblem(target, supers, fresh, origin, req)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, s := range solvers {
 					got, gotErr := s.solve(p)
-					want, wantErr := s.solveRef(pRef)
+					want, wantErr := s.solveRef(pRef, cands)
 					assertSameResult(t, fmt.Sprintf("wide/%s/%v/target=%d", s.name, req, target), got, want, gotErr, wantErr)
 				}
 			}

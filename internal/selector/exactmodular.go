@@ -22,14 +22,8 @@ func ExactModular(p *Problem, maxModules int) (Result, error) {
 	if maxModules <= 0 {
 		maxModules = 20
 	}
-	p.prepare()
 	mods := p.tab.mods
-	var cands []int // every module but the mandatory one, in table order
-	for i := range mods {
-		if i != p.mand {
-			cands = append(cands, i)
-		}
-	}
+	cands := p.candidates()
 	n := len(cands)
 	if n > maxModules {
 		return Result{}, ErrModularTooLarge
@@ -66,14 +60,3 @@ func ExactModular(p *Problem, maxModules int) (Result, error) {
 
 // ErrModularTooLarge reports an instance beyond the exact search's cap.
 var ErrModularTooLarge = errors.New("selector: too many modules for exact search")
-
-// Gap measures one solver's result against the exact modular optimum:
-// ratio = size / OPT (1 means optimal). Returns ErrModularTooLarge or
-// ErrNoEligible from the underlying search.
-func Gap(p *Problem, res Result, maxModules int) (float64, error) {
-	opt, err := ExactModular(p, maxModules)
-	if err != nil {
-		return 0, err
-	}
-	return float64(res.Size()) / float64(opt.Size()), nil
-}

@@ -39,7 +39,7 @@ func GameCtx(ctx context.Context, p *Problem) (Result, error) {
 		}
 	}
 
-	order := st.candidates()
+	order := st.p.candidates()
 	nPlayers := len(order)
 	if nPlayers == 0 {
 		if st.hist.Satisfies(p.Req) {

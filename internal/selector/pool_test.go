@@ -21,7 +21,7 @@ import (
 var raceEnabled bool
 
 // nestedTable decomposes workload.Nested(lambda, rings, seed) and returns
-// its Table with everything NewProblem needs for the oracle side.
+// its Table with everything oracleProblem needs for the oracle side.
 type nestedTable struct {
 	name     string
 	tab      *Table
@@ -64,16 +64,18 @@ func TestPooledStateReset(t *testing.T) {
 	solvers := []struct {
 		name  string
 		solve func(p *Problem, seed int64) (Result, error)
-		ref   func(p *Problem, seed int64) (Result, error)
+		ref   func(p *Problem, cands []Module, seed int64) (Result, error)
 	}{
 		{"TM_P", func(p *Problem, _ int64) (Result, error) { return Progressive(p) },
-			func(p *Problem, _ int64) (Result, error) { return refProgressive(p) }},
+			func(p *Problem, cands []Module, _ int64) (Result, error) { return refProgressive(p, cands) }},
 		{"TM_G", func(p *Problem, _ int64) (Result, error) { return Game(p) },
-			func(p *Problem, _ int64) (Result, error) { return refGame(p) }},
+			func(p *Problem, cands []Module, _ int64) (Result, error) { return refGame(p, cands) }},
 		{"TM_S", func(p *Problem, _ int64) (Result, error) { return Smallest(p) },
-			func(p *Problem, _ int64) (Result, error) { return refSmallest(p) }},
+			func(p *Problem, cands []Module, _ int64) (Result, error) { return refSmallest(p, cands) }},
 		{"TM_R", func(p *Problem, seed int64) (Result, error) { return Random(p, rand.New(rand.NewSource(seed))) },
-			func(p *Problem, seed int64) (Result, error) { return refRandom(p, rand.New(rand.NewSource(seed))) }},
+			func(p *Problem, cands []Module, seed int64) (Result, error) {
+				return refRandom(p, cands, rand.New(rand.NewSource(seed)))
+			}},
 	}
 	reqs := []diversity.Requirement{{C: 1, L: 4}, {C: 0.7, L: 3}, {C: 0.2, L: 40}}
 
@@ -89,13 +91,13 @@ func TestPooledStateReset(t *testing.T) {
 		stride := len(nt.universe) / 40
 		for k := 0; k < len(nt.universe); k += stride {
 			for _, req := range reqs {
-				ref, err := NewProblem(nt.universe[k], nt.supers, nt.fresh, nt.origin, req)
+				ref, cands, err := oracleProblem(nt.universe[k], nt.supers, nt.fresh, nt.origin, req)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for si, s := range solvers {
 					seed := int64(1000*ti + k)
-					res, err := s.ref(ref, seed)
+					res, err := s.ref(ref, cands, seed)
 					jobs = append(jobs, job{ti, si, nt.universe[k], req, seed, solved{res, err}})
 				}
 			}

@@ -209,19 +209,15 @@ func Decompose(rings []chain.RingRecord, universe chain.TokenSet) (supers []Supe
 // of modules containing the mandatory module such that the union's HT
 // multiset satisfies Req.
 //
-// A Problem comes from NewProblem or Table.Problem. Either way the solvers
-// read one representation: a module table (every module with its HT
-// footprint) and the index of the mandatory module in it.
+// A Problem is a view of one module Table: the table (every module with its
+// HT footprint) plus the index of the mandatory module in it. Table.Problem
+// is the only way to build one.
 type Problem struct {
 	// Target is the token being consumed.
 	Target chain.TokenID
 	// Mandatory is the module containing Target (its super ring, or the
 	// token itself when fresh). It is always part of the result.
 	Mandatory Module
-	// Candidates are the other selectable modules. Only NewProblem fills
-	// it; a Problem from Table.Problem leaves it nil and shares the table's
-	// module list instead.
-	Candidates []Module
 	// Origin maps tokens to historical transactions.
 	Origin func(chain.TokenID) chain.TxID
 	// Req is the effective diversity requirement the result's HT multiset
@@ -233,71 +229,25 @@ type Problem struct {
 	mand int    // index of Mandatory in tab.mods
 }
 
-// prepare builds the module table of a Problem assembled from Mandatory
-// and Candidates: the mandatory module first, then the candidates in order.
-// NewProblem calls it eagerly; Problems assembled by hand get it on first
-// solve. Table-built Problems already have one.
-func (p *Problem) prepare() {
-	if p.tab != nil {
-		return
-	}
-	mods := make([]Module, 0, 1+len(p.Candidates))
-	mods = append(mods, p.Mandatory)
-	mods = append(mods, p.Candidates...)
-	p.tab = &Table{mods: mods, fp: footprintsOf(mods, p.Origin), origin: p.Origin}
-	p.mand = 0
-}
-
-// NewProblem assembles a Problem from a decomposition. It locates the module
-// containing target among supers/fresh and returns an error if the target is
-// not in the universe described by the decomposition.
-//
-// It copies every module and computes every footprint for one target; a
-// caller solving for many targets of one decomposition (Algorithm 1's
-// candidate sweep) builds a Table once instead. NewProblem is kept as the
-// Table's differential oracle and for single solves.
+// NewProblem builds the module table of one decomposition, over the sorted
+// union of its tokens, and returns the Problem for target. A caller solving
+// for more than one target of a decomposition builds the Table once and
+// calls Table.Problem instead. Its only non-test caller is the
+// selector.problem_us probe of the benchmark (benchmark/probe.go).
 func NewProblem(target chain.TokenID, supers []Super, fresh chain.TokenSet, origin func(chain.TokenID) chain.TxID, req diversity.Requirement) (*Problem, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	p := &Problem{Target: target, Origin: origin, Req: req}
-	found := false
+	ids := slices.Clone(fresh)
 	for _, s := range supers {
-		m := Module{Tokens: s.Ring.Tokens, Super: s.Ring.ID}
-		if s.Ring.Tokens.Contains(target) {
-			if found {
-				return nil, fmt.Errorf("selector: target %v in multiple super rings (configuration violated)", target)
-			}
-			p.Mandatory = m
-			found = true
-			continue
-		}
-		p.Candidates = append(p.Candidates, m)
+		ids = append(ids, s.Ring.Tokens...)
 	}
-	for _, t := range fresh {
-		m := Module{Tokens: chain.NewTokenSet(t), Fresh: true}
-		if t == target {
-			if found {
-				return nil, fmt.Errorf("selector: target %v is both fresh and in a super ring", target)
-			}
-			p.Mandatory = m
-			found = true
-			continue
-		}
-		p.Candidates = append(p.Candidates, m)
-	}
-	if !found {
-		return nil, fmt.Errorf("selector: target %v not in universe", target)
-	}
-	p.prepare()
-	return p, nil
+	slices.Sort(ids)
+	return NewTable(slices.Compact(ids), supers, fresh, origin).Problem(target, req)
 }
 
-// Table is the module table of one decomposition: every module in
-// NewProblem's order (super rings, then fresh tokens), their HT footprints
-// in one flat layout, and the module holding each universe token. It is
-// built once per decomposition and read-only afterwards, so one Table
-// serves any number of concurrent Table.Problem calls and solves.
+// Table is the module table of one decomposition: every module (super
+// rings, then fresh tokens), their HT footprints in one flat layout, and
+// the module holding each universe token. It is built once per
+// decomposition and read-only afterwards, so one Table serves any number
+// of concurrent Table.Problem calls and solves.
 type Table struct {
 	universe chain.TokenSet
 	mods     []Module
@@ -350,8 +300,9 @@ func NewTable(universe chain.TokenSet, supers []Super, fresh chain.TokenSet, ori
 // Problem returns the modular problem for consuming target. It allocates
 // only the Problem itself: the module list and footprints are the Table's,
 // shared read-only, and the solvers skip the mandatory module by index.
-// The errors match NewProblem's for a target outside the universe or held
-// by more than one module.
+// It fails for an invalid requirement, a target outside the universe, and a
+// target more than one module holds (the first practical configuration is
+// violated).
 func (t *Table) Problem(target chain.TokenID, req diversity.Requirement) (*Problem, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -380,6 +331,18 @@ func (t *Table) ModuleAt(k int) int {
 		return int(m)
 	}
 	return -1
+}
+
+// candidates returns the indices of every module but the mandatory one, in
+// table order.
+func (p *Problem) candidates() []int {
+	out := make([]int, 0, len(p.tab.mods)-1)
+	for i := range p.tab.mods {
+		if i != p.mand {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // Result is a solved DA-MS instance.
@@ -412,8 +375,8 @@ var ErrNoEligible = errors.New("selector: no eligible ring signature exists; rel
 //
 // The selection ranges over the problem's whole module table with the
 // mandatory module pre-selected, so every candidate loop skips it through
-// selected and visits the other modules in table order — the order of
-// NewProblem's Candidates.
+// selected and visits the other modules in table order: super rings, then
+// fresh tokens.
 //
 // A state is solve scratch: newState takes one from statePool and sizes it
 // for the problem, and the solver hands it back with release when it
@@ -437,7 +400,6 @@ type state struct {
 var statePool = sync.Pool{New: func() any { return new(state) }}
 
 func newState(p *Problem) *state {
-	p.prepare()
 	st := statePool.Get().(*state)
 	n := len(p.tab.mods)
 	st.p, st.mods, st.fp = p, p.tab.mods, &p.tab.fp
@@ -459,18 +421,6 @@ func newState(p *Problem) *state {
 func (st *state) release() {
 	st.p, st.mods, st.fp = nil, nil, nil
 	statePool.Put(st)
-}
-
-// candidates returns the indices of every module but the mandatory one, in
-// table order.
-func (st *state) candidates() []int {
-	out := make([]int, 0, len(st.mods)-1)
-	for i := range st.mods {
-		if i != st.p.mand {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // add selects module i.

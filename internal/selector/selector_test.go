@@ -76,11 +76,7 @@ func example3Problem(t *testing.T, req diversity.Requirement) *Problem {
 		12: 5,
 	})
 	supers, fresh := Decompose(rings, universe)
-	p, err := NewProblem(11, supers, fresh, origin, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return mustProblem(t, NewTable(universe, supers, fresh, origin), 11, req)
 }
 
 // The paper traces Progressive on Example 3: x_τ = s3; first while-loop adds
@@ -132,9 +128,8 @@ func TestGamePaperExample3(t *testing.T) {
 	// (leaving always reduces |r|, so feasibility is the only barrier), and
 	// no unselected module can join and strictly reduce cost (joining grows
 	// |r|, so it never can). Verify the first half explicitly.
-	modules := append([]Module{p.Mandatory}, p.Candidates...)
-	for _, m := range modules[1:] {
-		if !m.Tokens.SubsetOf(res.Tokens) {
+	for i, m := range p.tab.mods {
+		if i == p.mand || !m.Tokens.SubsetOf(res.Tokens) {
 			continue // not selected
 		}
 		without := res.Tokens.Minus(m.Tokens)
@@ -176,19 +171,25 @@ func TestNewProblemErrors(t *testing.T) {
 	if _, err := NewProblem(1, supers, chain.NewTokenSet(1), origin, diversity.Requirement{C: 1, L: 1}); err == nil {
 		t.Fatal("target in both module kinds must error")
 	}
+	// The wrapper's Problem is its table's view of the target.
+	p, err := NewProblem(2, supers, chain.NewTokenSet(3), origin, diversity.Requirement{C: 1, L: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Mandatory.Super != 0 || p.tab.Len() != 2 || p.tab.mods[p.mand].Super != 0 {
+		t.Fatalf("Problem %+v over modules %+v", p, p.tab.mods)
+	}
 }
 
 func TestMandatoryFreshTarget(t *testing.T) {
 	origin := originOf(map[chain.TokenID]chain.TxID{1: 1, 2: 2, 3: 3})
-	p, err := NewProblem(1, nil, chain.NewTokenSet(1, 2, 3), origin, diversity.Requirement{C: 2, L: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := chain.NewTokenSet(1, 2, 3)
+	p := mustProblem(t, NewTable(fresh, nil, fresh, origin), 1, diversity.Requirement{C: 2, L: 2})
 	if !p.Mandatory.Fresh || !p.Mandatory.Tokens.Equal(chain.NewTokenSet(1)) {
 		t.Fatalf("Mandatory = %+v", p.Mandatory)
 	}
-	if len(p.Candidates) != 2 {
-		t.Fatalf("Candidates = %+v", p.Candidates)
+	if p.tab.Len() != 3 {
+		t.Fatalf("modules = %+v, want the target and two candidates", p.tab.mods)
 	}
 	res, err := Progressive(p)
 	if err != nil {
@@ -203,10 +204,8 @@ func TestMandatoryFreshTarget(t *testing.T) {
 func TestNoEligibleWhenUniverseTooHomogeneous(t *testing.T) {
 	// All tokens from one HT: ℓ=2 unreachable.
 	origin := originOf(map[chain.TokenID]chain.TxID{1: 1, 2: 1, 3: 1})
-	p, err := NewProblem(1, nil, chain.NewTokenSet(1, 2, 3), origin, diversity.Requirement{C: 1, L: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := chain.NewTokenSet(1, 2, 3)
+	p := mustProblem(t, NewTable(fresh, nil, fresh, origin), 1, diversity.Requirement{C: 1, L: 2})
 	for name, run := range map[string]func() (Result, error){
 		"Progressive": func() (Result, error) { return Progressive(p) },
 		"Game":        func() (Result, error) { return Game(p) },
@@ -252,7 +251,7 @@ func TestSolversRandomisedAgreement(t *testing.T) {
 		req := diversity.Requirement{C: 0.5 + rng.Float64(), L: 2 + rng.Intn(2)}
 
 		supers, fresh := Decompose(rings, universe)
-		p, err := NewProblem(target, supers, fresh, origin, req)
+		p, err := NewTable(universe, supers, fresh, origin).Problem(target, req)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -1,7 +1,7 @@
 package selector
 
 // Differential tests for the module Table: every Problem it hands out must
-// solve exactly like the one NewProblem builds for the same target, the
+// solve exactly like the one oracleProblem builds for the same target, the
 // Table must stay untouched by any number of concurrent solves, and a
 // per-target Problem must cost a constant number of allocations however
 // many modules the Table holds.
@@ -102,16 +102,20 @@ type targetSolves struct {
 	solves []solved
 }
 
-// TestTableMatchesNewProblem solves every target of seeded random batches
-// from one shared Table on several goroutines at once, then requires each
-// result to equal the solve of NewProblem's Problem for the same target and
-// the Table to be unchanged.
-func TestTableMatchesNewProblem(t *testing.T) {
+// TestTableMatchesOracle solves every target of seeded random batches from
+// one shared Table on several goroutines at once, then requires each result
+// to equal the solve of oracleProblem's Problem for the same target and the
+// Table to be unchanged. On even seeds one extra super ring overlaps two
+// modules, so both constructions must also refuse the same targets.
+func TestTableMatchesOracle(t *testing.T) {
 	reqs := []diversity.Requirement{{C: 0.6, L: 5}, {C: 1, L: 3}, {C: 0.3, L: 2}, {C: 2, L: 8}, {C: 3, L: 20}}
 	const workers = 4
-	var sat, unsat int
+	var sat, unsat, refused int
 	for seed := int64(1); seed <= 4; seed++ {
 		universe, supers, fresh, origin := randomDecomposition(seed, 60+20*int(seed))
+		if seed%2 == 0 {
+			supers = append(supers, Super{Ring: rec(len(supers), universe[0], universe[len(universe)/2]), SubsetCount: 1})
+		}
 		tab := NewTable(universe, supers, fresh, origin)
 		before := tableState(tab)
 		for _, req := range reqs {
@@ -136,12 +140,13 @@ func TestTableMatchesNewProblem(t *testing.T) {
 			}
 			wg.Wait()
 			for k, target := range universe {
-				p, err := NewProblem(target, supers, fresh, origin, req)
-				if err != nil {
-					t.Fatalf("seed %d target %v: NewProblem: %v", seed, target, err)
+				p, _, err := oracleProblem(target, supers, fresh, origin, req)
+				if (err == nil) != (got[k].err == nil) {
+					t.Fatalf("seed %d target %v: oracleProblem err %v, Table.Problem err %v", seed, target, err, got[k].err)
 				}
-				if got[k].err != nil {
-					t.Fatalf("seed %d target %v: Table.Problem: %v", seed, target, got[k].err)
+				if err != nil {
+					refused++
+					continue
 				}
 				for i, s := range tableSolvers {
 					want, wantErr := s.solve(p, seed*1000+int64(k))
@@ -159,15 +164,16 @@ func TestTableMatchesNewProblem(t *testing.T) {
 			t.Fatalf("seed %d: solving mutated the shared table", seed)
 		}
 	}
-	// Both outcomes must be exercised, or the comparison proves little.
-	if sat == 0 || unsat == 0 {
-		t.Fatalf("%d solved and %d infeasible solves, want both", sat, unsat)
+	// Every outcome must be exercised, or the comparison proves little.
+	if sat == 0 || unsat == 0 || refused == 0 {
+		t.Fatalf("%d solved, %d infeasible solves and %d refused targets, want all three", sat, unsat, refused)
 	}
-	t.Logf("%d solved, %d infeasible", sat, unsat)
+	t.Logf("%d solved, %d infeasible, %d refused targets", sat, unsat, refused)
 }
 
 // TestTableProblemShape pins what a table-built Problem carries: the
-// mandatory module, the requirement and target, and no Candidates copy.
+// requirement, the target, the shared table itself and, at the mandatory
+// index, the module the oracle finds for the target.
 func TestTableProblemShape(t *testing.T) {
 	universe, supers, fresh, origin := randomDecomposition(7, 40)
 	tab := NewTable(universe, supers, fresh, origin)
@@ -177,20 +183,20 @@ func TestTableProblemShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewProblem(target, supers, fresh, origin, req)
+		ref, _, err := oracleProblem(target, supers, fresh, origin, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Candidates != nil {
-			t.Fatalf("target %v: table Problem copied Candidates", target)
+		if p.tab != tab || !reflect.DeepEqual(p.tab.mods[p.mand], p.Mandatory) {
+			t.Fatalf("target %v: Problem does not point into the shared table", target)
 		}
 		if !reflect.DeepEqual(p.Mandatory, ref.Mandatory) || p.Target != target || p.Req != req {
-			t.Fatalf("target %v: Problem %+v, NewProblem %+v", target, p, ref)
+			t.Fatalf("target %v: Problem %+v, oracle %+v", target, p, ref)
 		}
 	}
 }
 
-// TestTableProblemErrors requires Table.Problem to fail wherever NewProblem
+// TestTableProblemErrors requires Table.Problem to fail wherever the oracle
 // does: an invalid requirement, a target outside the universe, and a target
 // two super rings claim.
 func TestTableProblemErrors(t *testing.T) {
@@ -211,10 +217,10 @@ func TestTableProblemErrors(t *testing.T) {
 		{9, ok},
 		{3, ok},
 	} {
-		_, refErr := NewProblem(tc.target, supers, fresh, origin, tc.req)
+		_, _, refErr := oracleProblem(tc.target, supers, fresh, origin, tc.req)
 		_, err := tab.Problem(tc.target, tc.req)
 		if refErr == nil || err == nil {
-			t.Fatalf("target %v req %v: NewProblem err %v, Table.Problem err %v", tc.target, tc.req, refErr, err)
+			t.Fatalf("target %v req %v: oracle err %v, Table.Problem err %v", tc.target, tc.req, refErr, err)
 		}
 	}
 	for _, target := range []chain.TokenID{1, 4, 5} {
@@ -225,7 +231,7 @@ func TestTableProblemErrors(t *testing.T) {
 }
 
 // TestExactModularOnTableProblem requires the exact modular optimum of a
-// table-built Problem to equal NewProblem's on small seeded batches.
+// table-built Problem to equal the oracle's on small seeded batches.
 func TestExactModularOnTableProblem(t *testing.T) {
 	reqs := []diversity.Requirement{{C: 0.6, L: 3}, {C: 1, L: 4}, {C: 0.3, L: 2}}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -237,14 +243,14 @@ func TestExactModularOnTableProblem(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := NewProblem(target, supers, fresh, origin, req)
+				ref, _, err := oracleProblem(target, supers, fresh, origin, req)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got, gotErr := ExactModular(p, 0)
 				want, wantErr := ExactModular(ref, 0)
 				if !errors.Is(gotErr, wantErr) {
-					t.Fatalf("seed %d target %v: err %v, NewProblem err %v", seed, target, gotErr, wantErr)
+					t.Fatalf("seed %d target %v: err %v, oracle err %v", seed, target, gotErr, wantErr)
 				}
 				assertSameResult(t, "ExactModular", got, want, gotErr, wantErr)
 			}
@@ -254,8 +260,9 @@ func TestExactModularOnTableProblem(t *testing.T) {
 
 // TestTableProblemAllocsFlat pins the point of the Table: building one
 // target's Problem and solving it with TM_P allocates the same handful of
-// objects on a ~100-module and a ~800-module table. NewProblem, by
-// contrast, allocates about four objects per module.
+// objects on a ~100-module and a ~800-module table. The per-target
+// construction it replaced (oracleProblem) allocates about four objects
+// per module.
 func TestTableProblemAllocsFlat(t *testing.T) {
 	const maxDiff = 2
 	req := diversity.Requirement{C: 1, L: 3}
@@ -289,4 +296,88 @@ func mustProblem(t *testing.T, tab *Table, target chain.TokenID, req diversity.R
 		t.Fatal(err)
 	}
 	return p
+}
+
+// FuzzTableEquivalence draws small random decompositions, modules that
+// overlap and targets outside the universe included, and requires
+// Table.Problem to agree with oracleProblem on whether a Problem exists
+// and, for every practical solver, on the result: tokens, module count and
+// Iterations. With 12 modules or fewer the exact modular optimum must agree
+// too.
+func FuzzTableEquivalence(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(4*seed+3))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(size)%24
+		tokens := make(chain.TokenSet, n)
+		hts := make(map[chain.TokenID]chain.TxID, n)
+		nTx := 1 + rng.Intn(n)
+		for i := range tokens {
+			tokens[i] = chain.TokenID(10 + 2*i)
+			hts[tokens[i]] = chain.TxID(rng.Intn(nTx))
+		}
+		overlap := rng.Intn(3) == 0
+		perm := rng.Perm(n)
+		var supers []Super
+		next := 0
+		for next < n && rng.Intn(3) > 0 {
+			width := 1 + rng.Intn(4)
+			var ring []chain.TokenID
+			for k := 0; k < width && next < n; k++ {
+				ring = append(ring, tokens[perm[next]])
+				next++
+			}
+			if overlap && len(supers) > 0 {
+				prev := supers[rng.Intn(len(supers))].Ring.Tokens
+				ring = append(ring, prev[rng.Intn(len(prev))])
+			}
+			supers = append(supers, Super{Ring: rec(len(supers), ring...), SubsetCount: 1})
+		}
+		var fresh []chain.TokenID
+		for _, k := range perm[next:] {
+			fresh = append(fresh, tokens[k])
+		}
+		if overlap && next > 0 {
+			fresh = append(fresh, tokens[perm[rng.Intn(next)]])
+		}
+		freshSet := chain.NewTokenSet(fresh...)
+		var universe chain.TokenSet
+		for _, s := range supers {
+			universe = universe.Union(s.Ring.Tokens)
+		}
+		universe = universe.Union(freshSet)
+		origin := originOf(hts)
+		tab := NewTable(universe, supers, freshSet, origin)
+
+		req := diversity.Requirement{C: []float64{0.3, 0.5, 0.6, 1, 2}[rng.Intn(5)], L: 1 + rng.Intn(5)}
+		if rng.Intn(16) == 0 {
+			req.C = 0 // invalid: both sides must refuse it
+		}
+		targets := append(chain.TokenSet{tokens[0] - 1, tokens[n-1] + 1, tokens[0] + 1}, tokens...)
+		for _, target := range targets {
+			p, err := tab.Problem(target, req)
+			ref, _, refErr := oracleProblem(target, supers, freshSet, origin, req)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("target %v req %v: Table.Problem err %v, oracle err %v", target, req, err, refErr)
+			}
+			if err != nil {
+				continue
+			}
+			for _, s := range tableSolvers {
+				got, gotErr := s.solve(p, seed)
+				want, wantErr := s.solve(ref, seed)
+				assertSameResult(t, s.name, got, want, gotErr, wantErr)
+			}
+			if tab.Len() <= 12 {
+				got, gotErr := ExactModular(p, 12)
+				want, wantErr := ExactModular(ref, 12)
+				if !errors.Is(gotErr, wantErr) {
+					t.Fatalf("target %v: ExactModular err %v, oracle err %v", target, gotErr, wantErr)
+				}
+				assertSameResult(t, "ExactModular", got, want, gotErr, wantErr)
+			}
+		}
+	})
 }

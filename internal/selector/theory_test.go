@@ -11,15 +11,15 @@ import (
 
 // modularOptimum brute-forces the smallest feasible module union containing
 // the mandatory module — the OPT of Theorems 6.5/6.7 (which are stated over
-// the modular solution space).
-func modularOptimum(p *Problem) (int, bool) {
-	n := len(p.Candidates)
+// the modular solution space). cands are the oracle's candidate modules.
+func modularOptimum(p *Problem, cands []Module) (int, bool) {
+	n := len(cands)
 	best := -1
 	for mask := 0; mask < 1<<n; mask++ {
 		tokens := p.Mandatory.Tokens
 		for i := 0; i < n; i++ {
 			if mask&(1<<i) != 0 {
-				tokens = tokens.Union(p.Candidates[i].Tokens)
+				tokens = tokens.Union(cands[i].Tokens)
 			}
 		}
 		if !diversity.SatisfiesTokens(tokens, p.Origin, p.Req) {
@@ -32,7 +32,10 @@ func modularOptimum(p *Problem) (int, bool) {
 	return best, best != -1
 }
 
-func randomModularProblem(rng *rand.Rand) *Problem {
+// randomModularProblem draws a small decomposition and returns a
+// Table-built Problem for one of its tokens, with the oracle's candidate
+// modules for the brute-force side; nil when the draw has no valid problem.
+func randomModularProblem(rng *rand.Rand) (*Problem, []Module) {
 	nHT := 3 + rng.Intn(4)
 	hts := make(map[chain.TokenID]chain.TxID)
 	next := chain.TokenID(0)
@@ -62,11 +65,15 @@ func randomModularProblem(rng *rand.Rand) *Problem {
 	target := universe[rng.Intn(len(universe))]
 	req := diversity.Requirement{C: 0.5 + 1.5*rng.Float64(), L: 1 + rng.Intn(3)}
 	supers, fresh := Decompose(rings, universe)
-	p, err := NewProblem(target, supers, fresh, origin, req)
+	p, err := NewTable(universe, supers, fresh, origin).Problem(target, req)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	return p
+	_, cands, err := oracleProblem(target, supers, fresh, origin, req)
+	if err != nil {
+		return nil, nil
+	}
+	return p, cands
 }
 
 // Theorem 6.5: Progressive's result size stays within
@@ -76,7 +83,7 @@ func TestProgressiveApproximationBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	checked := 0
 	for trial := 0; trial < 200 && checked < 60; trial++ {
-		p := randomModularProblem(rng)
+		p, cands := randomModularProblem(rng)
 		if p == nil {
 			continue
 		}
@@ -87,7 +94,7 @@ func TestProgressiveApproximationBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, ok := modularOptimum(p)
+		opt, ok := modularOptimum(p, cands)
 		if !ok {
 			t.Fatalf("solver found %v but brute force found nothing", res.Tokens)
 		}
@@ -98,10 +105,10 @@ func TestProgressiveApproximationBound(t *testing.T) {
 		for i := 1; i <= p.Req.L; i++ {
 			eps += 1 / float64(i)
 		}
-		hist := diversity.HistogramOf(unionAll(p), p.Origin)
+		hist := diversity.HistogramOf(unionAll(p, cands), p.Origin)
 		qM := float64(hist.MaxCount())
 		zM := 0.0
-		for _, m := range append([]Module{p.Mandatory}, p.Candidates...) {
+		for _, m := range append([]Module{p.Mandatory}, cands...) {
 			if !m.Fresh && float64(m.Size()) > zM {
 				zM = float64(m.Size())
 			}
@@ -126,7 +133,7 @@ func TestGamePoABound(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	checked := 0
 	for trial := 0; trial < 200 && checked < 60; trial++ {
-		p := randomModularProblem(rng)
+		p, cands := randomModularProblem(rng)
 		if p == nil {
 			continue
 		}
@@ -137,16 +144,16 @@ func TestGamePoABound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, ok := modularOptimum(p)
+		opt, ok := modularOptimum(p, cands)
 		if !ok {
 			t.Fatalf("solver found %v but brute force found nothing", res.Tokens)
 		}
 		checked++
 
-		hist := diversity.HistogramOf(unionAll(p), p.Origin)
+		hist := diversity.HistogramOf(unionAll(p, cands), p.Origin)
 		qM := float64(hist.MaxCount())
 		zM := 0.0
-		for _, m := range append([]Module{p.Mandatory}, p.Candidates...) {
+		for _, m := range append([]Module{p.Mandatory}, cands...) {
 			if !m.Fresh && float64(m.Size()) > zM {
 				zM = float64(m.Size())
 			}
@@ -172,7 +179,7 @@ func TestGamePoABound(t *testing.T) {
 func TestGameConvergesWithinSweepCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 100; trial++ {
-		p := randomModularProblem(rng)
+		p, cands := randomModularProblem(rng)
 		if p == nil {
 			continue
 		}
@@ -183,16 +190,16 @@ func TestGameConvergesWithinSweepCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cap := 4*len(p.Candidates) + 16
+		cap := 4*len(cands) + 16
 		if res.Iterations > cap {
 			t.Fatalf("sweeps %d exceeded cap %d", res.Iterations, cap)
 		}
 	}
 }
 
-func unionAll(p *Problem) chain.TokenSet {
+func unionAll(p *Problem, cands []Module) chain.TokenSet {
 	u := p.Mandatory.Tokens
-	for _, m := range p.Candidates {
+	for _, m := range cands {
 		u = u.Union(m.Tokens)
 	}
 	return u
