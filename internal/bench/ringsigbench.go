@@ -15,6 +15,9 @@ package bench
 //   - sign, verify:                 a cache-less Engine, cold Hp
 //   - sign_warm_hp, verify_warm_hp: an Engine whose Hp memo was precomputed
 //     from the key pool (a node knows its key universe ahead of time)
+//   - sign_verified_warm_hp:        SignVerifiedCtx on that Engine, the
+//     spend path's sign with its self-verification overlapped; compare it
+//     with sign_warm_hp + verify_warm_hp, the same work back to back
 //   - batch:                        VerifyBatch with a per-batch Hp memo and
 //     no transcript cache
 //   - batch_warm_hp:                VerifyBatch against the precomputed memo
@@ -268,7 +271,9 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 		NumCPU:      runtime.NumCPU(),
 		Runs:        ringsigBenchRuns,
 		Note: "one sign/verify path (the ring walk); *_warm_hp arms use an Hp memo " +
-			"precomputed from the key pool; batch arms run on gomaxprocs workers; " +
+			"precomputed from the key pool; sign_verified_warm_hp is sign plus its " +
+			"self-verification, overlapped (compare sign_warm_hp + verify_warm_hp); " +
+			"batch arms run on gomaxprocs workers; " +
 			"cached_block_validation is admission-warmed block re-validation " +
 			"(the Step-4 workload), not a cold verify",
 	}
@@ -302,6 +307,16 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 				}
 			}
 		}
+		signVerified := func(eng *ringsig.Engine) func(b *testing.B) {
+			return func(b *testing.B) {
+				rng := newBenchRand("sign")
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.SignVerifiedCtx(context.Background(), rng, sk, ring, signerIdx, req.Msg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
 		verify := func(eng *ringsig.Engine) func(b *testing.B) {
 			return func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -316,6 +331,7 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 			{"sign_warm_hp", sign(warm)},
 			{"verify", verify(cold)},
 			{"verify_warm_hp", verify(warm)},
+			{"sign_verified_warm_hp", signVerified(warm)},
 		})...)
 	}
 

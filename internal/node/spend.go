@@ -45,10 +45,11 @@ func spendReason(err error) string {
 }
 
 // Spend runs the paper's full client+miner pipeline inside the node: select a
-// ring for target (Algorithm 1), sign it with the target's key, verify the
-// signature, and commit under the Step-3 checks. Every stage lands in the
-// trace carried by ctx (sample, sign, verify-sig, verify, commit), so
-// this is the end-to-end path the load generator drives.
+// ring for target (Algorithm 1), sign it with the target's key while
+// verifying the signature (ringsig.Engine.SignVerifiedCtx), and commit under
+// the Step-3 checks. Every stage lands in the trace carried by ctx (sample,
+// sign, verify-sig, verify, commit), so this is the end-to-end path the load
+// generator drives.
 //
 // Ring selection runs outside the node mutex — concurrent Spends solve in
 // parallel and only serialise for the image check and commit. The key-image
@@ -129,12 +130,13 @@ func (n *Node) spendOnce(ctx context.Context, target chain.TokenID, req diversit
 				signerIdx = i
 			}
 		}
-		sig, err = n.engine.SignCtx(ctx, crand.Reader, sk, ring, signerIdx, msg)
+		sig, err = n.engine.SignVerifiedCtx(ctx, crand.Reader, sk, ring, signerIdx, msg)
+		var bad *ringsig.SelfCheckError
+		if errors.As(err, &bad) {
+			return SpendResult{}, fmt.Errorf("%w: %w", ErrBadSignature, bad.Err)
+		}
 		if err != nil {
 			return SpendResult{}, err
-		}
-		if err := n.engine.VerifyCtx(ctx, sig, ring, msg); err != nil {
-			return SpendResult{}, fmt.Errorf("%w: %w", ErrBadSignature, err)
 		}
 	}
 

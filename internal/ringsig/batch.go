@@ -138,21 +138,21 @@ func parallelFor(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// verifyOne runs the full single-signature check: structural validation in
-// the same order (and with the same error identities) as the test oracle,
-// then the transcript cache, then the challenge chain through the ring
-// walk. Successful chains are recorded in the cache.
-func (e *Engine) verifyOne(sig *Signature, ring []Point, msg []byte, hp *HpCache) (err error, cacheHit bool) {
+// checkShape runs the structural checks every verification starts with, in
+// the same order (and with the same error identities) as the test oracle:
+// a ring of at least two on-curve keys, one response per member, an
+// on-curve key image, and every scalar in [0, N).
+func checkShape(sig *Signature, ring []Point) error {
 	n := len(ring)
 	if sig == nil || n < 2 || len(sig.S) != n || sig.C0 == nil {
-		return ErrInvalid, false
+		return ErrInvalid
 	}
 	if sig.Image.IsZero() || !Curve.IsOnCurve(sig.Image.X, sig.Image.Y) {
-		return ErrInvalid, false
+		return ErrInvalid
 	}
 	for _, p := range ring {
 		if p.IsZero() || !Curve.IsOnCurve(p.X, p.Y) {
-			return ErrBadRingKeys, false
+			return ErrBadRingKeys
 		}
 	}
 	// The test oracle range-checks scalars lazily inside the chain loop and
@@ -161,13 +161,24 @@ func (e *Engine) verifyOne(sig *Signature, ring []Point, msg []byte, hp *HpCache
 	// yields ErrInvalid on both — and lets the walk assume fixed-width
 	// 32-byte operands.
 	if sig.C0.Sign() < 0 || sig.C0.Cmp(curveN) >= 0 {
-		return ErrInvalid, false
+		return ErrInvalid
 	}
 	for _, s := range sig.S {
 		if s == nil || s.Sign() < 0 || s.Cmp(curveN) >= 0 {
-			return ErrInvalid, false
+			return ErrInvalid
 		}
 	}
+	return nil
+}
+
+// verifyOne runs the full single-signature check: checkShape, then the
+// transcript cache, then the challenge chain through the ring walk.
+// Successful chains are recorded in the cache.
+func (e *Engine) verifyOne(sig *Signature, ring []Point, msg []byte, hp *HpCache) (err error, cacheHit bool) {
+	if err := checkShape(sig, ring); err != nil {
+		return err, false
+	}
+	n := len(ring)
 
 	var key [32]byte
 	if e.Seen != nil {

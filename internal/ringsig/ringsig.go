@@ -146,12 +146,16 @@ var (
 // Engine; callers signing over a known key population should hold an
 // Engine whose Hp memo covers it.
 func Sign(rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte) (*Signature, error) {
-	return defaultEngine.sign(rng, sk, ring, signerIdx, msg)
+	return defaultEngine.sign(rng, sk, ring, signerIdx, msg, nil)
 }
 
 // sign is the package Sign with hash-to-point resolved through e.Hp. For
-// the same rng stream it produces the same signature bytes.
-func (e *Engine) sign(rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte) (*Signature, error) {
+// the same rng stream it produces the same signature bytes. A non-nil ck
+// is started on the signature once its decoy responses, key image and
+// first challenge exist, and is handed each further link as the walk
+// produces it; the last link, the one that reads s_π, is the caller's to
+// hand over once sign has returned.
+func (e *Engine) sign(rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte, ck *selfCheck) (*Signature, error) {
 	n := len(ring)
 	if n < 2 {
 		return nil, ErrSmallRing
@@ -180,6 +184,10 @@ func (e *Engine) sign(rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int
 			return nil, err
 		}
 	}
+	// The signer's response gets its slot now and its value when the ring
+	// closes (C0 likewise, below), so the signature has its final shape
+	// before a self-check sees it.
+	s[signerIdx] = new(big.Int)
 	// The walk covers the decoys only. Its helper starts now, so its
 	// wake-up overlaps the key image and the α step below.
 	w := startWalk(e.Hp, msg, ring, s, signerIdx+1, n-1)
@@ -195,22 +203,29 @@ func (e *Engine) sign(rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int
 	agx, agy := Curve.ScalarBaseMult(ab[:])
 	ahx, ahy := Curve.ScalarMult(hpPi.X, hpPi.Y, ab[:])
 	c[(signerIdx+1)%n] = challenge(msg, Point{agx, agy}, Point{ahx, ahy})
+	sig := &Signature{C0: new(big.Int), S: s, Image: image}
+	if ck != nil {
+		ck.start(sig, c, signerIdx+1)
+	}
 
 	// Walk the ring through the decoys:
-	// c_{i+1} = H(msg, s_i·G + c_i·P_i, s_i·Hp(P_i) + c_i·I).
+	// c_{i+1} = H(msg, s_i·G + c_i·P_i, s_i·Hp(P_i) + c_i·I). Each step
+	// completes the link at its own position for the checker.
 	for j := 0; j < n-1; j++ {
 		i := (signerIdx + 1 + j) % n
 		c[(i+1)%n] = w.step(j, image, c[i])
+		if ck != nil {
+			ck.ready <- struct{}{}
+		}
 	}
 	w.finish()
 
 	// Close the ring: s_π = α − c_π·x (mod N).
 	sPi := new(big.Int).Mul(c[signerIdx], sk.D)
 	sPi.Sub(alpha, sPi)
-	sPi.Mod(sPi, order)
-	s[signerIdx] = sPi
-
-	return &Signature{C0: c[0], S: s, Image: image}, nil
+	s[signerIdx].Mod(sPi, order)
+	sig.C0.Set(c[0])
+	return sig, nil
 }
 
 // Verify checks the signature over msg against the ring. It is a thin

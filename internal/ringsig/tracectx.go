@@ -9,8 +9,10 @@ import (
 
 // Context-aware wrappers: the crypto itself neither blocks nor cancels, so
 // ctx only carries the request's trace — signing and verification land in
-// "sign"/"verify" spans with the ring size, making the crypto share of a
-// spend's latency visible next to the solver stages.
+// "sign"/"verify-sig" spans with the ring size, making the crypto share of
+// a spend's latency visible next to the solver stages. SignVerifiedCtx
+// (selfcheck.go) records the same two spans, split where its signature is
+// complete.
 
 // SignCtx is Sign recorded as a "sign" span of the trace in ctx.
 func SignCtx(ctx context.Context, rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte) (*Signature, error) {
@@ -20,10 +22,15 @@ func SignCtx(ctx context.Context, rng io.Reader, sk *PrivateKey, ring []Point, s
 // SignCtx is Sign, with hash-to-point resolved through e.Hp, recorded as a
 // "sign" span of the trace in ctx.
 func (e *Engine) SignCtx(ctx context.Context, rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte) (*Signature, error) {
+	return e.signCtx(ctx, rng, sk, ring, signerIdx, msg, nil)
+}
+
+// signCtx is sign recorded as a "sign" span of the trace in ctx.
+func (e *Engine) signCtx(ctx context.Context, rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte, ck *selfCheck) (*Signature, error) {
 	_, sp := trace.StartSpan(ctx, "sign")
 	defer sp.End()
 	sp.AnnotateInt("ring_size", int64(len(ring)))
-	sig, err := e.sign(rng, sk, ring, signerIdx, msg)
+	sig, err := e.sign(rng, sk, ring, signerIdx, msg, ck)
 	if err != nil {
 		sp.Annotate("outcome", "error")
 	}

@@ -33,9 +33,10 @@ package ringsig
 // library's P-256 CombinedMult, which exists on every platform. On Go 1.24
 // that call is ScalarBaseMult + ScalarMult + Add inside crypto/elliptic,
 // not a fused ladder: it saves only the affine round trips between them,
-// and costs more than a single ScalarMult (103–116 µs against 86–93 µs for
-// ScalarMult and 20–26 µs for ScalarBaseMult on a 2-vCPU amd64 VM,
-// BenchmarkMultiplications).
+// and costs about a fifth more than a single ScalarMult (82–111 µs against
+// 70–91 µs for ScalarMult and 18–23 µs for ScalarBaseMult over six runs of
+// BenchmarkMultiplications on a 2-vCPU amd64 VM whose speed drifted by
+// about a fifth between runs).
 //
 // Scalars are encoded fixed-width via FillBytes: big.Int.Bytes() drops
 // leading zero bytes, and while the stock API tolerates short scalars, the
@@ -135,10 +136,17 @@ func (w *walk) step(j int, image Point, c *big.Int) *big.Int {
 		t = w.terms[j]
 	}
 	i := w.index(j)
-	l := mulPairBase(w.s[i], c, w.ring[i])
+	return link(w.msg, w.ring[i], image, w.s[i], c, t)
+}
+
+// link returns the challenge after one ring position,
+// H(msg, s·G + c·P, t + c·I), given its term t = s·Hp(P): the step that
+// walks and self-checks share.
+func link(msg []byte, pub, image Point, s, c *big.Int, t Point) *big.Int {
+	l := mulPairBase(s, c, pub)
 	ci := mulPoint(c, image)
 	rx, ry := Curve.Add(t.X, t.Y, ci.X, ci.Y)
-	return challenge(w.msg, l, Point{X: rx, Y: ry})
+	return challenge(msg, l, Point{X: rx, Y: ry})
 }
 
 // finish returns once the helper has exited.

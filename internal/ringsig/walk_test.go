@@ -149,8 +149,9 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestWalkLeavesNoGoroutines: after many signs, verifies — valid and
-// rejected — and batches, including cancelled ones, the goroutine count
-// returns to its baseline.
+// rejected — and batches, including cancelled ones, and self-verified
+// signs on every path (accepted, signing error, failed shape, failed link
+// with the fallback), the goroutine count returns to its baseline.
 func TestWalkLeavesNoGoroutines(t *testing.T) {
 	keys, ring := genRing(t, 6)
 	msg := []byte("leak check")
@@ -173,7 +174,7 @@ func TestWalkLeavesNoGoroutines(t *testing.T) {
 	runtime.GC()
 	base := runtime.NumGoroutine()
 	for round := 0; round < 10; round++ {
-		if _, err := e.sign(rand.Reader, keys[round%len(keys)], ring, round%len(keys), msg); err != nil {
+		if _, err := e.sign(rand.Reader, keys[round%len(keys)], ring, round%len(keys), msg, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := Verify(sig, ring, msg); err != nil {
@@ -192,6 +193,22 @@ func TestWalkLeavesNoGoroutines(t *testing.T) {
 		if e.VerifyBatch(ctx, reqs).OK() {
 			t.Fatal("a cancelled batch with tampered entries cannot be OK")
 		}
+		signer := round % len(keys)
+		if _, err := e.SignVerifiedCtx(context.Background(), rand.Reader, keys[signer], ring, signer, msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.SignVerifiedCtx(context.Background(), rand.Reader, keys[signer], ring, (signer+1)%len(ring), msg); !errors.Is(err, ErrNotInRing) {
+			t.Fatalf("signing as another member: %v", err)
+		}
+		b := bad[round%len(bad)]
+		testHookChecked = func(*Signature, []Point, []byte) (*Signature, []Point, []byte) {
+			return b.req.Sig, b.req.Ring, b.req.Msg
+		}
+		_, err := e.SignVerifiedCtx(context.Background(), rand.Reader, keys[signer], ring, signer, msg)
+		testHookChecked = nil
+		if err == nil {
+			t.Fatalf("%s: self-check accepted", b.name)
+		}
 	}
 
 	// Every walk waits for its helper, but VerifyBatch's workers may still
@@ -205,18 +222,19 @@ func TestWalkLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestVerifyConcurrentSharedEngine runs signs and verifies from several
-// goroutines over one Engine with both caches, so -race sees the walk's
-// helpers, the memo and the transcript cache shared at once.
+// TestVerifyConcurrentSharedEngine runs signs, verifies and self-verified
+// signs from several goroutines over one Engine with both caches, so -race
+// sees the walk's helpers, the self-checks, the memo and the transcript
+// cache shared at once.
 func TestVerifyConcurrentSharedEngine(t *testing.T) {
 	keys, ring := genRing(t, 5)
 	e := &Engine{Hp: NewHpCache(), Seen: NewSigCache(64)}
 	msg := []byte("shared engine")
-	sig, err := e.sign(rand.Reader, keys[0], ring, 0, msg)
+	sig, err := e.sign(rand.Reader, keys[0], ring, 0, msg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := e.sign(rand.Reader, keys[1], ring, 1, msg)
+	other, err := e.sign(rand.Reader, keys[1], ring, 1, msg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,12 +247,16 @@ func TestVerifyConcurrentSharedEngine(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
-				own, err := e.sign(rand.Reader, keys[g], ring, g, msg)
+				own, err := e.sign(rand.Reader, keys[g], ring, g, msg, nil)
 				if err != nil {
 					errs <- err
 					return
 				}
 				if err := e.Verify(own, ring, msg); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := e.SignVerifiedCtx(context.Background(), rand.Reader, keys[g], ring, g, msg); err != nil {
 					errs <- err
 					return
 				}

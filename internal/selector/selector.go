@@ -141,10 +141,9 @@ func (fp *footprints) of(i int) ([]int, []int) {
 	return fp.cls[lo:hi], fp.ns[lo:hi]
 }
 
-// Super is a super ring signature (Definition 7) with its subset count v.
+// Super is a super ring signature (Definition 7).
 type Super struct {
-	Ring        chain.RingRecord
-	SubsetCount int // v: rings in R_π^T that are subsets of this ring (incl. itself)
+	Ring chain.RingRecord
 }
 
 // Decompose splits the related RS set over a universe into super rings and
@@ -153,15 +152,13 @@ type Super struct {
 // when no ring contains it.
 //
 // Rings are scanned in one sorted-by-size order: a superset of r must be at
-// least as large as r and a subset at most as large, so each check walks the
-// size-sorted candidates and exits as soon as sizes cross |r| — O(r log r)
-// for the sort plus only the size-admissible subset checks, instead of the
-// former all-pairs O(r²). Neither rings nor universe is modified.
+// least as large as r, so each check walks the size-sorted candidates and
+// exits as soon as they are smaller than r — O(r log r) for the sort plus
+// only the size-admissible subset checks, instead of the former all-pairs
+// O(r²). Neither rings nor universe is modified.
 func Decompose(rings []chain.RingRecord, universe chain.TokenSet) (supers []Super, fresh chain.TokenSet) {
-	n := len(rings)
-	// Indices sorted by ring size, descending; sizeAsc is the same walk from
-	// the other end.
-	bySizeDesc := make([]int, n)
+	// Indices sorted by ring size, descending.
+	bySizeDesc := make([]int, len(rings))
 	for i := range bySizeDesc {
 		bySizeDesc[i] = i
 	}
@@ -186,20 +183,9 @@ func Decompose(rings []chain.RingRecord, universe chain.TokenSet) (supers []Supe
 				break
 			}
 		}
-		if !isSuper {
-			continue
+		if isSuper {
+			supers = append(supers, Super{Ring: ri})
 		}
-		v := 0
-		for k := n - 1; k >= 0; k-- {
-			j := bySizeDesc[k]
-			if len(rings[j].Tokens) > size {
-				break // early exit: no larger ring can be a subset
-			}
-			if rings[j].Tokens.SubsetOf(ri.Tokens) {
-				v++
-			}
-		}
-		supers = append(supers, Super{Ring: ri, SubsetCount: v})
 	}
 	fresh = universe.Minus(chain.NewTokenSet(coveredIDs...))
 	return supers, fresh

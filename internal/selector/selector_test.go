@@ -36,15 +36,27 @@ func TestDecomposePaperExample(t *testing.T) {
 	if len(supers) != 2 {
 		t.Fatalf("supers = %+v, want 2", supers)
 	}
-	if supers[0].Ring.ID != 1 || supers[0].SubsetCount != 2 {
+	if supers[0].Ring.ID != 1 || subsetCount(rings, supers[0]) != 2 {
 		t.Fatalf("super r2 = %+v, want v=2", supers[0])
 	}
-	if supers[1].Ring.ID != 2 || supers[1].SubsetCount != 1 {
+	if supers[1].Ring.ID != 2 || subsetCount(rings, supers[1]) != 1 {
 		t.Fatalf("super r3 = %+v, want v=1", supers[1])
 	}
 	if !fresh.Equal(chain.NewTokenSet(6)) {
 		t.Fatalf("fresh = %v, want {6}", fresh)
 	}
+}
+
+// subsetCount is a super ring's v (Section 6.1): the rings of R_π^T that
+// are subsets of it, itself included.
+func subsetCount(rings []chain.RingRecord, super Super) int {
+	v := 0
+	for _, r := range rings {
+		if r.Tokens.SubsetOf(super.Ring.Tokens) {
+			v++
+		}
+	}
+	return v
 }
 
 func TestDecomposeEmptyRings(t *testing.T) {
@@ -167,7 +179,7 @@ func TestNewProblemErrors(t *testing.T) {
 		t.Fatal("invalid requirement must error")
 	}
 	// Target both fresh and in a super ring: configuration violation.
-	supers := []Super{{Ring: rec(0, 1, 2), SubsetCount: 1}}
+	supers := []Super{{Ring: rec(0, 1, 2)}}
 	if _, err := NewProblem(1, supers, chain.NewTokenSet(1), origin, diversity.Requirement{C: 1, L: 1}); err == nil {
 		t.Fatal("target in both module kinds must error")
 	}

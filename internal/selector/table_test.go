@@ -114,7 +114,7 @@ func TestTableMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		universe, supers, fresh, origin := randomDecomposition(seed, 60+20*int(seed))
 		if seed%2 == 0 {
-			supers = append(supers, Super{Ring: rec(len(supers), universe[0], universe[len(universe)/2]), SubsetCount: 1})
+			supers = append(supers, Super{Ring: rec(len(supers), universe[0], universe[len(universe)/2])})
 		}
 		tab := NewTable(universe, supers, fresh, origin)
 		before := tableState(tab)
@@ -203,8 +203,8 @@ func TestTableProblemErrors(t *testing.T) {
 	origin := originOf(map[chain.TokenID]chain.TxID{})
 	universe := chain.NewTokenSet(1, 2, 3, 4, 5)
 	supers := []Super{
-		{Ring: rec(0, 1, 2, 3), SubsetCount: 1},
-		{Ring: rec(1, 3, 4), SubsetCount: 1},
+		{Ring: rec(0, 1, 2, 3)},
+		{Ring: rec(1, 3, 4)},
 	}
 	fresh := chain.NewTokenSet(5)
 	tab := NewTable(universe, supers, fresh, origin)
@@ -333,7 +333,7 @@ func FuzzTableEquivalence(f *testing.F) {
 				prev := supers[rng.Intn(len(supers))].Ring.Tokens
 				ring = append(ring, prev[rng.Intn(len(prev))])
 			}
-			supers = append(supers, Super{Ring: rec(len(supers), ring...), SubsetCount: 1})
+			supers = append(supers, Super{Ring: rec(len(supers), ring...)})
 		}
 		var fresh []chain.TokenID
 		for _, k := range perm[next:] {

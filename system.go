@@ -10,6 +10,7 @@ import (
 
 	"tokenmagic/internal/adversary"
 	"tokenmagic/internal/chain"
+	"tokenmagic/internal/node"
 	"tokenmagic/internal/ringsig"
 	"tokenmagic/internal/selector"
 	itm "tokenmagic/internal/tokenmagic"
@@ -285,20 +286,12 @@ func (s *System) sign(target TokenID, ring TokenSet) (*ringsig.Signature, error)
 			signerIdx = i
 		}
 	}
-	msg := spendMessage(ring)
-	sig, err := s.engine.SignCtx(context.Background(), rand.Reader, key, pubs, signerIdx, msg)
-	if err != nil {
-		return nil, err
+	sig, err := s.engine.SignVerifiedCtx(context.Background(), rand.Reader, key, pubs, signerIdx, node.Message(ring))
+	var bad *ringsig.SelfCheckError
+	if errors.As(err, &bad) {
+		return nil, fmt.Errorf("tokenmagic: self-verification failed: %w", bad.Err)
 	}
-	if err := s.engine.Verify(sig, pubs, msg); err != nil {
-		return nil, fmt.Errorf("tokenmagic: self-verification failed: %w", err)
-	}
-	return sig, nil
-}
-
-// spendMessage is the message a spend's ring signature signs.
-func spendMessage(ring TokenSet) []byte {
-	return []byte(fmt.Sprintf("spend ring over %v", ring))
+	return sig, err
 }
 
 // unsigned double-spend bookkeeping when crypto is disabled.

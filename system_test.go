@@ -2,8 +2,10 @@ package tokenmagic
 
 import (
 	"errors"
+	"math/big"
 	"testing"
 
+	"tokenmagic/internal/node"
 	"tokenmagic/internal/ringsig"
 )
 
@@ -54,6 +56,23 @@ func TestSystemSpendEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSystemSelfVerificationFailure: a spend whose signature does not
+// verify (signed with a scalar that does not match the token's public key)
+// is refused with the self-verification error around the engine's cause,
+// and nothing is committed.
+func TestSystemSelfVerificationFailure(t *testing.T) {
+	sys, ids := mintStandard(t, Options{}, 8)
+	good := sys.keys[ids[0]]
+	sys.keys[ids[0]] = &ringsig.PrivateKey{D: new(big.Int).Add(good.D, big.NewInt(1)), Public: good.Public}
+	_, err := sys.Spend(ids[0], Requirement{C: 1, L: 3})
+	if want := "tokenmagic: self-verification failed: " + ringsig.ErrInvalid.Error(); err == nil || err.Error() != want || !errors.Is(err, ringsig.ErrInvalid) {
+		t.Fatalf("spend with a corrupt key: %v, want %q", err, want)
+	}
+	if sys.NumRings() != 0 {
+		t.Fatalf("rings = %d after a refused spend", sys.NumRings())
+	}
+}
+
 // TestSystemSignaturesVerifyWithoutMemo: signatures made through the
 // System's memo-warmed engine verify under the cache-less package Verify,
 // and Seal memoised every minted key exactly once.
@@ -71,7 +90,7 @@ func TestSystemSignaturesVerifyWithoutMemo(t *testing.T) {
 		for i, tok := range rcpt.Tokens {
 			pubs[i] = sys.pubs[tok]
 		}
-		if err := ringsig.Verify(rcpt.Signature, pubs, spendMessage(rcpt.Tokens)); err != nil {
+		if err := ringsig.Verify(rcpt.Signature, pubs, node.Message(rcpt.Tokens)); err != nil {
 			t.Fatalf("spend of %v: %v", target, err)
 		}
 	}
