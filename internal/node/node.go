@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 
@@ -58,11 +59,14 @@ const (
 
 // Node is a validating miner. Safe for concurrent use.
 type Node struct {
-	mu      sync.Mutex
-	ledger  *chain.Ledger
-	fw      *itm.Framework
-	images  map[string]chain.RSID
-	mempool []pendingEntry
+	mu     sync.Mutex
+	ledger *chain.Ledger
+	fw     *itm.Framework
+	images map[string]chain.RSID
+	// unsignedSpent maps each target a keyless Spend consumed to its ring:
+	// the double-spend check for spends that carry no key image.
+	unsignedSpent map[chain.TokenID]chain.RSID
+	mempool       []pendingEntry
 	// VerifySignatures can be disabled for pure selection experiments.
 	verifySigs bool
 	keys       map[chain.TokenID]*ringsig.PrivateKey
@@ -110,11 +114,15 @@ type Config struct {
 	// where it exercises the full sample→solve→sign→verify→commit pipeline
 	// in-process.
 	Keys map[chain.TokenID]*ringsig.PrivateKey
+	// Rand drives the framework's candidate sampling (tokenmagic.New's
+	// rng); nil selects a crypto-seeded generator. A fixed-seed source
+	// makes the node's rings replay per seed.
+	Rand *rand.Rand
 }
 
 // New creates a node over a ledger.
 func New(ledger *chain.Ledger, cfg Config) (*Node, error) {
-	fw, err := itm.New(ledger, cfg.Framework, nil)
+	fw, err := itm.New(ledger, cfg.Framework, cfg.Rand)
 	if err != nil {
 		return nil, err
 	}
@@ -133,13 +141,14 @@ func New(ledger *chain.Ledger, cfg Config) (*Node, error) {
 		engine.Hp.Precompute(pubs)
 	}
 	return &Node{
-		ledger:     ledger,
-		fw:         fw,
-		images:     make(map[string]chain.RSID),
-		verifySigs: !cfg.AllowUnsigned,
-		keys:       cfg.Keys,
-		engine:     engine,
-		metrics:    reg,
+		ledger:        ledger,
+		fw:            fw,
+		images:        make(map[string]chain.RSID),
+		unsignedSpent: make(map[chain.TokenID]chain.RSID),
+		verifySigs:    !cfg.AllowUnsigned,
+		keys:          cfg.Keys,
+		engine:        engine,
+		metrics:       reg,
 	}, nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"tokenmagic/internal/diversity"
 	"tokenmagic/internal/obs/trace"
 	"tokenmagic/internal/ringsig"
+	"tokenmagic/internal/selector"
 	itm "tokenmagic/internal/tokenmagic"
 )
 
@@ -22,11 +23,15 @@ type SpendResult struct {
 	Ring   chain.TokenSet
 	RSID   chain.RSID
 	Signed bool
+	// Signature is the spend's ring signature; nil on a node without keys.
+	Signature *ringsig.Signature
 }
 
 // spendReason buckets a Spend error for the node.spend.reject.* counters.
 func spendReason(err error) string {
 	switch {
+	case errors.Is(err, ErrBadSignature):
+		return "bad_signature"
 	case errors.Is(err, ErrKeyImageUsed):
 		return "double_spend"
 	case errors.Is(err, itm.ErrSpentBatch):
@@ -52,17 +57,23 @@ func spendReason(err error) string {
 // generator drives.
 //
 // Ring selection runs outside the node mutex — concurrent Spends solve in
-// parallel and only serialise for the image check and commit. The key-image
-// double-spend check and the commit happen under one hold, so two racing
-// spends of the same token cannot both land.
+// parallel and only serialise for the double-spend check and commit. The
+// check and the commit happen under one hold, so two racing spends of the
+// same token cannot both land. A signed spend is checked by key image; a
+// node without keys (AllowUnsigned) signs nothing and refuses a second
+// spend of the same target instead.
 func (n *Node) Spend(ctx context.Context, target chain.TokenID, req diversity.Requirement) (SpendResult, error) {
-	res, err := n.spend(ctx, target, req)
-	if err != nil {
-		n.metrics.Counter("node.spend.reject." + spendReason(err)).Inc()
-	} else {
-		n.metrics.Counter("node.spend.accepted").Inc()
-	}
+	res, _, err := n.spend(ctx, target, req, nil)
 	return res, err
+}
+
+// SpendRelaxed is Spend with the paper's Section-4 fallback: when no ring
+// satisfies req, selection walks policy's relaxation ladder
+// (Framework.GenerateRSRelaxed) and the ring is committed under the
+// requirement it achieved. That requirement is returned, and on error it is
+// the last one tried.
+func (n *Node) SpendRelaxed(ctx context.Context, target chain.TokenID, req diversity.Requirement, policy itm.RelaxationPolicy) (SpendResult, diversity.Requirement, error) {
+	return n.spend(ctx, target, req, &policy)
 }
 
 // maxStaleRetries bounds the regenerate-and-retry loop below. Each retry
@@ -87,56 +98,73 @@ func staleRetryable(err error) bool {
 // Without this, concurrent spends of distinct tokens could surface spurious
 // rejections (HTTP 422 through nodesvc) purely from commit ordering. Each
 // attempt opens its own stages in the request's trace; a spend that retried
-// also annotates the trace with attempts=<n>.
-func (n *Node) spend(ctx context.Context, target chain.TokenID, req diversity.Requirement) (SpendResult, error) {
+// also annotates the trace with attempts=<n>. The outcome is counted in
+// node.spend.accepted or node.spend.reject.<reason>.
+func (n *Node) spend(ctx context.Context, target chain.TokenID, req diversity.Requirement, policy *itm.RelaxationPolicy) (res SpendResult, achieved diversity.Requirement, err error) {
+	defer func() {
+		if err != nil {
+			n.metrics.Counter("node.spend.reject." + spendReason(err)).Inc()
+		} else {
+			n.metrics.Counter("node.spend.accepted").Inc()
+		}
+	}()
 	if n.verifySigs && n.keys == nil {
-		return SpendResult{}, ErrNoSpendKeys
+		return SpendResult{}, req, ErrNoSpendKeys
 	}
 	for attempt := 1; ; attempt++ {
 		epoch := n.fw.Epoch()
-		res, err := n.spendOnce(ctx, target, req)
+		res, achieved, err = n.spendOnce(ctx, target, req, policy)
 		if err == nil || attempt > maxStaleRetries || !staleRetryable(err) || n.fw.Epoch() == epoch {
 			if attempt > 1 {
 				trace.FromContext(ctx).AnnotateInt("attempts", int64(attempt))
 			}
-			return res, err
+			return res, achieved, err
 		}
 		n.metrics.Counter("node.spend.retry.stale_epoch").Inc()
 	}
 }
 
-func (n *Node) spendOnce(ctx context.Context, target chain.TokenID, req diversity.Requirement) (SpendResult, error) {
-	sel, err := n.fw.GenerateRSContext(ctx, target, req)
-	if err != nil {
-		return SpendResult{}, err
+// spendOnce is the node's one select → sign → double-spend check → commit
+// pass. Selection is strict when policy is nil and walks policy's ladder
+// otherwise; the ring is committed under the requirement selection
+// achieved, which is returned alongside the result.
+func (n *Node) spendOnce(ctx context.Context, target chain.TokenID, req diversity.Requirement, policy *itm.RelaxationPolicy) (SpendResult, diversity.Requirement, error) {
+	var sel selector.Result
+	var err error
+	if policy == nil {
+		sel, err = n.fw.GenerateRSContext(ctx, target, req)
+	} else {
+		sel, req, err = n.fw.GenerateRSRelaxed(ctx, target, req, *policy)
 	}
-	msg := Message(sel.Tokens)
+	if err != nil {
+		return SpendResult{}, req, err
+	}
 
 	var sig *ringsig.Signature
 	if n.keys != nil {
 		sk := n.keys[target]
 		if sk == nil {
-			return SpendResult{}, fmt.Errorf("%w: no key for token %v", ErrNoSpendKeys, target)
+			return SpendResult{}, req, fmt.Errorf("%w: no key for token %v", ErrNoSpendKeys, target)
 		}
 		ring := make([]ringsig.Point, len(sel.Tokens))
 		signerIdx := -1
 		for i, tok := range sel.Tokens {
 			k := n.keys[tok]
 			if k == nil {
-				return SpendResult{}, fmt.Errorf("%w: no key for ring member %v", ErrNoSpendKeys, tok)
+				return SpendResult{}, req, fmt.Errorf("%w: no key for ring member %v", ErrNoSpendKeys, tok)
 			}
 			ring[i] = k.Public
 			if tok == target {
 				signerIdx = i
 			}
 		}
-		sig, err = n.engine.SignVerifiedCtx(ctx, crand.Reader, sk, ring, signerIdx, msg)
+		sig, err = n.engine.SignVerifiedCtx(ctx, crand.Reader, sk, ring, signerIdx, Message(sel.Tokens))
 		var bad *ringsig.SelfCheckError
 		if errors.As(err, &bad) {
-			return SpendResult{}, fmt.Errorf("%w: %w", ErrBadSignature, bad.Err)
+			return SpendResult{}, req, fmt.Errorf("%w: %w", ErrBadSignature, bad.Err)
 		}
 		if err != nil {
-			return SpendResult{}, err
+			return SpendResult{}, req, err
 		}
 	}
 
@@ -150,17 +178,21 @@ func (n *Node) spendOnce(ctx context.Context, target chain.TokenID, req diversit
 	if sig != nil {
 		img = string(sig.Image.Bytes())
 		if prior, used := n.images[img]; used {
-			return SpendResult{}, fmt.Errorf("%w (by %v)", ErrKeyImageUsed, prior)
+			return SpendResult{}, req, fmt.Errorf("%w (by %v)", ErrKeyImageUsed, prior)
 		}
+	} else if prior, used := n.unsignedSpent[target]; used {
+		return SpendResult{}, req, fmt.Errorf("%w (unsigned spend of %v, by %v)", ErrKeyImageUsed, target, prior)
 	}
 	id, err := n.fw.CommitCtx(ctx, sel.Tokens, req)
 	if err != nil {
-		return SpendResult{}, err
+		return SpendResult{}, req, err
 	}
 	if sig != nil {
 		n.images[img] = id
+	} else {
+		n.unsignedSpent[target] = id
 	}
-	return SpendResult{Ring: sel.Tokens, RSID: id, Signed: sig != nil}, nil
+	return SpendResult{Ring: sel.Tokens, RSID: id, Signed: sig != nil, Signature: sig}, req, nil
 }
 
 // GenerateKeys creates one keypair per ledger token from rng (nil uses

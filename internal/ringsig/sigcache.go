@@ -29,14 +29,13 @@ type SigCache struct {
 }
 
 // NewSigCache returns a cache holding about capacity verified transcripts.
+// Nothing is allocated until the first Record, so a node that never
+// verifies pays only for the struct.
 func NewSigCache(capacity int) *SigCache {
 	if capacity < 2 {
 		capacity = 2
 	}
-	return &SigCache{
-		half: capacity / 2,
-		cur:  make(map[[32]byte]struct{}, capacity/2),
-	}
+	return &SigCache{half: capacity / 2}
 }
 
 // Seen reports whether the transcript key was recorded by a previous
@@ -61,8 +60,8 @@ func (c *SigCache) Record(key [32]byte) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.cur) >= c.half {
-		c.prev = c.cur
+	if c.cur == nil || len(c.cur) >= c.half {
+		c.prev = c.cur // nil before the first Record, so prev stays nil
 		c.cur = make(map[[32]byte]struct{}, c.half)
 	}
 	c.cur[key] = struct{}{}

@@ -775,13 +775,14 @@ func (p RelaxationPolicy) withDefaults() RelaxationPolicy {
 // GenerateRSRelaxed tries the requested requirement and, on ErrNoEligible,
 // walks the relaxation ladder until a ring exists or the ladder is
 // exhausted. It returns the result together with the requirement that was
-// actually achieved, which the caller should declare when committing.
-func (f *Framework) GenerateRSRelaxed(target chain.TokenID, req diversity.Requirement, policy RelaxationPolicy) (selector.Result, diversity.Requirement, error) {
+// actually achieved, which the caller should declare when committing. Each
+// rung is one GenerateRSContext call, so each draws one request seed.
+func (f *Framework) GenerateRSRelaxed(ctx context.Context, target chain.TokenID, req diversity.Requirement, policy RelaxationPolicy) (selector.Result, diversity.Requirement, error) {
 	policy = policy.withDefaults()
 	cur := req
 	var lastErr error
 	for step := 0; step <= policy.MaxSteps; step++ {
-		res, err := f.GenerateRS(target, cur)
+		res, err := f.GenerateRSContext(ctx, target, cur)
 		if err == nil {
 			return res, cur, nil
 		}

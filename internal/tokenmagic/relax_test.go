@@ -1,6 +1,7 @@
 package tokenmagic
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestGenerateRSRelaxed(t *testing.T) {
 	}
 
 	// Relaxation ladder (decrement ℓ) reaches a feasible requirement.
-	res, achieved, err := f.GenerateRSRelaxed(0, strict, RelaxationPolicy{LStep: 1})
+	res, achieved, err := f.GenerateRSRelaxed(context.Background(), 0, strict, RelaxationPolicy{LStep: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestGenerateRSRelaxedExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = f.GenerateRSRelaxed(0, diversity.Requirement{C: 1, L: 4}, RelaxationPolicy{LStep: 1, MinL: 2, MaxSteps: 5})
+	_, _, err = f.GenerateRSRelaxed(context.Background(), 0, diversity.Requirement{C: 1, L: 4}, RelaxationPolicy{LStep: 1, MinL: 2, MaxSteps: 5})
 	if err == nil {
 		t.Fatal("ladder must exhaust on a single-HT universe")
 	}
@@ -72,7 +73,7 @@ func TestGenerateRSRelaxedNoPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = f.GenerateRSRelaxed(0, diversity.Requirement{C: 1, L: 4}, RelaxationPolicy{})
+	_, _, err = f.GenerateRSRelaxed(context.Background(), 0, diversity.Requirement{C: 1, L: 4}, RelaxationPolicy{})
 	if err == nil {
 		t.Fatal("empty policy must fail on infeasible input")
 	}
@@ -91,7 +92,7 @@ func TestGenerateRSRelaxedImmediateSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := diversity.Requirement{C: 2, L: 2}
-	res, achieved, err := f.GenerateRSRelaxed(0, req, RelaxationPolicy{LStep: 1})
+	res, achieved, err := f.GenerateRSRelaxed(context.Background(), 0, req, RelaxationPolicy{LStep: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestGenerateRSRelaxedPropagatesHardErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unknown target is a hard error, not a relaxation case.
-	_, _, err = f.GenerateRSRelaxed(999, diversity.Requirement{C: 1, L: 2}, RelaxationPolicy{LStep: 1})
+	_, _, err = f.GenerateRSRelaxed(context.Background(), 999, diversity.Requirement{C: 1, L: 2}, RelaxationPolicy{LStep: 1})
 	if err == nil || errors.Is(err, ErrLiveness) {
 		t.Fatalf("err = %v, want a hard lookup error", err)
 	}

@@ -63,26 +63,17 @@ func (o Options) withDefaults() Options {
 }
 
 // System is a full simulated privacy-preserving blockchain: a UTXO ledger, a
-// keypair per token, the TokenMagic selection framework, and a key-image
-// registry for double-spend rejection. All methods are safe for concurrent
-// use; spends serialise on an internal mutex, mirroring how a node admits
-// one ring to its mempool at a time.
+// keypair per token, and — once sealed — a node.Node over the ledger that
+// selects, signs, double-spend-checks and commits every spend. All methods
+// are safe for concurrent use; spends serialise on an internal mutex,
+// mirroring how a node admits one ring to its mempool at a time.
 type System struct {
 	mu     sync.Mutex
 	opts   Options
 	ledger *chain.Ledger
-	fw     *itm.Framework
-	rng    *mrand.Rand
-
 	keys   map[TokenID]*ringsig.PrivateKey
-	pubs   map[TokenID]ringsig.Point
-	images map[string]RSID // key-image encoding → spending ring
-	// engine signs and self-verifies every spend. Seal gives it an Hp memo
-	// holding every minted public key, unless signing is disabled.
-	engine ringsig.Engine
-
-	curBlock chain.BlockID
-	sealed   bool
+	// node runs every spend; Seal builds it, so nil means unsealed.
+	node *node.Node
 }
 
 // NewSystem creates an empty system. Mint tokens with MintBlock, then Seal
@@ -92,19 +83,18 @@ func NewSystem(opts Options) *System {
 	return &System{
 		opts:   opts,
 		ledger: chain.NewLedger(),
-		rng:    mrand.New(mrand.NewSource(opts.Seed)),
 		keys:   make(map[TokenID]*ringsig.PrivateKey),
-		pubs:   make(map[TokenID]ringsig.Point),
-		images: make(map[string]RSID),
 	}
 }
 
 // Errors specific to the system facade.
 var (
-	ErrSealed      = errors.New("tokenmagic: system already sealed")
-	ErrNotSealed   = errors.New("tokenmagic: seal the system before spending")
-	ErrDoubleSpend = errors.New("tokenmagic: key image already used (double spend)")
-	ErrNoKey       = errors.New("tokenmagic: no private key for token")
+	ErrSealed    = errors.New("tokenmagic: system already sealed")
+	ErrNotSealed = errors.New("tokenmagic: seal the system before spending")
+	// ErrDoubleSpend is the node's double-spend sentinel: a signed spend
+	// whose key image was already used, or, with signing disabled, a
+	// second spend of the same token.
+	ErrDoubleSpend = node.ErrKeyImageUsed
 )
 
 // MintBlock appends one block containing one transaction per argument, each
@@ -114,7 +104,7 @@ func (s *System) MintBlock(outputsPerTx ...int) ([]TokenID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	if s.sealed {
+	if s.node != nil {
 		return nil, ErrSealed
 	}
 	block := s.ledger.BeginBlock()
@@ -140,43 +130,41 @@ func (s *System) MintBlock(outputsPerTx ...int) ([]TokenID, error) {
 		}
 		for i, tok := range minted {
 			s.keys[tok] = keys[i]
-			s.pubs[tok] = keys[i].Public
 		}
 	}
-	s.curBlock = block
 	return minted, nil
 }
 
-// Seal freezes minting and builds the TokenMagic batch structure. Spend is
-// only available after sealing.
+// Seal freezes minting and builds the TokenMagic batch structure, inside the
+// node that runs every spend. Spend is only available after sealing.
 func (s *System) Seal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	if s.sealed {
+	if s.node != nil {
 		return ErrSealed
 	}
-	cfg := itm.Config{
-		Lambda:    s.opts.Lambda,
-		Eta:       s.opts.Eta,
-		Headroom:  !s.opts.DisableHeadroom,
-		Algorithm: s.opts.Algorithm,
-		Randomize: s.opts.Randomize,
+	cfg := node.Config{
+		Framework: itm.Config{
+			Lambda:    s.opts.Lambda,
+			Eta:       s.opts.Eta,
+			Headroom:  !s.opts.DisableHeadroom,
+			Algorithm: s.opts.Algorithm,
+			Randomize: s.opts.Randomize,
+		},
+		AllowUnsigned: s.opts.DisableSigning,
+		Rand:          mrand.New(mrand.NewSource(s.opts.Seed)),
 	}
-	fw, err := itm.New(s.ledger, cfg, s.rng)
+	// A non-nil key map makes the node sign, so an unsigned System passes
+	// none.
+	if !s.opts.DisableSigning {
+		cfg.Keys = s.keys
+	}
+	nd, err := node.New(s.ledger, cfg)
 	if err != nil {
 		return err
 	}
-	if !s.opts.DisableSigning {
-		pubs := make([]ringsig.Point, 0, len(s.pubs))
-		for _, p := range s.pubs {
-			pubs = append(pubs, p)
-		}
-		s.engine.Hp = ringsig.NewHpCache()
-		s.engine.Hp.Precompute(pubs)
-	}
-	s.fw = fw
-	s.sealed = true
+	s.node = nd
 	return nil
 }
 
@@ -186,9 +174,6 @@ type Receipt struct {
 	Tokens    TokenSet
 	Fee       uint64 // FeePerToken × ring size, the paper's fee model
 	Signature *ringsig.Signature
-	// ModuleCount and Iterations echo solver statistics for telemetry.
-	ModuleCount int
-	Iterations  int
 }
 
 // Spend consumes a token: selects mixins under the requirement, signs the
@@ -198,14 +183,14 @@ func (s *System) Spend(target TokenID, req Requirement) (*Receipt, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	if !s.sealed {
+	if s.node == nil {
 		return nil, ErrNotSealed
 	}
-	res, err := s.fw.GenerateRS(target, req)
+	res, err := s.node.Spend(context.Background(), target, req)
 	if err != nil {
 		return nil, err
 	}
-	return s.finishSpend(target, res, req)
+	return s.receipt(res), nil
 }
 
 // RelaxationPolicy re-exports the framework's Section-4 retry ladder.
@@ -219,92 +204,24 @@ func (s *System) SpendRelaxed(target TokenID, req Requirement, policy Relaxation
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	if !s.sealed {
+	if s.node == nil {
 		return nil, req, ErrNotSealed
 	}
-	res, achieved, err := s.fw.GenerateRSRelaxed(target, req, policy)
+	res, achieved, err := s.node.SpendRelaxed(context.Background(), target, req, policy)
 	if err != nil {
 		return nil, achieved, err
 	}
-	rcpt, err := s.finishSpend(target, res, achieved)
-	return rcpt, achieved, err
+	return s.receipt(res), achieved, nil
 }
 
-// finishSpend signs, double-spend-checks and commits a selected ring.
-// Callers hold s.mu.
-func (s *System) finishSpend(target TokenID, res selector.Result, req Requirement) (*Receipt, error) {
-	rcpt := &Receipt{
-		Tokens:      res.Tokens,
-		Fee:         uint64(res.Size()) * s.opts.FeePerToken,
-		ModuleCount: res.Modules,
-		Iterations:  res.Iterations,
+func (s *System) receipt(res node.SpendResult) *Receipt {
+	return &Receipt{
+		Ring:      res.RSID,
+		Tokens:    res.Ring,
+		Fee:       uint64(len(res.Ring)) * s.opts.FeePerToken,
+		Signature: res.Signature,
 	}
-	if !s.opts.DisableSigning {
-		sig, err := s.sign(target, res.Tokens)
-		if err != nil {
-			return nil, err
-		}
-		imageKey := string(sig.Image.Bytes())
-		if prior, used := s.images[imageKey]; used {
-			return nil, fmt.Errorf("%w: first spent in %v", ErrDoubleSpend, prior)
-		}
-		rcpt.Signature = sig
-		defer func() {
-			if rcpt.Ring >= 0 {
-				s.images[imageKey] = rcpt.Ring
-			}
-		}()
-	} else if s.spentUnsigned(target) {
-		return nil, fmt.Errorf("%w: token %v", ErrDoubleSpend, target)
-	}
-	id, err := s.fw.Commit(res.Tokens, req)
-	if err != nil {
-		return nil, err
-	}
-	rcpt.Ring = id
-	if s.opts.DisableSigning {
-		s.unsignedSpent(target)
-	}
-	return rcpt, nil
 }
-
-// sign produces and self-verifies the ring signature for the spend.
-func (s *System) sign(target TokenID, ring TokenSet) (*ringsig.Signature, error) {
-	key, ok := s.keys[target]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNoKey, target)
-	}
-	pubs := make([]ringsig.Point, len(ring))
-	signerIdx := -1
-	for i, tok := range ring {
-		p, ok := s.pubs[tok]
-		if !ok {
-			return nil, fmt.Errorf("%w: %v", ErrNoKey, tok)
-		}
-		pubs[i] = p
-		if tok == target {
-			signerIdx = i
-		}
-	}
-	sig, err := s.engine.SignVerifiedCtx(context.Background(), rand.Reader, key, pubs, signerIdx, node.Message(ring))
-	var bad *ringsig.SelfCheckError
-	if errors.As(err, &bad) {
-		return nil, fmt.Errorf("tokenmagic: self-verification failed: %w", bad.Err)
-	}
-	return sig, err
-}
-
-// unsigned double-spend bookkeeping when crypto is disabled.
-func (s *System) spentUnsigned(target TokenID) bool {
-	_, used := s.images[unsignedKey(target)]
-	return used
-}
-
-func (s *System) unsignedSpent(target TokenID) {
-	s.images[unsignedKey(target)] = RSID(s.ledger.NumRS() - 1)
-}
-
-func unsignedKey(t TokenID) string { return fmt.Sprintf("unsigned/%d", t) }
 
 // Ledger stats.
 
@@ -385,7 +302,7 @@ func (s *System) CommitRaw(tokens TokenSet, req Requirement) (RSID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	if !s.sealed {
+	if s.node == nil {
 		return -1, ErrNotSealed
 	}
 	return s.ledger.AppendRS(tokens, req.C, req.L)

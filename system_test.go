@@ -3,6 +3,7 @@ package tokenmagic
 import (
 	"errors"
 	"math/big"
+	"reflect"
 	"testing"
 
 	"tokenmagic/internal/node"
@@ -58,14 +59,14 @@ func TestSystemSpendEndToEnd(t *testing.T) {
 
 // TestSystemSelfVerificationFailure: a spend whose signature does not
 // verify (signed with a scalar that does not match the token's public key)
-// is refused with the self-verification error around the engine's cause,
+// is refused with the node's bad-signature error around the engine's cause,
 // and nothing is committed.
 func TestSystemSelfVerificationFailure(t *testing.T) {
 	sys, ids := mintStandard(t, Options{}, 8)
 	good := sys.keys[ids[0]]
 	sys.keys[ids[0]] = &ringsig.PrivateKey{D: new(big.Int).Add(good.D, big.NewInt(1)), Public: good.Public}
 	_, err := sys.Spend(ids[0], Requirement{C: 1, L: 3})
-	if want := "tokenmagic: self-verification failed: " + ringsig.ErrInvalid.Error(); err == nil || err.Error() != want || !errors.Is(err, ringsig.ErrInvalid) {
+	if want := node.ErrBadSignature.Error() + ": " + ringsig.ErrInvalid.Error(); err == nil || err.Error() != want || !errors.Is(err, ringsig.ErrInvalid) {
 		t.Fatalf("spend with a corrupt key: %v, want %q", err, want)
 	}
 	if sys.NumRings() != 0 {
@@ -74,13 +75,9 @@ func TestSystemSelfVerificationFailure(t *testing.T) {
 }
 
 // TestSystemSignaturesVerifyWithoutMemo: signatures made through the
-// System's memo-warmed engine verify under the cache-less package Verify,
-// and Seal memoised every minted key exactly once.
+// node's memo-warmed engine verify under the cache-less package Verify.
 func TestSystemSignaturesVerifyWithoutMemo(t *testing.T) {
 	sys, ids := mintStandard(t, Options{}, 12)
-	if got := sys.engine.Hp.Len(); got != len(ids) {
-		t.Fatalf("Seal memoised %d keys, want %d", got, len(ids))
-	}
 	for _, target := range ids[:4] {
 		rcpt, err := sys.Spend(target, Requirement{C: 1, L: 3})
 		if err != nil {
@@ -88,23 +85,32 @@ func TestSystemSignaturesVerifyWithoutMemo(t *testing.T) {
 		}
 		pubs := make([]ringsig.Point, len(rcpt.Tokens))
 		for i, tok := range rcpt.Tokens {
-			pubs[i] = sys.pubs[tok]
+			pubs[i] = sys.keys[tok].Public
 		}
 		if err := ringsig.Verify(rcpt.Signature, pubs, node.Message(rcpt.Tokens)); err != nil {
 			t.Fatalf("spend of %v: %v", target, err)
 		}
 	}
-	if got := sys.engine.Hp.Len(); got != len(ids) {
-		t.Fatalf("memo grew to %d keys past the %d minted", got, len(ids))
-	}
 }
 
 // TestSystemUnsignedHoldsNoKeys: with signing disabled, minting draws no
-// keys and Seal builds no memo.
+// keys, and Seal's node holds none and has not allocated its
+// verified-transcript cache. The node's state is unexported, so the test
+// reads it by reflection.
 func TestSystemUnsignedHoldsNoKeys(t *testing.T) {
 	sys, _ := mintStandard(t, Options{DisableSigning: true}, 6)
-	if len(sys.keys) != 0 || sys.engine.Hp != nil {
-		t.Fatalf("unsigned system holds %d keys, memo %v", len(sys.keys), sys.engine.Hp)
+	if len(sys.keys) != 0 {
+		t.Fatalf("unsigned system holds %d keys", len(sys.keys))
+	}
+	nd := reflect.ValueOf(sys.node).Elem()
+	if keys := nd.FieldByName("keys"); !keys.IsNil() {
+		t.Fatalf("unsigned system's node holds a key map of %d keys", keys.Len())
+	}
+	seen := nd.FieldByName("engine").Elem().FieldByName("Seen").Elem()
+	for _, gen := range []string{"cur", "prev"} {
+		if m := seen.FieldByName(gen); !m.IsNil() {
+			t.Fatalf("unsigned system's node allocated its signature cache (%s generation)", gen)
+		}
 	}
 }
 
