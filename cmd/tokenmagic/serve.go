@@ -20,9 +20,9 @@ import (
 )
 
 // fullNode bundles the two public services a full node runs over one ledger:
-// batch reads (batchsvc) and spend submission/mining (nodesvc).
+// batch reads (batchsvc) and spend submission/mining (nodesvc). Both read
+// the node's one framework, so batch reads follow every commit.
 type fullNode struct {
-	batch   *batchsvc.Server
 	node    *node.Node
 	handler http.Handler
 }
@@ -32,10 +32,6 @@ type fullNode struct {
 // spendKeys set the node generates one keypair per token and serves the
 // server-signed /v1/spend pipeline (load generation and experiments).
 func newFullNode(led *chain.Ledger, lambda int, eta float64, allowUnsigned, spendKeys bool) (*fullNode, error) {
-	bs, err := batchsvc.NewServer(led, lambda)
-	if err != nil {
-		return nil, err
-	}
 	cfg := node.Config{
 		Framework: tokenmagic.Config{
 			Lambda:    lambda,
@@ -47,6 +43,7 @@ func newFullNode(led *chain.Ledger, lambda int, eta float64, allowUnsigned, spen
 		AllowUnsigned: allowUnsigned,
 	}
 	if spendKeys {
+		var err error
 		cfg.Keys, err = node.GenerateKeys(nil, led)
 		if err != nil {
 			return nil, err
@@ -56,7 +53,7 @@ func newFullNode(led *chain.Ledger, lambda int, eta float64, allowUnsigned, spen
 	if err != nil {
 		return nil, err
 	}
-	bh := bs.Handler()
+	bh := batchsvc.NewServer(nd.Framework()).Handler()
 	nh := nodesvc.NewServer(nd).Handler()
 	mux := http.NewServeMux()
 	for _, route := range []string{"/v1/meta", "/v1/batch", "/v1/rings"} {
@@ -65,7 +62,7 @@ func newFullNode(led *chain.Ledger, lambda int, eta float64, allowUnsigned, spen
 	for _, route := range []string{"/v1/submit", "/v1/mine", "/v1/spend", "/v1/verify", "/v1/status"} {
 		mux.Handle(route, nh)
 	}
-	return &fullNode{batch: bs, node: nd, handler: mux}, nil
+	return &fullNode{node: nd, handler: mux}, nil
 }
 
 // serveOperator mounts the telemetry endpoints (/debug/vars, /debug/metrics

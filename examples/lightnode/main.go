@@ -22,6 +22,7 @@ import (
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/diversity"
 	"tokenmagic/internal/selector"
+	"tokenmagic/internal/tokenmagic"
 	"tokenmagic/internal/workload"
 )
 
@@ -41,10 +42,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	server, err := batchsvc.NewServer(dataset.Ledger, 800)
+	// The framework derives the batch partition (λ=800) once; the batch
+	// service serves its published epoch.
+	fw, err := tokenmagic.New(dataset.Ledger, tokenmagic.DefaultConfig(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
+	server := batchsvc.NewServer(fw)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

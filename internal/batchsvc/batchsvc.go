@@ -2,7 +2,9 @@
 // full nodes hold the whole chain and its batch partition; light nodes do
 // not store chain data and instead query the batch a token belongs to — the
 // mixin universe plus the related rings — before running mixin selection
-// locally.
+// locally. The full node serves the batch partition its tokenmagic.Framework
+// publishes, so light-node reads and the node's own Step-3 checks see one
+// chain state.
 //
 // The wire protocol is deliberately plain HTTP + JSON over net/http so a
 // light node in any language could consume it:
@@ -23,11 +25,10 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/obs"
+	"tokenmagic/internal/tokenmagic"
 )
 
 // Meta describes the served chain.
@@ -58,131 +59,85 @@ type RingInfo struct {
 	L      int            `json:"l"`
 }
 
-// Server serves one ledger's batch data. Requests pin an immutable
-// (view, batch-list) snapshot with one atomic load, so they never contend
-// with RefreshBatches/UpdateLedger; each request is answered from a single
-// consistent chain generation even while the ledger grows mid-flight.
-// Mutating the ledger directly, without going through UpdateLedger, is
-// tolerated — the stale snapshot stays internally consistent — but answers
-// lag until the next RefreshBatches.
+// Server serves a full node's batch data from its Framework: every request
+// pins the framework's current epoch (ledger view and batch list) once and
+// answers from that one consistent chain generation, even while commits
+// land mid-flight. The epoch catches up when the ledger grows, so answers
+// follow the chain with no refresh step.
 type Server struct {
-	// MaxInFlight caps concurrently executing requests and MaxQueue the
-	// waiting room behind them (obs.LimitConcurrency); over-capacity
-	// requests are shed with 503. Zero MaxInFlight disables the gate. Set
-	// both before calling Handler.
-	MaxInFlight int
-	MaxQueue    int
-
-	// writeMu serialises the mutators; requests never take it.
-	writeMu sync.Mutex
-	ledger  *chain.Ledger
-	lambda  int
-	snap    atomic.Pointer[svcSnapshot]
+	fw *tokenmagic.Framework
 }
 
-// svcSnapshot is one immutable generation of the served chain: a ledger
-// view and the batch list derived from it.
-type svcSnapshot struct {
-	view    *chain.View
-	batches *chain.BatchList
-}
-
-// NewServer builds a full-node server over the ledger.
-func NewServer(ledger *chain.Ledger, lambda int) (*Server, error) {
-	s := &Server{ledger: ledger, lambda: lambda}
-	if err := s.rebuild(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// rebuild derives a fresh snapshot from the ledger's current view and
-// publishes it. Callers hold writeMu (or own the server, as NewServer does).
-func (s *Server) rebuild() error {
-	v := s.ledger.View()
-	bl, err := chain.BuildBatchesView(v, s.lambda)
-	if err != nil {
-		return err
-	}
-	s.snap.Store(&svcSnapshot{view: v, batches: bl})
-	return nil
-}
-
-// RefreshBatches recomputes the batch list after the chain grew. Safe to
-// call while requests are in flight; they keep their pinned snapshot.
-func (s *Server) RefreshBatches() error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	return s.rebuild()
-}
-
-// UpdateLedger runs fn with exclusive write access to the ledger and then
-// publishes a fresh snapshot: the safe way to append blocks while serving.
-// In-flight requests keep answering from the pre-mutation snapshot.
-func (s *Server) UpdateLedger(fn func(*chain.Ledger) error) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if err := fn(s.ledger); err != nil {
-		return err
-	}
-	return s.rebuild()
-}
+// NewServer serves the chain and batch partition fw publishes.
+func NewServer(fw *tokenmagic.Framework) *Server { return &Server{fw: fw} }
 
 // Handler returns the HTTP handler implementing the protocol, wrapped with
-// per-route telemetry in the process-wide obs registry ("http.batchsvc.*")
-// and, when MaxInFlight is set, the concurrency gate
-// (in_flight/queue_depth gauges, rejected_busy counter). InstrumentHTTP sits
-// outside LimitConcurrency so each request's latency histogram and trace
-// include its queue wait, and sheds are per-route.
+// per-route telemetry in the process-wide obs registry ("http.batchsvc.*").
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/meta", s.handleMeta)
 	mux.HandleFunc("/v1/batch", s.handleBatch)
 	mux.HandleFunc("/v1/rings", s.handleRings)
-	h := obs.LimitConcurrency(obs.Default(), "batchsvc", s.MaxInFlight, s.MaxQueue, mux)
-	return obs.InstrumentHTTP(obs.Default(), "batchsvc", h,
+	return obs.InstrumentHTTP(obs.Default(), "batchsvc", mux,
 		"/v1/meta", "/v1/batch", "/v1/rings")
 }
 
+// snapshot pins the framework's current epoch, answering 500 if catching
+// up with the ledger failed.
+func (s *Server) snapshot(w http.ResponseWriter) (*chain.View, *chain.BatchList, bool) {
+	v, bl, err := s.fw.Snapshot()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return nil, nil, false
+	}
+	return v, bl, true
+}
+
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
-	sn := s.snap.Load()
+	v, bl, ok := s.snapshot(w)
+	if !ok {
+		return
+	}
 	writeJSON(w, Meta{
-		Lambda:  s.lambda,
-		Blocks:  sn.view.NumBlocks(),
-		Tokens:  sn.view.NumTokens(),
-		Rings:   sn.view.NumRS(),
-		Batches: sn.batches.Len(),
+		Lambda:  bl.Lambda,
+		Blocks:  v.NumBlocks(),
+		Tokens:  v.NumTokens(),
+		Rings:   v.NumRS(),
+		Batches: bl.Len(),
 	})
 }
 
-func (sn *svcSnapshot) batchFromQuery(r *http.Request) (chain.Batch, error) {
+func batchFromQuery(bl *chain.BatchList, r *http.Request) (chain.Batch, error) {
 	q := r.URL.Query()
 	if idx := q.Get("index"); idx != "" {
 		i, err := strconv.Atoi(idx)
 		if err != nil {
 			return chain.Batch{}, fmt.Errorf("bad index %q", idx)
 		}
-		return sn.batches.Batch(i)
+		return bl.Batch(i)
 	}
 	if tok := q.Get("token"); tok != "" {
 		t, err := strconv.Atoi(tok)
 		if err != nil {
 			return chain.Batch{}, fmt.Errorf("bad token %q", tok)
 		}
-		return sn.batches.BatchOf(chain.TokenID(t))
+		return bl.BatchOf(chain.TokenID(t))
 	}
 	return chain.Batch{}, errors.New("need ?index= or ?token=")
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	sn := s.snap.Load()
-	b, err := sn.batchFromQuery(r)
+	v, bl, ok := s.snapshot(w)
+	if !ok {
+		return
+	}
+	b, err := batchFromQuery(bl, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	origins := make([]chain.TxID, len(b.Tokens))
-	originOf := sn.view.OriginFunc()
+	originOf := v.OriginFunc()
 	for i, t := range b.Tokens {
 		origins[i] = originOf(t)
 	}
@@ -196,14 +151,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRings(w http.ResponseWriter, r *http.Request) {
-	sn := s.snap.Load()
-	b, err := sn.batchFromQuery(r)
+	v, bl, ok := s.snapshot(w)
+	if !ok {
+		return
+	}
+	b, err := batchFromQuery(bl, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	var out []RingInfo
-	for _, rec := range sn.view.RingsOver(b.Tokens) {
+	for _, rec := range v.RingsOver(b.Tokens) {
 		out = append(out, RingInfo{ID: rec.ID, Tokens: rec.Tokens, C: rec.C, L: rec.L})
 	}
 	if out == nil {

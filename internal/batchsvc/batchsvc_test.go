@@ -6,7 +6,9 @@ import (
 
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/diversity"
+	"tokenmagic/internal/obs"
 	"tokenmagic/internal/selector"
+	"tokenmagic/internal/tokenmagic"
 )
 
 func buildChain(t *testing.T) *chain.Ledger {
@@ -30,20 +32,20 @@ func buildChain(t *testing.T) *chain.Ledger {
 	return l
 }
 
-func startServer(t *testing.T, l *chain.Ledger, lambda int) (*Client, *Server) {
+func startServer(t *testing.T, l *chain.Ledger, lambda int) *Client {
 	t.Helper()
-	srv, err := NewServer(l, lambda)
+	fw, err := tokenmagic.New(l, tokenmagic.Config{Lambda: lambda, Metrics: obs.NewRegistry()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(NewServer(fw).Handler())
 	t.Cleanup(ts.Close)
-	return NewClient(ts.URL, ts.Client()), srv
+	return NewClient(ts.URL, ts.Client())
 }
 
 func TestMetaEndpoint(t *testing.T) {
 	l := buildChain(t)
-	c, _ := startServer(t, l, 8)
+	c := startServer(t, l, 8)
 	m, err := c.Meta()
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +57,7 @@ func TestMetaEndpoint(t *testing.T) {
 
 func TestBatchEndpoints(t *testing.T) {
 	l := buildChain(t)
-	c, _ := startServer(t, l, 8)
+	c := startServer(t, l, 8)
 
 	b0, err := c.Batch(0)
 	if err != nil {
@@ -94,7 +96,7 @@ func TestBatchEndpoints(t *testing.T) {
 
 func TestRingsEndpoint(t *testing.T) {
 	l := buildChain(t)
-	c, _ := startServer(t, l, 8)
+	c := startServer(t, l, 8)
 	rings, err := c.Rings(0)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +116,7 @@ func TestRingsEndpoint(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	l := buildChain(t)
-	c, _ := startServer(t, l, 8)
+	c := startServer(t, l, 8)
 	if _, err := c.Batch(99); err == nil {
 		t.Fatal("out-of-range batch must fail")
 	}
@@ -138,7 +140,7 @@ func TestBadRequests(t *testing.T) {
 // selection locally, with no chain state of its own.
 func TestLightNodeSelectsMixins(t *testing.T) {
 	l := buildChain(t)
-	c, _ := startServer(t, l, 8)
+	c := startServer(t, l, 8)
 
 	b, err := c.BatchOf(6)
 	if err != nil {
@@ -166,28 +168,31 @@ func TestLightNodeSelectsMixins(t *testing.T) {
 	}
 }
 
-func TestRefreshBatches(t *testing.T) {
+// The served batch list follows the ledger: a block appended straight to
+// the ledger shows up as one more batch with no refresh call, because every
+// request reads the framework's epoch, which catches up first.
+func TestBatchesFollowLedgerGrowth(t *testing.T) {
 	l := buildChain(t)
-	c, srv := startServer(t, l, 8)
+	c := startServer(t, l, 8)
 	m1, err := c.Meta()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Chain grows by one block of 8 tokens → one more batch after refresh.
+	// Chain grows by one block of 8 tokens → one more batch.
 	id := l.BeginBlock()
 	for tx := 0; tx < 4; tx++ {
 		if _, err := l.AddTx(id, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.RefreshBatches(); err != nil {
-		t.Fatal(err)
-	}
 	m2, err := c.Meta()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.Batches != m1.Batches+1 {
-		t.Fatalf("batches %d → %d, want +1", m1.Batches, m2.Batches)
+	if m2.Batches != m1.Batches+1 || m2.Tokens != m1.Tokens+8 {
+		t.Fatalf("meta %+v → %+v, want one more batch of 8 tokens", m1, m2)
+	}
+	if _, err := c.BatchOf(chain.TokenID(m1.Tokens)); err != nil {
+		t.Fatalf("new token not served: %v", err)
 	}
 }

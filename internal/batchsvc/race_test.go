@@ -3,17 +3,16 @@ package batchsvc
 import (
 	"sync"
 	"testing"
-
-	"tokenmagic/internal/chain"
 )
 
-// TestRefreshWhileServing hammers Meta and BatchOf while the chain grows and
-// the batch list is refreshed. Run with -race: before Server took a RWMutex,
-// the refresh published a new batch list (and grew the ledger) in plain view
-// of in-flight requests.
+// TestRefreshWhileServing hammers Meta and BatchOf while the chain grows
+// directly under the server. Each request pins the framework's epoch, and the
+// first request after a growth refreshes it (the framework's catch-up); run
+// with -race to check that the refresh and the pinned readers share nothing
+// mutable.
 func TestRefreshWhileServing(t *testing.T) {
 	l := buildChain(t)
-	c, srv := startServer(t, l, 8)
+	c := startServer(t, l, 8)
 
 	const readers = 4
 	stop := make(chan struct{})
@@ -40,19 +39,11 @@ func TestRefreshWhileServing(t *testing.T) {
 		}()
 	}
 
-	// Writer: append a block full of transactions, refresh, repeat. The
-	// appends go through UpdateLedger so readers never observe a ledger
-	// mid-mutation; RefreshBatches alone is also exercised.
+	// Writer: append a block with one transaction, repeat. The ledger
+	// serialises its own mutators; nothing tells the server it grew.
 	for i := 0; i < 25; i++ {
-		err := srv.UpdateLedger(func(led *chain.Ledger) error {
-			id := led.BeginBlock()
-			_, err := led.AddTx(id, 2)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.RefreshBatches(); err != nil {
+		id := l.BeginBlock()
+		if _, err := l.AddTx(id, 2); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -31,12 +31,11 @@ type Tx struct {
 // (consumed token + mixins, indistinguishable to observers), the declared
 // recursive (c, ℓ)-diversity requirement, and its proposal position.
 type RingRecord struct {
-	ID      RSID
-	Tokens  TokenSet
-	C       float64 // declared diversity parameter c
-	L       int     // declared diversity parameter ℓ
-	Pos     int     // proposal order (timestamp π); equals int(ID)
-	KeyHash string  // key-image commitment; empty in pure simulations
+	ID     RSID
+	Tokens TokenSet
+	C      float64 // declared diversity parameter c
+	L      int     // declared diversity parameter ℓ
+	Pos    int     // proposal order (timestamp π); equals int(ID)
 }
 
 // OpKind names one of the three ledger mutations. Together they are the

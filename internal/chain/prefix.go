@@ -35,9 +35,6 @@ func (v *View) CheckPrefix(base *View) error {
 	}
 	for i := range base.rings {
 		got, want := v.rings[i], base.rings[i]
-		// KeyHash is deliberately excluded: ops do not journal the key-image
-		// commitment, so a persisted ring legitimately lacks the hash its
-		// in-memory twin carries.
 		if got.ID != want.ID || got.Pos != want.Pos || got.C != want.C ||
 			got.L != want.L || !slices.Equal(got.Tokens, want.Tokens) {
 			return fmt.Errorf("chain: ring %d differs from base", want.ID)

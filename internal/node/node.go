@@ -387,6 +387,10 @@ func (n *Node) VerifyBatchCtx(ctx context.Context, subs []Submission) ringsig.Ba
 	return out
 }
 
+// Framework returns the node's TokenMagic framework, whose published epoch
+// is the node's one derived chain state (batchsvc serves it).
+func (n *Node) Framework() *itm.Framework { return n.fw }
+
 // ChainRings returns the number of rings on the ledger.
 func (n *Node) ChainRings() int {
 	n.mu.Lock()

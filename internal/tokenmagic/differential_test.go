@@ -1,7 +1,7 @@
 package tokenmagic
 
 // Framework-level differential battery: the same seeded request stream —
-// spends (generate→commit), batch refreshes, ledger growth — driven into a
+// spends (generate→commit), ledger growth, catch-up reads — driven into a
 // framework over an in-memory ledger and one over a store-backed ledger
 // must produce identical observations at every step: the same rings, the
 // same commit outcomes, the same batch partition, the same serialised
@@ -59,7 +59,14 @@ func compareFrameworks(t *testing.T, mem, per *Framework, memLed, perLed *chain.
 	if !reflect.DeepEqual(memLed.Rings(), perLed.Rings()) {
 		t.Fatal("RS registry diverged")
 	}
-	bm, bp := mem.Batches(), per.Batches()
+	_, bm, err := mem.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, bp, err := per.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if bm.Len() != bp.Len() {
 		t.Fatalf("batch count diverged: %d != %d", bm.Len(), bp.Len())
 	}
@@ -126,23 +133,24 @@ func TestDifferentialFrameworkPersistentVsMemory(t *testing.T) {
 					t.Fatalf("seed %d op %d: commit diverged: (%v,%v) vs (%v,%v)", seed, i, im, cm, ip, cp)
 				}
 			case r < 8:
-				grow := func(l *chain.Ledger) error {
-					b := l.BeginBlock()
-					_, gerr := l.AddTx(b, 2)
-					return gerr
-				}
-				if uerr := mem.UpdateLedger(grow); uerr != nil {
-					t.Fatal(uerr)
-				}
-				if uerr := per.UpdateLedger(grow); uerr != nil {
-					t.Fatal(uerr)
+				for _, l := range []*chain.Ledger{memLed, st.Ledger} {
+					if _, gerr := l.AddTx(l.BeginBlock(), 2); gerr != nil {
+						t.Fatal(gerr)
+					}
 				}
 			default:
-				if rerr := mem.RefreshBatches(); rerr != nil {
-					t.Fatal(rerr)
+				// A catch-up read: both frameworks publish an epoch over
+				// their grown ledgers, and the snapshots must agree.
+				vm, bm, err := mem.Snapshot()
+				if err != nil {
+					t.Fatal(err)
 				}
-				if rerr := per.RefreshBatches(); rerr != nil {
-					t.Fatal(rerr)
+				vp, bp, err := per.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if vm.Epoch() != vp.Epoch() || !reflect.DeepEqual(bm, bp) {
+					t.Fatalf("seed %d op %d: snapshots diverged at epochs %d and %d", seed, i, vm.Epoch(), vp.Epoch())
 				}
 			}
 		}

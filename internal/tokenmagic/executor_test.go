@@ -96,10 +96,9 @@ func TestStopAfterDeterministicPrefix(t *testing.T) {
 	}
 }
 
-// UpdateLedger must atomically grow the chain and the batch partition:
-// tokens minted through it become spendable without rebuilding the
-// framework.
-func TestUpdateLedgerExtendsSpendableRange(t *testing.T) {
+// Tokens minted straight into the ledger become spendable without rebuilding
+// the framework: the next read catches the epoch up with the grown chain.
+func TestLedgerGrowthExtendsSpendableRange(t *testing.T) {
 	l := samplingLedger(t, 6) // 12 tokens
 	f, err := New(l, Config{Lambda: 12, Headroom: true, Algorithm: Progressive, Randomize: true}, rand.New(rand.NewSource(4)))
 	if err != nil {
@@ -110,23 +109,67 @@ func TestUpdateLedgerExtendsSpendableRange(t *testing.T) {
 	if _, err := f.GenerateRS(newTok, req); err == nil {
 		t.Fatal("unminted token unexpectedly spendable")
 	}
-	err = f.UpdateLedger(func(l *chain.Ledger) error {
-		b := l.BeginBlock()
-		for i := 0; i < 6; i++ {
-			if _, err := l.AddTx(b, 2); err != nil {
-				return err
-			}
+	b := l.BeginBlock()
+	for i := 0; i < 6; i++ {
+		if _, err := l.AddTx(b, 2); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	res, err := f.GenerateRS(newTok, req)
 	if err != nil {
-		t.Fatalf("token minted via UpdateLedger not spendable: %v", err)
+		t.Fatalf("token minted into the ledger not spendable: %v", err)
 	}
 	if !res.Tokens.Contains(newTok) {
 		t.Fatalf("ring %v misses new token %d", res.Tokens, newTok)
+	}
+}
+
+// A commit racing direct ledger appends must not publish its new ring over
+// the old batch list: when another op lands between the commit's check and
+// its append, the commit rebuilds the epoch it publishes, so every token of
+// the published view has a batch. A grower appends throughout each commit;
+// the rounds repeat because only some of them land an append in that window.
+func TestCommitRacingLedgerGrowthKeepsBatchesWhole(t *testing.T) {
+	req := diversity.Requirement{C: 1, L: 3}
+	for round := 0; round < 200; round++ {
+		l := samplingLedger(t, 6)
+		f, err := New(l, Config{Lambda: 1 << 20, Headroom: true, Algorithm: Progressive, Metrics: obs.NewRegistry()}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.GenerateRS(0, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop, running, done := make(chan struct{}), make(chan struct{}), make(chan error)
+		go func() {
+			close(running)
+			for {
+				select {
+				case <-stop:
+					done <- nil
+					return
+				default:
+				}
+				if _, err := l.AddTx(0, 2); err != nil {
+					done <- err
+					return
+				}
+			}
+		}()
+		<-running
+		_, cerr := f.Commit(res.Tokens, req)
+		// Commit's own publication, before any reader could catch it up.
+		e := f.epoch.Load()
+		close(stop)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		if _, err := e.batches.BatchOf(chain.TokenID(e.view.NumTokens() - 1)); err != nil {
+			t.Fatalf("round %d: commit published a batch list without its view's last token: %v", round, err)
+		}
 	}
 }

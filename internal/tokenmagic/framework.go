@@ -104,11 +104,11 @@ func DefaultConfig() Config {
 // bookkeeping together.
 //
 // Concurrency: a Framework is safe for concurrent use, and readers never
-// contend with writers. Every mutation (Commit, RefreshBatches,
-// UpdateLedger) serialises on writeMu and publishes a fresh immutable
+// contend with writers. Commit, and the catch-up a reader makes after the
+// ledger grew directly, serialise on writeMu and publish a fresh immutable
 // fwEpoch — ledger view, batch partition, copy-on-write guard state — via
-// one atomic store. Read paths (GenerateRS, VerifyRS, Batches) pin the
-// current epoch with one atomic load and run entirely against that
+// one atomic store. Read paths (GenerateRS, VerifyRS, Snapshot, Batches) pin
+// the current epoch with one atomic load and run entirely against that
 // snapshot: the candidate sweep and the Step-3 checks all see a single
 // consistent generation even while commits land concurrently.
 type Framework struct {
@@ -333,9 +333,10 @@ func (f *Framework) publishEpoch(e *fwEpoch) {
 }
 
 // Epoch returns the sequence number of the framework's current published
-// generation; it advances by one on every Commit, RefreshBatches and
-// UpdateLedger. The node's spend pipeline compares epochs to tell a
-// genuinely invalid ring from one that verified against stale state.
+// generation; it advances by one on every Commit and on every catch-up
+// after the ledger grew directly. The node's spend pipeline compares epochs
+// to tell a genuinely invalid ring from one that verified against stale
+// state.
 func (f *Framework) Epoch() uint64 { return f.epoch.Load().seq }
 
 // currentEpoch pins the published epoch for a reader, first catching up if
@@ -361,39 +362,16 @@ func (f *Framework) currentEpoch() (*fwEpoch, error) {
 	return f.epoch.Load(), nil
 }
 
-// RefreshBatches rebuilds the batch partition and guard state from the
-// current ledger, picking up tokens appended since the framework was built
-// (mirrors batchsvc.Server.RefreshBatches). On error the framework is left
-// unchanged. In-flight readers keep their pinned epoch and are unaffected.
-func (f *Framework) RefreshBatches() error {
-	f.writeMu.Lock()
-	defer f.writeMu.Unlock()
-	start := time.Now()
-	if err := f.rebuildEpoch(); err != nil {
-		return err
+// Snapshot pins the current epoch, catching up first if the ledger grew
+// under the framework, and returns its ledger view and batch list: one
+// consistent, immutable chain generation. It is how a full node serves batch
+// reads (batchsvc) from the state its spends verify against.
+func (f *Framework) Snapshot() (*chain.View, *chain.BatchList, error) {
+	e, err := f.currentEpoch()
+	if err != nil {
+		return nil, nil, err
 	}
-	f.metrics.epochAdvance.ObserveSince(start)
-	return nil
-}
-
-// UpdateLedger runs fn with exclusive write access to the ledger (e.g.
-// token growth) and then publishes a fresh epoch over the mutated state.
-// Concurrent spends keep reading their pinned pre-mutation epoch; they
-// never observe the mutation half-applied. If fn errors the epoch is not
-// advanced and the error returned; fn must leave the ledger consistent on
-// error.
-func (f *Framework) UpdateLedger(fn func(*chain.Ledger) error) error {
-	f.writeMu.Lock()
-	defer f.writeMu.Unlock()
-	start := time.Now()
-	if err := fn(f.ledger); err != nil {
-		return err
-	}
-	if err := f.rebuildEpoch(); err != nil {
-		return err
-	}
-	f.metrics.epochAdvance.ObserveSince(start)
-	return nil
+	return e.view, e.batches, nil
 }
 
 // Batches exposes the current epoch's batch list. The returned list is an
@@ -613,6 +591,16 @@ func (f *Framework) CommitCtx(ctx context.Context, tokens chain.TokenSet, req di
 		return -1, err
 	}
 	nv := f.ledger.View()
+	if nv.Epoch() != e.view.Epoch()+1 {
+		// Another writer appended to the ledger between the check and this
+		// append; the incremental update below would publish batches and
+		// guards that miss its op, so derive the epoch afresh.
+		if err := f.rebuildEpoch(); err != nil {
+			return -1, err
+		}
+		f.metrics.epochAdvance.ObserveSince(start)
+		return id, nil
+	}
 	rec, _ := nv.RS(id)
 	// Copy-on-write: clone the guard map and the one entry this ring lands
 	// in, leaving the previous epoch's guard state untouched for its

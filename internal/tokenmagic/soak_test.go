@@ -1,9 +1,11 @@
 package tokenmagic
 
 // Concurrency soak: hammer one Framework from many goroutines — generators,
-// committers, verifiers, stats readers — while the ledger keeps growing
-// through UpdateLedger/RefreshBatches. The test asserts no invariant breaks
-// (ReadStats tearing, rings missing their target); the race detector asserts
+// committers, verifiers, stats readers, batch-service readers (Snapshot) —
+// while the ledger keeps growing directly underneath it, so every refresh is
+// the framework's own catch-up. The test asserts no invariant breaks
+// (ReadStats tearing, rings missing their target, a snapshot whose batch
+// list misses a token of its view); the race detector asserts
 // memory safety (this file is on the CI -race list, selected with
 // `go test -run Soak -race`). Iteration-bounded, not time-bounded, so a run
 // is deterministic in the work it attempts.
@@ -98,28 +100,55 @@ func TestSoakConcurrentFrameworkUnderRefresh(t *testing.T) {
 			}
 		}()
 	}
-	// Growth: mint new transactions and rebuild the batch partition while
-	// everything above is in flight.
+	// Batch-service reader: every snapshot's batch list must reach its own
+	// view's last token, and the epoch must only move forward.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		last := uint64(0)
+		for i := 0; i < iters; i++ {
+			v, bl, err := f.Snapshot()
+			if err != nil {
+				t.Errorf("Snapshot: %v", err)
+				return
+			}
+			if ep := f.Epoch(); ep < last {
+				t.Errorf("epoch went backwards %d → %d", last, ep)
+				return
+			} else {
+				last = ep
+			}
+			if _, err := bl.BatchOf(chain.TokenID(v.NumTokens() - 1)); err != nil {
+				t.Errorf("snapshot at epoch %d: batch list misses its view's last token: %v", v.Epoch(), err)
+				return
+			}
+		}
+	}()
+	// Growth: mint new transactions straight into the ledger while everything
+	// above is in flight; readers and commits catch up on their own.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 8; i++ {
-			err := f.UpdateLedger(func(l *chain.Ledger) error {
-				b := l.BeginBlock()
-				_, err := l.AddTx(b, 2)
-				return err
-			})
-			if err != nil {
-				t.Errorf("UpdateLedger: %v", err)
-				return
-			}
-			if err := f.RefreshBatches(); err != nil {
-				t.Errorf("RefreshBatches: %v", err)
+			if _, err := l.AddTx(l.BeginBlock(), 2); err != nil {
+				t.Errorf("AddTx: %v", err)
 				return
 			}
 		}
 	}()
 	wg.Wait()
+
+	// Once the growth has stopped, a snapshot covers every minted token.
+	v, bl, err := f.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.NumTokens() != l.NumTokens() {
+		t.Fatalf("snapshot holds %d tokens, ledger %d", v.NumTokens(), l.NumTokens())
+	}
+	if _, err := bl.BatchOf(chain.TokenID(l.NumTokens() - 1)); err != nil {
+		t.Fatalf("last minted token has no batch: %v", err)
+	}
 
 	// Post-conditions: every committed ring still verifies against the final
 	// chain state, and the telemetry is consistent.
