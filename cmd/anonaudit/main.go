@@ -43,8 +43,6 @@ func main() {
 		assert    = flag.Bool("assert", false, "fail if any (solver, attack) min anonymity regressed below the baseline")
 		baseline  = flag.String("baseline", "BENCH_anonymity.json", "baseline report for -assert")
 		dataDir   = flag.String("data-dir", "", "audit this persisted ledger instead of running the sim sweep")
-		shards    = flag.Int("shards", 2, "segment-log shards of -data-dir (must match the writer)")
-		lambda    = flag.Int("lambda", 800, "batch size parameter λ of -data-dir (shard routing)")
 	)
 	flag.Parse()
 
@@ -74,7 +72,7 @@ func main() {
 	var rep *bench.AnonymityReport
 	if *dataDir != "" {
 		var err error
-		rep, err = auditDataDir(*dataDir, *shards, *lambda, *window, splitList(*attacks))
+		rep, err = auditDataDir(*dataDir, *window, splitList(*attacks))
 		fail(err)
 	} else {
 		var err error
@@ -107,9 +105,13 @@ func main() {
 
 // auditDataDir opens a persisted ledger read-only-ish (recovery still
 // repairs) and runs the attack suite over its committed rings, labelled
-// "ledger" in the matrix.
-func auditDataDir(dir string, shards, lambda, window int, attacks []string) (*bench.AnonymityReport, error) {
-	st, err := store.Open(dir, store.Options{Shards: shards, Lambda: lambda})
+// "ledger" in the matrix. A dir that does not exist is an error: store.Open
+// would create an empty store there and audit nothing.
+func auditDataDir(dir string, window int, attacks []string) (*bench.AnonymityReport, error) {
+	if _, err := os.Stat(dir); err != nil {
+		return nil, err
+	}
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		return nil, err
 	}

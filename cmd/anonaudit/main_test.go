@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -30,5 +33,17 @@ func TestAssertGatesCellsOnly(t *testing.T) {
 	cur.Rows[0].MinAnonymity = base.Rows[0].MinAnonymity - 1
 	if err := assertNoRegression(cur, base, "baseline"); err == nil {
 		t.Fatal("a cell below its floor passed the gate")
+	}
+}
+
+// TestAuditRefusesMissingDataDir: -data-dir names existing data, so a
+// mistyped path is an error and no store is created there.
+func TestAuditRefusesMissingDataDir(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "nope-typo")
+	if _, err := auditDataDir(missing, 2, nil); err == nil {
+		t.Fatal("audit of a missing data dir succeeded")
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("audit left %s behind (stat: %v)", missing, err)
 	}
 }

@@ -109,7 +109,7 @@ func cmdServe(args []string) error {
 	}
 	led := d.Ledger
 	if *sf.dataDir != "" {
-		st, err := sf.open(*lambda)
+		st, err := sf.open()
 		if err != nil {
 			return err
 		}

@@ -44,7 +44,7 @@ func cmdSim(args []string) error {
 		Seed:          *seed,
 	}
 	if *sf.dataDir != "" {
-		st, err := sf.open(*tokens)
+		st, err := sf.open()
 		if err != nil {
 			return err
 		}

@@ -20,7 +20,6 @@ import (
 // recover. An empty -data-dir means in-memory only.
 type storeFlags struct {
 	dataDir       *string
-	shards        *int
 	segmentBytes  *int64
 	snapshotEvery *uint64
 	syncEvery     *bool
@@ -29,19 +28,15 @@ type storeFlags struct {
 func registerStoreFlags(fs *flag.FlagSet) *storeFlags {
 	return &storeFlags{
 		dataDir:       fs.String("data-dir", "", "persist the ledger under this directory (empty = in-memory)"),
-		shards:        fs.Int("shards", 2, "segment-log shards in the data dir (must match across opens)"),
 		segmentBytes:  fs.Int64("segment-bytes", 4<<20, "rotate segment files at this size"),
 		snapshotEvery: fs.Uint64("snapshot-every", 512, "snapshot the ledger every N committed ops (0 = only on demand)"),
 		syncEvery:     fs.Bool("fsync", false, "fsync the segment log on every append (durability over throughput)"),
 	}
 }
 
-// open opens the store described by the flags; lambda feeds batch-id shard
-// routing so ring appends over one batch stay in one shard.
-func (sf *storeFlags) open(lambda int) (*store.Store, error) {
+// open opens the store described by the flags.
+func (sf *storeFlags) open() (*store.Store, error) {
 	st, err := store.Open(*sf.dataDir, store.Options{
-		Shards:        *sf.shards,
-		Lambda:        lambda,
 		SegmentBytes:  *sf.segmentBytes,
 		SnapshotEvery: *sf.snapshotEvery,
 		Sync:          *sf.syncEvery,
@@ -55,7 +50,6 @@ func (sf *storeFlags) open(lambda int) (*store.Store, error) {
 		"snapshot_seq", st.Info.SnapshotSeq,
 		"replayed", st.Info.Replayed,
 		"duplicates", st.Info.Duplicates,
-		"dropped_tail", st.Info.DroppedTail,
 		"torn_bytes", st.Info.TornBytes)
 	return st, nil
 }
@@ -88,7 +82,6 @@ type recoverReport struct {
 func cmdRecover(args []string) error {
 	fs := flag.NewFlagSet("recover", flag.ExitOnError)
 	sf := registerStoreFlags(fs)
-	lambda := fs.Int("lambda", 800, "batch size parameter λ (shard routing)")
 	maxAudit := fs.Int("max-audit-rings", 4096, "skip the DM anonymity audit above this many recovered rings (0 = always skip)")
 	logLevel := fs.String("log-level", "warn", "slog level: debug|info|warn|error")
 	if err := fs.Parse(args); err != nil {
@@ -100,9 +93,14 @@ func cmdRecover(args []string) error {
 	if *sf.dataDir == "" {
 		return fmt.Errorf("recover: need -data-dir")
 	}
+	// recover inspects existing data; store.Open would create an empty
+	// store at a mistyped path and report it recovered.
+	if _, err := os.Stat(*sf.dataDir); err != nil {
+		return fmt.Errorf("recover: %w", err)
+	}
 
 	report := func() (recoverReport, error) {
-		st, err := sf.open(*lambda)
+		st, err := sf.open()
 		if err != nil {
 			return recoverReport{}, err
 		}
@@ -151,9 +149,9 @@ func cmdRecover(args []string) error {
 		return fmt.Errorf("recover: second open diverged: epoch %d→%d digest %s→%s",
 			first.Info.Epoch, second.Info.Epoch, first.Digest, second.Digest)
 	}
-	if second.Info.DroppedTail != 0 || second.Info.TornBytes != 0 {
-		return fmt.Errorf("recover: second open still repairing (dropped %d, torn %d bytes): first repair incomplete",
-			second.Info.DroppedTail, second.Info.TornBytes)
+	if second.Info.TornBytes != 0 {
+		return fmt.Errorf("recover: second open still repairing (torn %d bytes): first repair incomplete",
+			second.Info.TornBytes)
 	}
 	fmt.Println("recovery stable: second open clean and identical")
 	return nil

@@ -210,15 +210,8 @@ func (n *Node) submit(ctx context.Context, sub Submission) (Receipt, error) {
 		if err := n.engine.VerifyCtx(ctx, sub.Signature, sub.Keys, Message(sub.Tokens)); err != nil {
 			return Receipt{}, fmt.Errorf("%w: %w", ErrBadSignature, err)
 		}
-		img := string(sub.Signature.Image.Bytes())
-		if prior, used := n.images[img]; used {
-			return Receipt{}, fmt.Errorf("%w (by %v)", ErrKeyImageUsed, prior)
-		}
-		// Also scan the mempool for an in-flight duplicate image.
-		for _, e := range n.mempool {
-			if e.sub.Signature != nil && ringsig.Linked(e.sub.Signature, sub.Signature) {
-				return Receipt{}, fmt.Errorf("%w (pending)", ErrKeyImageUsed)
-			}
+		if err := n.checkImage(sub.Signature); err != nil {
+			return Receipt{}, err
 		}
 	}
 	// TokenMagic Step-3 checks against the current chain + mempool rings.
@@ -237,6 +230,22 @@ func (n *Node) submit(ctx context.Context, sub Submission) (Receipt, error) {
 	n.mempool = append(n.mempool, pendingEntry{sub: sub, id: id})
 	n.metrics.Gauge("node.mempool.pending").Set(int64(len(n.mempool)))
 	return Receipt{SubmissionID: id}, nil
+}
+
+// checkImage is the node's one key-image check: it refuses a signature whose
+// key image is already on the chain or in a pending mempool entry. Submit
+// and Spend both call it under n.mu, so neither can land a token the other
+// has already spent or queued.
+func (n *Node) checkImage(sig *ringsig.Signature) error {
+	if prior, used := n.images[string(sig.Image.Bytes())]; used {
+		return fmt.Errorf("%w (by %v)", ErrKeyImageUsed, prior)
+	}
+	for _, e := range n.mempool {
+		if ringsig.Linked(e.sub.Signature, sig) {
+			return fmt.Errorf("%w (pending)", ErrKeyImageUsed)
+		}
+	}
+	return nil
 }
 
 // PendingCount returns the mempool depth.

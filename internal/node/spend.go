@@ -174,11 +174,9 @@ func (n *Node) spendOnce(ctx context.Context, target chain.TokenID, req diversit
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var img string
 	if sig != nil {
-		img = string(sig.Image.Bytes())
-		if prior, used := n.images[img]; used {
-			return SpendResult{}, req, fmt.Errorf("%w (by %v)", ErrKeyImageUsed, prior)
+		if err := n.checkImage(sig); err != nil {
+			return SpendResult{}, req, err
 		}
 	} else if prior, used := n.unsignedSpent[target]; used {
 		return SpendResult{}, req, fmt.Errorf("%w (unsigned spend of %v, by %v)", ErrKeyImageUsed, target, prior)
@@ -188,7 +186,7 @@ func (n *Node) spendOnce(ctx context.Context, target chain.TokenID, req diversit
 		return SpendResult{}, req, err
 	}
 	if sig != nil {
-		n.images[img] = id
+		n.images[string(sig.Image.Bytes())] = id
 	} else {
 		n.unsignedSpent[target] = id
 	}

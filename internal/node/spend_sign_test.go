@@ -189,3 +189,32 @@ func TestNewMemoisesSpendKeys(t *testing.T) {
 		t.Fatalf("memo grew to %d keys past the %d minted", got, len(keys))
 	}
 }
+
+// TestSpendRefusesPendingKeyImage: a signed Submit of a token followed by a
+// Spend of the same token puts one ring on the chain, not two. The Spend
+// sees the key image pending in the mempool and is refused as a double
+// spend, Mine commits the submitted ring, and a later Spend is refused
+// against the chain.
+func TestSpendRefusesPendingKeyImage(t *testing.T) {
+	n, keys, reg := signedSpendNode(t, 40)
+	req := diversity.Requirement{C: 1, L: 3}
+	if _, err := n.Submit(makeSubmission(t, n.ledger, keys, 0, req)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Spend(context.Background(), 0, req); !errors.Is(err, ErrKeyImageUsed) {
+		t.Fatalf("spend of a token pending in the mempool: %v, want ErrKeyImageUsed", err)
+	}
+	if got := reg.Counter("node.spend.reject.double_spend").Value(); got != 1 {
+		t.Fatalf("node.spend.reject.double_spend = %d, want 1", got)
+	}
+	mined, err := n.Mine(10)
+	if err != nil || len(mined) != 1 {
+		t.Fatalf("mine: %d rings, %v; want the submitted one", len(mined), err)
+	}
+	if _, err := n.Spend(context.Background(), 0, req); !errors.Is(err, ErrKeyImageUsed) {
+		t.Fatalf("spend of a mined token: %v, want ErrKeyImageUsed", err)
+	}
+	if n.ChainRings() != 1 {
+		t.Fatalf("%d rings on the chain signed with one key, want 1", n.ChainRings())
+	}
+}

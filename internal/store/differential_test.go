@@ -20,8 +20,6 @@ func TestDifferentialPersistentVsMemory(t *testing.T) {
 		mem := chain.NewLedger()
 		dir := t.TempDir()
 		opts := testOpts(Options{
-			Shards:        1 + int(seed%3),
-			Lambda:        2 + int(seed%4),
 			SegmentBytes:  256 << (seed % 4),
 			SnapshotEvery: uint64(10 * (seed % 3)), // 0, 10 or 20
 			NoCompact:     seed%2 == 0,

@@ -99,7 +99,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 // validates end to end; in particular the state digest pins the content.
 func FuzzSnapshotLoad(f *testing.F) {
 	dir := f.TempDir()
-	st, err := Open(dir, testOpts(Options{Shards: 1}))
+	st, err := Open(dir, testOpts(Options{}))
 	if err != nil {
 		f.Fatal(err)
 	}

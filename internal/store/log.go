@@ -19,13 +19,13 @@ import (
 
 // Options configure a persistent log.
 type Options struct {
-	// Shards is the number of shard directories ops are spread across.
-	// Default 1.
+	// Shards and Lambda configured the old sharded layout, which spread ops
+	// over shard-NN directories; a data dir now holds one segment log. They
+	// remain only so callers that still set them keep compiling.
+	//
+	// Deprecated: ignored.
 	Shards int
-	// Lambda is the batch-size parameter λ. Ring ops are routed to shard
-	// (firstToken/λ) mod Shards — tokens of the same batch land in the same
-	// shard, since batches are ≈λ-token contiguous runs. Zero routes ring
-	// ops by sequence number like everything else.
+	// Deprecated: ignored.
 	Lambda int
 	// SegmentBytes rotates the active segment once it reaches this size.
 	// Default 4 MiB.
@@ -47,9 +47,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
@@ -60,17 +57,28 @@ func (o Options) withDefaults() Options {
 }
 
 // Log is the persistent journal: it implements chain.Journal, appending each
-// op to its shard's active segment before the ledger applies it, and writes
-// periodic snapshots keyed by epoch. One Log owns one data directory.
+// op to the active segment before the ledger applies it, and writes periodic
+// snapshots keyed by epoch. One Log owns one data directory.
 type Log struct {
 	dir  string
 	opts Options
 
-	mu      sync.Mutex // guards shards, nextSeq, closed
-	shards  []*shardLog
+	mu      sync.Mutex // guards nextSeq, closed and the segment state below
 	nextSeq uint64
 	closed  bool
 	lock    *os.File // dir/LOCK flock; released on Close (or process exit)
+
+	// The segment state: the active segment plus the sealed ones.
+	active      *os.File
+	activeID    int
+	activeSize  int64
+	activeMax   uint64
+	activeCount int
+	sealed      []sealedSeg
+	// failed is set when an append did not complete (ENOSPC, I/O error):
+	// the active segment may end in partial bytes, so the log refuses
+	// further appends until a reopen repairs the file.
+	failed bool
 
 	snapMu  sync.Mutex    // serialises snapshot writes (committer vs snapshotter)
 	snapSeq atomic.Uint64 // epoch of the newest durable snapshot
@@ -97,17 +105,6 @@ func (s *Log) initMetrics() {
 	s.mSnapBytes = r.Counter("store.snapshot.bytes")
 }
 
-// shardFor routes an op to a shard. Ring ops go by batch id (first token
-// over λ) so one batch's mixin history stays together; block and tx ops
-// round-robin by sequence.
-func (s *Log) shardFor(op chain.Op) int {
-	n := len(s.shards)
-	if op.Kind == chain.OpRS && s.opts.Lambda > 0 && len(op.Tokens) > 0 {
-		return (int(op.Tokens[0]) / s.opts.Lambda) % n
-	}
-	return int(op.Seq % uint64(n))
-}
-
 // Append implements chain.Journal: it makes the op durable before the ledger
 // applies it. The ledger calls this under its mutation lock, write-ahead.
 func (s *Log) Append(op chain.Op) error {
@@ -129,14 +126,14 @@ func (s *Log) Append(op chain.Op) error {
 		// replayed. Refuse it here, before the ledger applies it.
 		return fmt.Errorf("store: op seq %d encodes to %d bytes, over the %d-byte record limit", op.Seq, len(payload), maxRecordBytes)
 	}
-	n, err := s.shards[s.shardFor(op)].append(payload, op.Seq, s.opts.SegmentBytes, s.opts.Sync)
+	n, err := s.writeRecord(payload, op.Seq)
 	if err != nil {
 		return err
 	}
 	s.nextSeq++
 	s.mAppends.Inc()
 	s.mBytes.Add(int64(n))
-	s.mSegments.Set(s.segmentCountLocked())
+	s.mSegments.Set(int64(len(s.sealed) + 1))
 	return nil
 }
 
@@ -234,12 +231,19 @@ func (s *Log) Compact(snapSeq uint64) error {
 	if s.closed {
 		return ErrClosed
 	}
-	for _, sh := range s.shards {
-		if err := sh.compact(snapSeq); err != nil {
-			return err
+	// A snapshot at epoch S contains ops with seq < S.
+	keep := s.sealed[:0]
+	for _, sg := range s.sealed {
+		if sg.maxSeq < snapSeq {
+			if err := os.Remove(filepath.Join(s.dir, segName(sg.id))); err != nil {
+				return fmt.Errorf("store: compact: %w", err)
+			}
+			continue
 		}
+		keep = append(keep, sg)
 	}
-	s.mSegments.Set(s.segmentCountLocked())
+	s.sealed = keep
+	s.mSegments.Set(int64(len(s.sealed) + 1))
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("store: compact snapshots: %w", err)
@@ -258,16 +262,8 @@ func (s *Log) Compact(snapSeq uint64) error {
 	return nil
 }
 
-func (s *Log) segmentCountLocked() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		n += int64(sh.segments())
-	}
-	return n
-}
-
-// Close flushes and closes all active segments. The Log must not be used as
-// a journal afterwards.
+// Close closes the active segment and releases the lock. The Log must not be
+// used as a journal afterwards.
 func (s *Log) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -276,9 +272,9 @@ func (s *Log) Close() error {
 	}
 	s.closed = true
 	var first error
-	for _, sh := range s.shards {
-		if err := sh.close(); err != nil && first == nil {
-			first = err
+	if s.active != nil {
+		if err := s.active.Close(); err != nil {
+			first = fmt.Errorf("store: close segment: %w", err)
 		}
 	}
 	if s.lock != nil {

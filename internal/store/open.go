@@ -24,12 +24,8 @@ type RecoveryInfo struct {
 	SnapshotSeq uint64 `json:"snapshot_seq"`
 	// Replayed ops applied from segment logs on top of the snapshot.
 	Replayed int `json:"replayed"`
-	// Duplicates skipped: records whose seq the snapshot (or an earlier
-	// record) already covered.
+	// Duplicates skipped: records whose seq the snapshot already covered.
 	Duplicates int `json:"duplicates"`
-	// DroppedTail records discarded past a sequence gap — ops whose
-	// predecessors were lost in the crash, physically truncated away.
-	DroppedTail int `json:"dropped_tail"`
 	// TornBytes truncated from segment tails that did not decode.
 	TornBytes int64 `json:"torn_bytes"`
 	// SnapshotsSkipped counts corrupt or unreadable snapshot files that
@@ -49,14 +45,26 @@ func (s *Store) Close() error { return s.Log.Close() }
 
 // Open recovers the persistent ledger under dir (creating it when absent)
 // and wires the returned ledger to keep journaling there. Recovery loads the
-// newest intact snapshot, replays the sharded segment logs in global
-// sequence order on top of it, tolerates torn tails and duplicate records,
-// repairs the files to the recovered state, and fails loudly (ErrCorrupt) on
-// any damage that is not a trailing crash artifact.
+// newest intact snapshot, replays the segment log in id order on top of it,
+// truncates a torn tail off the final segment, and fails loudly (ErrCorrupt)
+// on any other damage, changing no file when it does.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create data dir: %w", err)
+	}
+	// Refuse the old sharded layout before taking the lock, so not one byte
+	// of such a dir changes: its records sit in shard-NN subdirectories this
+	// reader never looks at, and repairing what it does see would lose them.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: read data dir: %w", err)
+	}
+	for _, e := range entries {
+		var idx int
+		if _, serr := fmt.Sscanf(e.Name(), "shard-%02d", &idx); serr == nil {
+			return nil, fmt.Errorf("store: %s holds %s: this data dir was written by the old sharded layout, which this version does not read", dir, e.Name())
+		}
 	}
 	lock, err := acquireLock(dir)
 	if err != nil {
@@ -70,26 +78,6 @@ func Open(dir string, opts Options) (*Store, error) {
 			_ = lock.Close()
 		}
 	}()
-	// A shard dir beyond opts.Shards means the store was written with a
-	// larger shard count: scanning a subset would misread its records as a
-	// sequence gap and truncate them away. Refuse before touching anything.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: read data dir: %w", err)
-	}
-	for _, e := range entries {
-		var idx int
-		if _, serr := fmt.Sscanf(e.Name(), "shard-%02d", &idx); serr == nil && idx >= opts.Shards {
-			return nil, fmt.Errorf("store: %s exists but store opened with %d shards", e.Name(), opts.Shards)
-		}
-	}
-	shardDirs := make([]string, opts.Shards)
-	for i := range shardDirs {
-		shardDirs[i] = filepath.Join(dir, shardDirName(i))
-		if err := os.MkdirAll(shardDirs[i], 0o755); err != nil {
-			return nil, fmt.Errorf("store: create shard dir: %w", err)
-		}
-	}
 
 	var info RecoveryInfo
 	led, snapSeq, skipped, err := loadNewestSnapshot(dir)
@@ -99,190 +87,88 @@ func Open(dir string, opts Options) (*Store, error) {
 	info.SnapshotSeq = snapSeq
 	info.SnapshotsSkipped = skipped
 
-	// Scan every shard, truncating torn tails as they are found.
-	type shardScan struct {
-		ids  []int
-		recs []segRecord
+	// Read every segment. Only the final one may end in a torn write; its
+	// repair waits until replay has succeeded.
+	ids, err := listSegments(dir)
+	if err != nil {
+		return nil, err
 	}
-	scans := make([]shardScan, opts.Shards)
-	var merged []segRecord
-	for i, sd := range shardDirs {
-		ids, lerr := listSegments(sd)
-		if lerr != nil {
-			return nil, lerr
+	var recs []segRecord
+	tornPath, tornSize := "", int64(0)
+	for k, id := range ids {
+		path := filepath.Join(dir, segName(id))
+		segRecs, tail, rerr := readSegment(path, id)
+		if rerr != nil {
+			return nil, rerr
 		}
-		var prevSeq uint64
-		havePrev := false
-		for k := 0; k < len(ids); k++ {
-			id := ids[k]
-			path := filepath.Join(sd, segName(id))
-			recs, tail, rerr := readSegment(path, id)
-			if rerr != nil {
-				return nil, rerr
+		if tail > 0 {
+			if k != len(ids)-1 {
+				return nil, fmt.Errorf("%w: segment %d truncated mid-log", ErrCorrupt, id)
 			}
-			if tail > 0 {
-				if k != len(ids)-1 {
-					return nil, fmt.Errorf("%w: shard %d: segment %d truncated mid-log", ErrCorrupt, i, id)
-				}
-				info.TornBytes += tail
-				fi, serr := os.Stat(path)
-				if serr != nil {
-					return nil, fmt.Errorf("store: stat segment: %w", serr)
-				}
-				newSize := fi.Size() - tail
-				if newSize < int64(len(segMagic)) {
-					// The torn write was the segment's very first bytes;
-					// nothing in it survives.
-					if remErr := os.Remove(path); remErr != nil {
-						return nil, fmt.Errorf("store: drop torn segment: %w", remErr)
-					}
-					ids = ids[:k]
-					break
-				}
-				if tErr := os.Truncate(path, newSize); tErr != nil {
-					return nil, fmt.Errorf("store: truncate torn tail: %w", tErr)
-				}
+			fi, serr := os.Stat(path)
+			if serr != nil {
+				return nil, fmt.Errorf("store: stat segment: %w", serr)
 			}
-			for _, r := range recs {
-				if havePrev && r.op.Seq <= prevSeq {
-					return nil, fmt.Errorf("%w: shard %d: seq %d not above %d", ErrCorrupt, i, r.op.Seq, prevSeq)
-				}
-				prevSeq, havePrev = r.op.Seq, true
-			}
-			scans[i].recs = append(scans[i].recs, recs...)
-			merged = append(merged, recs...)
+			info.TornBytes = tail
+			tornPath, tornSize = path, fi.Size()-tail
 		}
-		scans[i].ids = ids
+		recs = append(recs, segRecs...)
 	}
 
-	// Replay in global sequence order. Sequences the snapshot already covers
-	// are duplicates; the first gap ends the recoverable prefix — everything
-	// past it lost a predecessor in the crash and is dropped.
-	sort.SliceStable(merged, func(a, b int) bool { return merged[a].op.Seq < merged[b].op.Seq })
-	// The log must reach back to the recovery start point. Compaction only
-	// deletes records a durable snapshot covers, so an oldest surviving
-	// record beyond led.Epoch() means the snapshot covering the missing
-	// range exists but no longer loads (or was removed) — treating the whole
-	// log as a droppable tail here would silently roll the store back, then
-	// finishShard would destroy the evidence. Gaps strictly inside the
-	// replayed range stay tolerated: they are crash artifacts (one shard
-	// lost its unsynced tail while another kept later ops).
-	if len(merged) > 0 && merged[0].op.Seq > led.Epoch() {
-		return nil, fmt.Errorf("%w: oldest log record has seq %d but recovery starts at epoch %d; ops [%d,%d) are missing — the snapshot covering them did not load",
-			ErrCorrupt, merged[0].op.Seq, led.Epoch(), led.Epoch(), merged[0].op.Seq)
-	}
-	for _, m := range merged {
+	// Replay in log order. Records the snapshot covers are duplicates; every
+	// other record must carry exactly the next sequence number. A gap the
+	// snapshot covers is harmless (a durable snapshot can outlive the
+	// unsynced log tail it covers), but a gap at or past the recovery epoch
+	// means ops are missing from the log and from every snapshot that loads:
+	// a crash cannot cause that, so recovery refuses rather than roll back.
+	for k, r := range recs {
 		switch {
-		case m.op.Seq < led.Epoch():
+		case k > 0 && r.op.Seq <= recs[k-1].op.Seq:
+			return nil, fmt.Errorf("%w: seq %d not above %d", ErrCorrupt, r.op.Seq, recs[k-1].op.Seq)
+		case r.op.Seq < led.Epoch():
 			info.Duplicates++
-		case m.op.Seq == led.Epoch():
-			if aerr := led.Apply(m.op); aerr != nil {
-				return nil, fmt.Errorf("%w: replay seq %d: %v", ErrCorrupt, m.op.Seq, aerr)
+		case r.op.Seq == led.Epoch():
+			if aerr := led.Apply(r.op); aerr != nil {
+				return nil, fmt.Errorf("%w: replay seq %d: %v", ErrCorrupt, r.op.Seq, aerr)
 			}
 			info.Replayed++
 		default:
-			info.DroppedTail++
+			return nil, fmt.Errorf("%w: log jumps to seq %d at epoch %d; ops [%d,%d) are missing from the log and from every snapshot that loads",
+				ErrCorrupt, r.op.Seq, led.Epoch(), led.Epoch(), r.op.Seq)
 		}
 	}
 	info.Epoch = led.Epoch()
 
-	// Repair each shard to exactly the recovered prefix and derive the
-	// writer state for reopening.
+	if tornPath != "" {
+		if tornSize < int64(len(segMagic)) {
+			// The torn write was the segment's very first bytes; nothing
+			// in it survives.
+			if err := os.Remove(tornPath); err != nil {
+				return nil, fmt.Errorf("store: drop torn segment: %w", err)
+			}
+			ids = ids[:len(ids)-1]
+		} else if err := os.Truncate(tornPath, tornSize); err != nil {
+			return nil, fmt.Errorf("store: truncate torn tail: %w", err)
+		}
+	}
+
 	log := &Log{dir: dir, opts: opts, nextSeq: led.Epoch()}
 	log.snapSeq.Store(snapSeq)
 	log.initMetrics()
-	for i := range scans {
-		st, ferr := finishShard(shardDirs[i], scans[i].ids, scans[i].recs, led.Epoch())
-		if ferr != nil {
-			return nil, ferr
-		}
-		sh, oerr := openShard(shardDirs[i], st.lastID, st.lastSize, st.lastMax, st.lastCount, st.closed)
-		if oerr != nil {
-			return nil, oerr
-		}
-		log.shards = append(log.shards, sh)
+	if err := log.resume(ids, recs); err != nil {
+		return nil, err
 	}
-	log.mSegments.Set(log.segmentCountLocked())
+	log.mSegments.Set(int64(len(log.sealed) + 1))
 	log.mEpoch.Set(int64(led.Epoch()))
 	r := opts.Metrics
 	r.Counter("store.recover.replayed").Add(int64(info.Replayed))
 	r.Counter("store.recover.duplicates").Add(int64(info.Duplicates))
-	r.Counter("store.recover.dropped_tail").Add(int64(info.DroppedTail))
 	r.Counter("store.recover.torn_bytes").Add(info.TornBytes)
 
 	led.SetJournal(log)
 	log.lock = lock
 	opened = true
 	return &Store{Ledger: led, Log: log, Info: info}, nil
-}
-
-// shardState is the writer-side inventory of a shard after repair.
-type shardState struct {
-	lastID    int
-	lastSize  int64
-	lastMax   uint64
-	lastCount int
-	closed    []closedSeg
-}
-
-// finishShard physically removes records past the recovered epoch (they form
-// a suffix of the shard, since sequences increase within it) and returns the
-// surviving segment inventory.
-func finishShard(dir string, ids []int, recs []segRecord, keep uint64) (shardState, error) {
-	var st shardState
-	firstDrop := len(recs)
-	for idx, r := range recs {
-		if r.op.Seq >= keep {
-			firstDrop = idx
-			break
-		}
-	}
-	kept := recs[:firstDrop]
-	if len(ids) == 0 {
-		return st, nil // openShard will create the first segment
-	}
-	if firstDrop < len(recs) {
-		cutID := ids[0]
-		cutOff := int64(len(segMagic))
-		if len(kept) > 0 {
-			cutID = kept[len(kept)-1].segID
-			cutOff = kept[len(kept)-1].end
-		}
-		trimmed := ids[:0]
-		for _, id := range ids {
-			if id > cutID {
-				if err := os.Remove(filepath.Join(dir, segName(id))); err != nil {
-					return st, fmt.Errorf("store: drop dead segment: %w", err)
-				}
-				continue
-			}
-			trimmed = append(trimmed, id)
-		}
-		ids = trimmed
-		if err := os.Truncate(filepath.Join(dir, segName(cutID)), cutOff); err != nil {
-			return st, fmt.Errorf("store: truncate dead records: %w", err)
-		}
-	}
-	perCount := make(map[int]int)
-	perMax := make(map[int]uint64)
-	perEnd := make(map[int]int64)
-	for _, r := range kept {
-		perCount[r.segID]++
-		perMax[r.segID] = r.op.Seq
-		perEnd[r.segID] = r.end
-	}
-	last := ids[len(ids)-1]
-	for _, id := range ids[:len(ids)-1] {
-		st.closed = append(st.closed, closedSeg{id: id, maxSeq: perMax[id]})
-	}
-	st.lastID = last
-	st.lastCount = perCount[last]
-	st.lastMax = perMax[last]
-	st.lastSize = int64(len(segMagic))
-	if e, ok := perEnd[last]; ok {
-		st.lastSize = e
-	}
-	return st, nil
 }
 
 // loadNewestSnapshot tries snapshots newest-first and returns the first one

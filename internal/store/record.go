@@ -1,17 +1,17 @@
-// Package store is the stdlib-only persistent storage layer: an append-only
-// segment log of journaled chain ops, sharded across N directories by batch
-// id, plus periodic snapshots of the full ledger state. It plugs into
-// chain.Ledger through the Journal interface — the ledger journals every op
-// write-ahead, the store makes it durable, and Open replays log + snapshot
-// back into the exact committed state after a crash.
+// Package store is the stdlib-only persistent storage layer: one append-only
+// segment log of journaled chain ops per data directory, plus periodic
+// snapshots of the full ledger state. It plugs into chain.Ledger through the
+// Journal interface — the ledger journals every op write-ahead, the store
+// makes it durable, and Open replays log + snapshot back into the exact
+// committed state after a crash.
 //
 // Durability contract (what the fault-injection tests in recovery_test.go
-// prove): after any crash, Open recovers the ledger to the longest contiguous
-// committed prefix of ops. A torn write at the physical tail of a shard's
-// final segment is a crash artifact and is truncated away; corruption
-// anywhere else is an error, never silently skipped. Replay is idempotent —
-// records already covered by the snapshot (or duplicated across segments) are
-// skipped by sequence number.
+// prove): after any crash, Open recovers the ledger to the longest
+// committed prefix of ops. A torn write at the physical tail of the final
+// segment is a crash artifact and is truncated away; corruption anywhere
+// else, a sequence gap included, is an error, never silently skipped.
+// Replay is idempotent — records the snapshot already covers are skipped by
+// sequence number.
 package store
 
 import (
@@ -39,21 +39,21 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Errors surfaced by the store. ErrCorrupt marks damage that recovery must
 // not paper over (mid-log truncation, checksum failures away from the tail,
-// non-monotonic sequences); errTorn and errBadCRC are internal classifiers
-// the segment reader turns into either a tolerated torn tail or ErrCorrupt
-// depending on where the damage sits.
+// non-monotonic sequences, sequence gaps); errTorn and errBadCRC are internal
+// classifiers the segment reader turns into either a tolerated torn tail or
+// ErrCorrupt depending on where the damage sits.
 var (
 	ErrCorrupt = errors.New("store: corrupt log")
 	ErrClosed  = errors.New("store: log is closed")
 
 	errTorn   = errors.New("store: record extends past end of data")
 	errBadCRC = errors.New("store: record checksum mismatch")
-	// errShardFailed seals a shard after a failed append: the active segment
-	// may end in a partial record, and appending past it would bury a torn
-	// tail mid-log — damage recovery refuses to repair. Reopening the store
-	// truncates the file back to the last good boundary and clears the
+	// errAppendFailed seals the log after a failed append: the active
+	// segment may end in a partial record, and appending past it would bury
+	// a torn tail mid-log — damage recovery refuses to repair. Reopening the
+	// store truncates the file back to the last good boundary and clears the
 	// condition.
-	errShardFailed = errors.New("store: shard disabled by earlier failed append")
+	errAppendFailed = errors.New("store: log disabled by earlier failed append")
 )
 
 // appendRecord frames payload onto dst and returns the extended slice.

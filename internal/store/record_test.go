@@ -29,7 +29,7 @@ func TestReadRecordLimit(t *testing.T) {
 // never be recovered.
 func TestAppendRefusesOversizedOp(t *testing.T) {
 	dir := t.TempDir()
-	st := openT(t, dir, testOpts(Options{Shards: 1}))
+	st := openT(t, dir, testOpts(Options{}))
 	defer func() {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)

@@ -38,20 +38,19 @@ func copyTree(t *testing.T, src string) string {
 	return dst
 }
 
-// finalSegment returns the newest segment of a shard with its decoded
+// finalSegment returns the newest segment of the log with its decoded
 // records.
-func finalSegment(t *testing.T, dir string, shard int) (path string, id int, recs []segRecord) {
+func finalSegment(t *testing.T, dir string) (path string, id int, recs []segRecord) {
 	t.Helper()
-	sd := filepath.Join(dir, shardDirName(shard))
-	ids, err := listSegments(sd)
+	ids, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) == 0 {
-		t.Fatalf("shard %d has no segments", shard)
+		t.Fatal("log has no segments")
 	}
 	id = ids[len(ids)-1]
-	path = filepath.Join(sd, segName(id))
+	path = filepath.Join(dir, segName(id))
 	recs, tail, err := readSegment(path, id)
 	if err != nil || tail != 0 {
 		t.Fatalf("read %s: err=%v tail=%d", path, err, tail)
@@ -64,10 +63,10 @@ func finalSegment(t *testing.T, dir string, shard int) (path string, id int, rec
 // asserts recovery lands byte-identically on the previous committed epoch.
 func TestTornFinalRecord(t *testing.T) {
 	dir := t.TempDir()
-	ops := buildStore(t, dir, testOpts(Options{Shards: 1}), 30)
+	ops := buildStore(t, dir, testOpts(Options{}), 30)
 	e := len(ops)
 	want := prefixDigest(t, ops, e-1)
-	path, _, recs := finalSegment(t, dir, 0)
+	path, _, recs := finalSegment(t, dir)
 	last := recs[len(recs)-1]
 	start := int64(len(segMagic))
 	if len(recs) > 1 {
@@ -80,7 +79,7 @@ func TestTornFinalRecord(t *testing.T) {
 
 	check := func(work string, wantTorn bool) {
 		t.Helper()
-		st := openT(t, work, testOpts(Options{Shards: 1}))
+		st := openT(t, work, testOpts(Options{}))
 		defer func() {
 			if cerr := st.Close(); cerr != nil {
 				t.Fatal(cerr)
@@ -130,8 +129,8 @@ func TestTornFinalRecord(t *testing.T) {
 // records, and asserts recovery to the exact surviving prefix.
 func TestTruncatedFinalSegment(t *testing.T) {
 	dir := t.TempDir()
-	ops := buildStore(t, dir, testOpts(Options{Shards: 1}), 30)
-	path, _, recs := finalSegment(t, dir, 0)
+	ops := buildStore(t, dir, testOpts(Options{}), 30)
+	path, _, recs := finalSegment(t, dir)
 	rel, err := filepath.Rel(dir, path)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +141,7 @@ func TestTruncatedFinalSegment(t *testing.T) {
 		if err := os.Truncate(filepath.Join(work, rel), recs[k-1].end+3); err != nil {
 			t.Fatal(err)
 		}
-		st := openT(t, work, testOpts(Options{Shards: 1}))
+		st := openT(t, work, testOpts(Options{}))
 		if st.Info.Epoch != uint64(k) || st.Info.TornBytes == 0 {
 			t.Fatalf("cut after %d ops: info %+v", k, st.Info)
 		}
@@ -160,9 +159,8 @@ func TestTruncatedFinalSegment(t *testing.T) {
 // refuse recovery with ErrCorrupt, never silently skip records.
 func TestMidLogCorruptionFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
-	buildStore(t, dir, testOpts(Options{Shards: 1, SegmentBytes: 512}), 60)
-	sd := filepath.Join(dir, shardDirName(0))
-	ids, err := listSegments(sd)
+	buildStore(t, dir, testOpts(Options{SegmentBytes: 512}), 60)
+	ids, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +168,7 @@ func TestMidLogCorruptionFailsLoudly(t *testing.T) {
 		t.Fatalf("need multiple segments, got %d", len(ids))
 	}
 	work := copyTree(t, dir)
-	wpath := filepath.Join(work, shardDirName(0), segName(ids[0]))
+	wpath := filepath.Join(work, segName(ids[0]))
 	data, err := os.ReadFile(wpath)
 	if err != nil {
 		t.Fatal(err)
@@ -179,12 +177,12 @@ func TestMidLogCorruptionFailsLoudly(t *testing.T) {
 	if err := os.WriteFile(wpath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, oerr := Open(work, testOpts(Options{Shards: 1, SegmentBytes: 512})); !errors.Is(oerr, ErrCorrupt) {
+	if _, oerr := Open(work, testOpts(Options{SegmentBytes: 512})); !errors.Is(oerr, ErrCorrupt) {
 		t.Fatalf("flipped mid-log byte: got %v, want ErrCorrupt", oerr)
 	}
 
 	work = copyTree(t, dir)
-	wpath = filepath.Join(work, shardDirName(0), segName(ids[0]))
+	wpath = filepath.Join(work, segName(ids[0]))
 	fi, err := os.Stat(wpath)
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +190,178 @@ func TestMidLogCorruptionFailsLoudly(t *testing.T) {
 	if err := os.Truncate(wpath, fi.Size()-5); err != nil {
 		t.Fatal(err)
 	}
-	if _, oerr := Open(work, testOpts(Options{Shards: 1, SegmentBytes: 512})); !errors.Is(oerr, ErrCorrupt) {
+	if _, oerr := Open(work, testOpts(Options{SegmentBytes: 512})); !errors.Is(oerr, ErrCorrupt) {
 		t.Fatalf("truncated mid-log segment: got %v, want ErrCorrupt", oerr)
+	}
+}
+
+// treeBytes reads every file under dir, keyed by relative path (directories
+// map to nil), so a test can assert that a refused open changed nothing.
+func treeBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, werr error) error {
+		if werr != nil {
+			return werr
+		}
+		rel, rerr := filepath.Rel(dir, path)
+		if rerr != nil || d.IsDir() {
+			out[rel] = nil
+			return rerr
+		}
+		data, rdErr := os.ReadFile(path)
+		out[rel] = data
+		return rdErr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestSequenceGapIsCorrupt: with one log, write-ahead appends leave no
+// sequence gap behind a crash, so a missing record or segment inside the
+// replayed range is damage, and so is a repeated record. Recovery must refuse it with ErrCorrupt and leave
+// the files as they were, rather than roll the ledger back to the gap.
+func TestSequenceGapIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 512}
+	buildStore(t, dir, testOpts(opts), 60)
+	ids, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) < 3 {
+		t.Fatalf("need at least three segments, got %d", len(ids))
+	}
+	refused := func(work, what string) {
+		t.Helper()
+		before := treeBytes(t, work)
+		if _, oerr := Open(work, testOpts(opts)); !errors.Is(oerr, ErrCorrupt) {
+			t.Fatalf("%s: got %v, want ErrCorrupt", what, oerr)
+		}
+		after := treeBytes(t, work)
+		for name, data := range before {
+			if got, ok := after[name]; !ok || string(got) != string(data) {
+				t.Fatalf("%s: refused open changed %s", what, name)
+			}
+		}
+	}
+
+	// A whole middle segment gone.
+	work := copyTree(t, dir)
+	if err := os.Remove(filepath.Join(work, segName(ids[1]))); err != nil {
+		t.Fatal(err)
+	}
+	refused(work, "missing middle segment")
+
+	// One record cut out of the middle of the first segment, the framing
+	// around it intact.
+	work = copyTree(t, dir)
+	path := filepath.Join(work, segName(ids[0]))
+	recs, tail, err := readSegment(path, ids[0])
+	if err != nil || tail != 0 || len(recs) < 3 {
+		t.Fatalf("first segment: %d records, tail %d, err %v", len(recs), tail, err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spliced := append(append([]byte{}, data[:recs[0].end]...), data[recs[1].end:]...)
+	if err := os.WriteFile(path, spliced, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused(work, "record missing mid-segment")
+
+	// The same record twice: the sequence stops increasing.
+	work = copyTree(t, dir)
+	path = filepath.Join(work, segName(ids[0]))
+	repeated := append(append([]byte{}, data[:recs[1].end]...), data[recs[0].end:]...)
+	if err := os.WriteFile(path, repeated, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused(work, "record repeated")
+}
+
+// TestSnapshotOutlivesUnsyncedTail: with Sync off, an OS crash can keep a
+// durable snapshot while losing log records it already contains. Recovery
+// lands on the snapshot, and the ops written after it leave a gap in the log
+// that the snapshot covers; that gap must not fail later opens.
+func TestSnapshotOutlivesUnsyncedTail(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SnapshotEvery: 20, NoCompact: true}
+	ops := buildStore(t, dir, testOpts(opts), 50)
+	path, _, recs := finalSegment(t, dir)
+	if err := os.Truncate(path, recs[30].end); err != nil { // keep seqs 0..30
+		t.Fatal(err)
+	}
+
+	st := openT(t, dir, testOpts(opts))
+	if st.Info.SnapshotSeq != 40 || st.Info.Epoch != 40 || st.Info.Duplicates != 31 {
+		t.Fatalf("recovery over a log behind its snapshot: info %+v", st.Info)
+	}
+	if got := digestLedger(t, st.Ledger); got != prefixDigest(t, ops, 40) {
+		t.Fatal("recovered state differs from the snapshot")
+	}
+	applyScript(t, st.Ledger, 15, 5)
+	want := digestLedger(t, st.Ledger)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openT(t, dir, testOpts(opts))
+	defer func() {
+		if err := st2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if got := digestLedger(t, st2.Ledger); got != want {
+		t.Fatalf("writes after the gap did not survive reopen: info %+v", st2.Info)
+	}
+}
+
+// TestOpenRefusesShardedLayout: a data dir written by the old sharded layout
+// (segments under shard-NN/) is refused with an error that says so, and not
+// one of its bytes changes — no repair, no lock file, no new segment.
+func TestOpenRefusesShardedLayout(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SnapshotEvery: 10, NoCompact: true}
+	buildStore(t, dir, testOpts(opts), 30)
+	if err := os.Remove(filepath.Join(dir, "LOCK")); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shard := range []string{"shard-00", "shard-01"} {
+		if err := os.Mkdir(filepath.Join(dir, shard), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			data, rerr := os.ReadFile(filepath.Join(dir, segName(id)))
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if werr := os.WriteFile(filepath.Join(dir, shard, segName(id)), data, 0o644); werr != nil {
+				t.Fatal(werr)
+			}
+		}
+	}
+	removeMatching(t, dir, segSuffix)
+
+	before := treeBytes(t, dir)
+	_, err = Open(dir, testOpts(opts))
+	if err == nil || !strings.Contains(err.Error(), "old sharded layout") {
+		t.Fatalf("open of a sharded dir: got %v, want an old-sharded-layout refusal", err)
+	}
+	after := treeBytes(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("refused open changed the entry count: %d → %d", len(before), len(after))
+	}
+	for name, data := range before {
+		if got, ok := after[name]; !ok || string(got) != string(data) {
+			t.Fatalf("refused open changed %s", name)
+		}
 	}
 }
 
@@ -202,7 +370,7 @@ func TestMidLogCorruptionFailsLoudly(t *testing.T) {
 // same state.
 func TestMissingSnapshotFallsBackToFullReplay(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 2, SnapshotEvery: 10, NoCompact: true}
+	opts := Options{SnapshotEvery: 10, NoCompact: true}
 	ops := buildStore(t, dir, testOpts(opts), 50)
 	removeMatching(t, dir, snapSuffix)
 
@@ -225,7 +393,7 @@ func TestMissingSnapshotFallsBackToFullReplay(t *testing.T) {
 // previous snapshot plus replay.
 func TestCorruptSnapshotFallsBackToOlder(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 2, SnapshotEvery: 10, NoCompact: true}
+	opts := Options{SnapshotEvery: 10, NoCompact: true}
 	ops := buildStore(t, dir, testOpts(opts), 50)
 
 	newest := ""
@@ -267,108 +435,6 @@ func TestCorruptSnapshotFallsBackToOlder(t *testing.T) {
 	}
 }
 
-// TestDuplicateReplayIsIdempotent duplicates the entire op history into a
-// second shard (an operator restoring the same backup twice); every op must
-// apply exactly once.
-func TestDuplicateReplayIsIdempotent(t *testing.T) {
-	dir := t.TempDir()
-	ops := buildStore(t, dir, testOpts(Options{Shards: 1}), 40)
-	src := filepath.Join(dir, shardDirName(0))
-	dst := filepath.Join(dir, shardDirName(1))
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := listSegments(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids {
-		data, rerr := os.ReadFile(filepath.Join(src, segName(id)))
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		if werr := os.WriteFile(filepath.Join(dst, segName(id)), data, 0o644); werr != nil {
-			t.Fatal(werr)
-		}
-	}
-
-	st := openT(t, dir, testOpts(Options{Shards: 2}))
-	defer func() {
-		if cerr := st.Close(); cerr != nil {
-			t.Fatal(cerr)
-		}
-	}()
-	if st.Info.Replayed != len(ops) || st.Info.Duplicates != len(ops) {
-		t.Fatalf("replayed=%d duplicates=%d, want %d each", st.Info.Replayed, st.Info.Duplicates, len(ops))
-	}
-	if got := digestLedger(t, st.Ledger); got != prefixDigest(t, ops, len(ops)) {
-		t.Fatal("duplicate replay corrupted state")
-	}
-}
-
-// TestCrossShardGapRepair is the nastiest crash window: one shard loses its
-// tail while another shard holds later ops. The later ops lost a predecessor
-// and must be dropped — and physically removed, so that new writes reusing
-// those sequence numbers can never collide with stale records.
-func TestCrossShardGapRepair(t *testing.T) {
-	dir := t.TempDir()
-	ops := buildStore(t, dir, testOpts(Options{Shards: 2}), 40)
-	e := len(ops)
-
-	// With seq-routed ops, shard 0 holds even seqs and shard 1 odd; the
-	// globally last op (seq e-1) lives in one shard — tear the OTHER shard's
-	// final record so a gap opens before the end of the log.
-	lastShard := (e - 1) % 2
-	victim := 1 - lastShard
-	path, _, recs := finalSegment(t, dir, victim)
-	last := recs[len(recs)-1]
-	s := int(last.op.Seq)
-	start := int64(len(segMagic))
-	if len(recs) > 1 {
-		start = recs[len(recs)-2].end
-	}
-	if err := os.Truncate(path, start); err != nil {
-		t.Fatal(err)
-	}
-
-	st := openT(t, dir, testOpts(Options{Shards: 2}))
-	if st.Info.Epoch != uint64(s) || st.Info.DroppedTail != e-1-s {
-		t.Fatalf("gap at seq %d: info %+v", s, st.Info)
-	}
-	if got := digestLedger(t, st.Ledger); got != prefixDigest(t, ops, s) {
-		t.Fatal("recovered state diverges from pre-gap prefix")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second open: the repair must have removed the dead records, so
-	// recovery is now clean and idempotent.
-	st2 := openT(t, dir, testOpts(Options{Shards: 2}))
-	if st2.Info.Epoch != uint64(s) || st2.Info.DroppedTail != 0 || st2.Info.Duplicates != 0 {
-		t.Fatalf("second open not clean: info %+v", st2.Info)
-	}
-	// New writes reuse the dropped sequence numbers; a later recovery must
-	// see exactly one record per seq.
-	applyScript(t, st2.Ledger, 10, 99)
-	want := digestLedger(t, st2.Ledger)
-	if err := st2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st3 := openT(t, dir, testOpts(Options{Shards: 2}))
-	defer func() {
-		if err := st3.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if st3.Info.Duplicates != 0 || st3.Info.DroppedTail != 0 {
-		t.Fatalf("stale records resurfaced: info %+v", st3.Info)
-	}
-	if got := digestLedger(t, st3.Ledger); got != want {
-		t.Fatal("post-repair writes did not survive reopen")
-	}
-}
-
 // TestSnapshotLossAfterCompactionFailsLoudly is the total-data-loss
 // scenario: compaction has deleted the segments a snapshot covers, and then
 // that snapshot turns out corrupt (or missing) at recovery. The surviving
@@ -377,17 +443,16 @@ func TestCrossShardGapRepair(t *testing.T) {
 // remaining evidence. Recovery must refuse with ErrCorrupt instead.
 func TestSnapshotLossAfterCompactionFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 1, SegmentBytes: 256, SnapshotEvery: 10} // compaction on
+	opts := Options{SegmentBytes: 256, SnapshotEvery: 10} // compaction on
 	buildStore(t, dir, testOpts(opts), 50)
 
 	// Sanity: compaction must actually have eaten the early log, so the
 	// oldest surviving record sits well past genesis.
-	sd := filepath.Join(dir, shardDirName(0))
-	ids, err := listSegments(sd)
+	ids, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, tail, err := readSegment(filepath.Join(sd, segName(ids[0])), ids[0])
+	first, tail, err := readSegment(filepath.Join(dir, segName(ids[0])), ids[0])
 	if err != nil || tail != 0 {
 		t.Fatalf("read first segment: err=%v tail=%d", err, tail)
 	}
@@ -454,7 +519,7 @@ func TestOversizedSnapshotRoundTrip(t *testing.T) {
 		t.Skip("builds a >16MiB ledger state")
 	}
 	dir := t.TempDir()
-	opts := Options{Shards: 1, SegmentBytes: 1 << 20}
+	opts := Options{SegmentBytes: 1 << 20}
 	st := openT(t, dir, testOpts(opts))
 	b := st.Ledger.BeginBlock()
 	amounts := make([]uint64, 4096)
@@ -504,31 +569,31 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestFailedAppendPoisonsShard: after an append fails partway, the shard
+// TestFailedAppendPoisonsLog: after an append fails partway, the log
 // must refuse further appends — writing past the partial bytes would bury a
 // torn tail mid-segment, which recovery treats as ErrCorrupt rather than a
 // repairable crash artifact.
-func TestFailedAppendPoisonsShard(t *testing.T) {
+func TestFailedAppendPoisonsLog(t *testing.T) {
 	dir := t.TempDir()
-	st := openT(t, dir, testOpts(Options{Shards: 1}))
+	st := openT(t, dir, testOpts(Options{}))
 	applyScript(t, st.Ledger, 10, 42)
 	want := digestLedger(t, st.Ledger)
 
 	// Force the next write to fail by closing the active segment file
-	// behind the shard's back.
-	if err := st.Log.shards[0].active.Close(); err != nil {
+	// behind the log's back.
+	if err := st.Log.active.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Ledger.AddTxAmounts(0, []uint64{1}); err == nil {
 		t.Fatal("append over a closed file must fail")
 	}
-	if _, err := st.Ledger.AddTxAmounts(0, []uint64{2}); !errors.Is(err, errShardFailed) {
-		t.Fatalf("append after failed append: got %v, want errShardFailed", err)
+	if _, err := st.Ledger.AddTxAmounts(0, []uint64{2}); !errors.Is(err, errAppendFailed) {
+		t.Fatalf("append after failed append: got %v, want errAppendFailed", err)
 	}
 	_ = st.Log.Close() // active fd already closed; only the flock matters
 
 	// Reopen repairs whatever the failed write left and resumes cleanly.
-	st2 := openT(t, dir, testOpts(Options{Shards: 1}))
+	st2 := openT(t, dir, testOpts(Options{}))
 	defer func() {
 		if err := st2.Close(); err != nil {
 			t.Fatal(err)

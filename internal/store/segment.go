@@ -13,77 +13,65 @@ import (
 	"tokenmagic/internal/chain"
 )
 
-// Segment files live under <dir>/shard-NN/ and are named by a monotonically
-// increasing id: 00000001.seg, 00000002.seg, … Compaction deletes a prefix of
-// ids once a snapshot covers them, so the first surviving id is usually > 1.
-// Each file starts with an 8-byte magic and then holds framed records, each
-// one JSON-encoded chain.Op. Within a shard, op sequence numbers are strictly
-// increasing file-to-file and record-to-record.
+// Segment files live directly in the data dir, next to the snapshots and
+// LOCK, and are named by a monotonically increasing id: 00000001.seg,
+// 00000002.seg, … Compaction deletes a prefix of ids once a snapshot covers
+// them, so the first surviving id is usually > 1. Each file starts with an
+// 8-byte magic and then holds framed records, each one JSON-encoded
+// chain.Op. Op sequence numbers increase by one record to record and file to
+// file, except across a gap the recovery snapshot covers (see Open).
 const segMagic = "TMSEG\x01\x00\x00"
 
 const segSuffix = ".seg"
 
 func segName(id int) string { return fmt.Sprintf("%08d%s", id, segSuffix) }
 
-func shardDirName(i int) string { return fmt.Sprintf("shard-%02d", i) }
-
-// closedSeg is a sealed (no longer written) segment, remembered for
-// compaction: the segment is deletable once a snapshot covers maxSeq.
-type closedSeg struct {
+// sealedSeg is a segment no longer written, remembered for compaction: the
+// segment is deletable once a snapshot covers maxSeq.
+type sealedSeg struct {
 	id     int
 	maxSeq uint64
 }
 
-// shardLog is one shard's write state: the active segment plus the sealed
-// ones. It is guarded by the owning Log's mutex.
-type shardLog struct {
-	dir         string
-	active      *os.File
-	activeID    int
-	activeSize  int64
-	activeMax   uint64
-	activeCount int
-	closed      []closedSeg
-	// failed is set when an append did not complete (ENOSPC, I/O error):
-	// the active segment may end in partial bytes, so the shard refuses
-	// further appends until a reopen repairs the file.
-	failed bool
-}
-
-// openShard positions the shard for appending: it reuses the newest existing
-// segment (recovery has already truncated it to a clean record boundary) or
-// creates the first one.
-func openShard(dir string, lastID int, lastSize int64, lastMax uint64, lastCount int, closed []closedSeg) (*shardLog, error) {
-	sh := &shardLog{dir: dir, closed: closed}
-	if lastID == 0 {
-		if err := sh.rotate(1); err != nil {
-			return nil, err
+// resume positions the log for appending after recovery: the newest segment
+// (already cut back to a clean record boundary) becomes the active one and
+// every older one is sealed. With no segment on disk it creates the first.
+func (s *Log) resume(ids []int, recs []segRecord) error {
+	if len(ids) == 0 {
+		return s.rotate(1)
+	}
+	last := ids[len(ids)-1]
+	maxSeq := make(map[int]uint64, len(ids))
+	s.activeSize = int64(len(segMagic))
+	for _, r := range recs {
+		maxSeq[r.segID] = r.op.Seq
+		if r.segID == last {
+			s.activeCount++
+			s.activeSize = r.end
 		}
-		return sh, nil
 	}
-	f, err := os.OpenFile(filepath.Join(dir, segName(lastID)), os.O_WRONLY|os.O_APPEND, 0o644)
+	for _, id := range ids[:len(ids)-1] {
+		s.sealed = append(s.sealed, sealedSeg{id: id, maxSeq: maxSeq[id]})
+	}
+	f, err := os.OpenFile(filepath.Join(s.dir, segName(last)), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("store: reopen segment: %w", err)
+		return fmt.Errorf("store: reopen segment: %w", err)
 	}
-	sh.active = f
-	sh.activeID = lastID
-	sh.activeSize = lastSize
-	sh.activeMax = lastMax
-	sh.activeCount = lastCount
-	return sh, nil
+	s.active, s.activeID, s.activeMax = f, last, maxSeq[last]
+	return nil
 }
 
 // rotate seals the active segment (if any) and starts segment id next.
-func (sh *shardLog) rotate(next int) error {
-	if sh.active != nil {
-		if sh.activeCount > 0 {
-			sh.closed = append(sh.closed, closedSeg{id: sh.activeID, maxSeq: sh.activeMax})
+func (s *Log) rotate(next int) error {
+	if s.active != nil {
+		if s.activeCount > 0 {
+			s.sealed = append(s.sealed, sealedSeg{id: s.activeID, maxSeq: s.activeMax})
 		}
-		if err := sh.active.Close(); err != nil {
+		if err := s.active.Close(); err != nil {
 			return fmt.Errorf("store: close segment: %w", err)
 		}
 	}
-	f, err := os.OpenFile(filepath.Join(sh.dir, segName(next)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(filepath.Join(s.dir, segName(next)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: create segment: %w", err)
 	}
@@ -92,80 +80,48 @@ func (sh *shardLog) rotate(next int) error {
 		_ = closeErr
 		return fmt.Errorf("store: write segment magic: %w", err)
 	}
-	sh.active = f
-	sh.activeID = next
-	sh.activeSize = int64(len(segMagic))
-	sh.activeMax = 0
-	sh.activeCount = 0
+	s.active = f
+	s.activeID = next
+	s.activeSize = int64(len(segMagic))
+	s.activeMax = 0
+	s.activeCount = 0
 	return nil
 }
 
-// append frames payload into the active segment, rotating first when the
-// active segment is full. seq is the op's global sequence number.
-func (sh *shardLog) append(payload []byte, seq uint64, segmentBytes int64, sync bool) (int, error) {
-	if sh.failed {
-		return 0, errShardFailed
+// writeRecord frames payload into the active segment, rotating first when
+// the active segment is full. seq is the op's sequence number.
+func (s *Log) writeRecord(payload []byte, seq uint64) (int, error) {
+	if s.failed {
+		return 0, errAppendFailed
 	}
-	if sh.activeCount > 0 && sh.activeSize >= segmentBytes {
-		if err := sh.rotate(sh.activeID + 1); err != nil {
+	if s.activeCount > 0 && s.activeSize >= s.opts.SegmentBytes {
+		if err := s.rotate(s.activeID + 1); err != nil {
 			return 0, err
 		}
 	}
 	buf := appendRecord(nil, payload)
-	if _, err := sh.active.Write(buf); err != nil {
+	if _, err := s.active.Write(buf); err != nil {
 		// The write may have landed partially; a later successful append
 		// would bury the torn bytes mid-segment, turning a recoverable
-		// tail into ErrCorrupt. Seal the shard and try to cut the file
-		// back to the last good record boundary.
-		sh.failed = true
-		_ = sh.active.Truncate(sh.activeSize)
+		// tail into ErrCorrupt. Seal the log and try to cut the file back
+		// to the last good record boundary.
+		s.failed = true
+		_ = s.active.Truncate(s.activeSize)
 		return 0, fmt.Errorf("store: append record: %w", err)
 	}
-	if sync {
-		if err := sh.active.Sync(); err != nil {
+	if s.opts.Sync {
+		if err := s.active.Sync(); err != nil {
 			// After a failed fsync the kernel may drop the dirty pages, so
-			// the record's durability is unknown; seal the shard rather
-			// than append after a possibly-lost record.
-			sh.failed = true
+			// the record's durability is unknown; seal the log rather than
+			// append after a possibly-lost record.
+			s.failed = true
 			return 0, fmt.Errorf("store: sync segment: %w", err)
 		}
 	}
-	sh.activeSize += int64(len(buf))
-	sh.activeMax = seq
-	sh.activeCount++
+	s.activeSize += int64(len(buf))
+	s.activeMax = seq
+	s.activeCount++
 	return len(buf), nil
-}
-
-// segments returns how many segment files the shard currently owns.
-func (sh *shardLog) segments() int { return len(sh.closed) + 1 }
-
-// compact deletes sealed segments whose every record is covered by a
-// snapshot at snapSeq (a snapshot at epoch S contains ops with seq < S).
-func (sh *shardLog) compact(snapSeq uint64) error {
-	keep := sh.closed[:0]
-	for _, cs := range sh.closed {
-		if cs.maxSeq < snapSeq {
-			if err := os.Remove(filepath.Join(sh.dir, segName(cs.id))); err != nil {
-				return fmt.Errorf("store: compact: %w", err)
-			}
-			continue
-		}
-		keep = append(keep, cs)
-	}
-	sh.closed = keep
-	return nil
-}
-
-func (sh *shardLog) close() error {
-	if sh.active == nil {
-		return nil
-	}
-	err := sh.active.Close()
-	sh.active = nil
-	if err != nil {
-		return fmt.Errorf("store: close segment: %w", err)
-	}
-	return nil
 }
 
 // segRecord is one decoded record with its physical position, kept during
@@ -177,11 +133,11 @@ type segRecord struct {
 	end int64
 }
 
-// listSegments returns the shard's segment ids in ascending order.
+// listSegments returns the data dir's segment ids in ascending order.
 func listSegments(dir string) ([]int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: read shard dir: %w", err)
+		return nil, fmt.Errorf("store: read data dir: %w", err)
 	}
 	var ids []int
 	for _, e := range entries {
@@ -202,7 +158,7 @@ func listSegments(dir string) ([]int, error) {
 // readSegment decodes one segment file. tail is the number of undecodable
 // bytes at the physical end (0 when the file parses completely); the caller
 // decides whether that is a tolerated torn write (final segment of the
-// shard) or corruption. Damage that is provably not a torn tail — a bad
+// log) or corruption. Damage that is provably not a torn tail — a bad
 // checksum with more data after it, an impossible length, JSON that cannot
 // be an op despite a valid checksum — is returned as ErrCorrupt.
 func readSegment(path string, id int) (recs []segRecord, tail int64, err error) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tokenmagic/internal/chain"
@@ -144,11 +145,11 @@ func prefixDigest(t *testing.T, ops []chain.Op, k int) string {
 
 func TestOpenAppendReopen(t *testing.T) {
 	dir := t.TempDir()
-	opts := testOpts(Options{Shards: 3, Lambda: 4})
+	opts := testOpts(Options{})
 	ops := buildStore(t, dir, opts, 80)
 	want := prefixDigest(t, ops, len(ops))
 
-	st := openT(t, dir, testOpts(Options{Shards: 3, Lambda: 4}))
+	st := openT(t, dir, testOpts(Options{}))
 	defer func() {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
@@ -157,7 +158,7 @@ func TestOpenAppendReopen(t *testing.T) {
 	if st.Info.Epoch != uint64(len(ops)) {
 		t.Fatalf("recovered epoch %d, want %d", st.Info.Epoch, len(ops))
 	}
-	if st.Info.Replayed != len(ops) || st.Info.Duplicates != 0 || st.Info.DroppedTail != 0 || st.Info.TornBytes != 0 {
+	if st.Info.Replayed != len(ops) || st.Info.Duplicates != 0 || st.Info.TornBytes != 0 {
 		t.Fatalf("unexpected recovery info: %+v", st.Info)
 	}
 	if got := digestLedger(t, st.Ledger); got != want {
@@ -169,7 +170,7 @@ func TestOpenAppendReopen(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2 := openT(t, dir, testOpts(Options{Shards: 3, Lambda: 4}))
+	st2 := openT(t, dir, testOpts(Options{}))
 	defer func() {
 		if err := st2.Close(); err != nil {
 			t.Fatal(err)
@@ -180,73 +181,10 @@ func TestOpenAppendReopen(t *testing.T) {
 	}
 }
 
-func TestShardingSpreadsRecords(t *testing.T) {
-	dir := t.TempDir()
-	buildStore(t, dir, testOpts(Options{Shards: 3, Lambda: 2}), 120)
-	for i := 0; i < 3; i++ {
-		sd := filepath.Join(dir, shardDirName(i))
-		ids, err := listSegments(sd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for _, id := range ids {
-			recs, tail, err := readSegment(filepath.Join(sd, segName(id)), id)
-			if err != nil || tail != 0 {
-				t.Fatalf("shard %d segment %d: err=%v tail=%d", i, id, err, tail)
-			}
-			total += len(recs)
-		}
-		if total == 0 {
-			t.Fatalf("shard %d received no records", i)
-		}
-	}
-}
-
-func TestRingOpsShardByBatch(t *testing.T) {
-	dir := t.TempDir()
-	const lambda, shards = 4, 3
-	st := openT(t, dir, testOpts(Options{Shards: shards, Lambda: lambda}))
-	b := st.Ledger.BeginBlock()
-	if _, err := st.Ledger.AddTx(b, 24); err != nil {
-		t.Fatal(err)
-	}
-	for tok := 0; tok < 24; tok++ {
-		if _, err := st.Ledger.AppendRS(chain.NewTokenSet(chain.TokenID(tok)), 1, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Every ring op over token t must live in shard (t/λ) mod shards.
-	for i := 0; i < shards; i++ {
-		sd := filepath.Join(dir, shardDirName(i))
-		ids, err := listSegments(sd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range ids {
-			recs, _, err := readSegment(filepath.Join(sd, segName(id)), id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs {
-				if r.op.Kind != chain.OpRS {
-					continue
-				}
-				if want := (int(r.op.Tokens[0]) / lambda) % shards; want != i {
-					t.Fatalf("ring over token %v in shard %d, want %d", r.op.Tokens[0], i, want)
-				}
-			}
-		}
-	}
-}
-
 func TestSnapshotCompactionBoundsSegments(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	opts := Options{Shards: 2, SegmentBytes: 512, SnapshotEvery: 25, Metrics: reg}
+	opts := Options{SegmentBytes: 512, SnapshotEvery: 25, Metrics: reg}
 	st := openT(t, dir, opts)
 	applyScript(t, st.Ledger, 150, 42)
 	want := digestLedger(t, st.Ledger)
@@ -259,6 +197,19 @@ func TestSnapshotCompactionBoundsSegments(t *testing.T) {
 	}
 	if g := reg.Gauge("store.segments").Value(); g > 8 {
 		t.Fatalf("compaction did not bound segments: %d live", g)
+	}
+	// One log per data dir: the lock, the segments and the snapshots sit
+	// side by side, with no subdirectory.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !(name == "LOCK" || strings.HasSuffix(name, segSuffix) ||
+			strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, snapSuffix)) {
+			t.Fatalf("unexpected entry %q in data dir", name)
+		}
 	}
 	st2 := openT(t, dir, testOpts(opts))
 	defer func() {
@@ -283,7 +234,7 @@ func TestSeedJournalsFullHistory(t *testing.T) {
 	want := digestLedger(t, src)
 
 	dir := t.TempDir()
-	st := openT(t, dir, testOpts(Options{Shards: 2}))
+	st := openT(t, dir, testOpts(Options{}))
 	if err := Seed(st.Ledger, src.View()); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +247,7 @@ func TestSeedJournalsFullHistory(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2 := openT(t, dir, testOpts(Options{Shards: 2}))
+	st2 := openT(t, dir, testOpts(Options{}))
 	defer func() {
 		if err := st2.Close(); err != nil {
 			t.Fatal(err)
@@ -309,7 +260,7 @@ func TestSeedJournalsFullHistory(t *testing.T) {
 
 func TestExplicitSnapshotFromPinnedView(t *testing.T) {
 	dir := t.TempDir()
-	st := openT(t, dir, testOpts(Options{Shards: 1}))
+	st := openT(t, dir, testOpts(Options{}))
 	applyScript(t, st.Ledger, 40, 3)
 	v := st.Ledger.View() // pin, then keep mutating
 	applyScript(t, st.Ledger, 20, 4)
@@ -327,7 +278,7 @@ func TestExplicitSnapshotFromPinnedView(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2 := openT(t, dir, testOpts(Options{Shards: 1}))
+	st2 := openT(t, dir, testOpts(Options{}))
 	defer func() {
 		if err := st2.Close(); err != nil {
 			t.Fatal(err)
@@ -341,38 +292,19 @@ func TestExplicitSnapshotFromPinnedView(t *testing.T) {
 	}
 }
 
-func TestOpenRejectsShardCountShrink(t *testing.T) {
-	dir := t.TempDir()
-	buildStore(t, dir, testOpts(Options{Shards: 3}), 30)
-	if _, err := Open(dir, testOpts(Options{Shards: 2})); err == nil {
-		t.Fatal("opening a 3-shard store with 2 shards must fail, not drop records")
-	}
-	// The refused open must not have repaired/truncated anything: the full
-	// shard count still recovers everything.
-	st := openT(t, dir, testOpts(Options{Shards: 3}))
-	defer func() {
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if st.Info.DroppedTail != 0 || st.Info.Epoch != 30 {
-		t.Fatalf("state damaged by refused open: %+v", st.Info)
-	}
-}
-
 func TestOpenRefusesSecondLiveOpen(t *testing.T) {
 	dir := t.TempDir()
-	st := openT(t, dir, testOpts(Options{Shards: 2}))
+	st := openT(t, dir, testOpts(Options{}))
 	// A second open while the first is live must be refused: its open-time
 	// repair would truncate segments the live writer is appending to.
-	if _, err := Open(dir, testOpts(Options{Shards: 2})); !errors.Is(err, ErrLocked) {
+	if _, err := Open(dir, testOpts(Options{})); !errors.Is(err, ErrLocked) {
 		t.Fatalf("second live open: got %v, want ErrLocked", err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Close released the lock; a fresh open succeeds.
-	st2 := openT(t, dir, testOpts(Options{Shards: 2}))
+	st2 := openT(t, dir, testOpts(Options{}))
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +312,11 @@ func TestOpenRefusesSecondLiveOpen(t *testing.T) {
 
 func TestOpenRejectsStrayFiles(t *testing.T) {
 	dir := t.TempDir()
-	buildStore(t, dir, testOpts(Options{Shards: 1}), 10)
-	if err := os.WriteFile(filepath.Join(dir, shardDirName(0), "junk.seg"), []byte("x"), 0o644); err != nil {
+	buildStore(t, dir, testOpts(Options{}), 10)
+	if err := os.WriteFile(filepath.Join(dir, "junk.seg"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, testOpts(Options{Shards: 1})); err == nil {
+	if _, err := Open(dir, testOpts(Options{})); err == nil {
 		t.Fatal("stray segment file must fail recovery")
 	}
 }

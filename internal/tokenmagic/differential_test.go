@@ -88,11 +88,7 @@ func TestDifferentialFrameworkPersistentVsMemory(t *testing.T) {
 		memLed := chain.NewLedger()
 		seedTokens(t, memLed, 12)
 		dir := t.TempDir()
-		opts := store.Options{
-			Shards: 1 + int(seed%3), Lambda: 8,
-			SegmentBytes: 2048, SnapshotEvery: 16,
-			Metrics: obs.NewRegistry(),
-		}
+		opts := store.Options{SegmentBytes: 2048, SnapshotEvery: 16, Metrics: obs.NewRegistry()}
 		st, err := store.Open(dir, opts)
 		if err != nil {
 			t.Fatal(err)

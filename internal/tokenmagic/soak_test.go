@@ -168,7 +168,7 @@ func TestSoakConcurrentFrameworkUnderRefresh(t *testing.T) {
 
 // TestSoakEpochPinnedReadersVsSnapshotter exercises the storage-backed
 // stack end to end under the race detector: epoch-pinning readers
-// (GenerateRS/VerifyRS), a committing writer journaling to a sharded log,
+// (GenerateRS/VerifyRS), a committing writer journaling to the segment log,
 // and a snapshotter persisting pinned views — all concurrent. Asserts the
 // framework epoch only moves forward, every generated ring contains its
 // target, and the durable state reopens to exactly the live ledger.
@@ -179,9 +179,7 @@ func TestSoakEpochPinnedReadersVsSnapshotter(t *testing.T) {
 		iters     = 40
 	)
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{
-		Shards: 2, Lambda: 8, SegmentBytes: 4096, Metrics: obs.NewRegistry(),
-	})
+	st, err := store.Open(dir, store.Options{SegmentBytes: 4096, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +254,7 @@ func TestSoakEpochPinnedReadersVsSnapshotter(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := store.Open(dir, store.Options{
-		Shards: 2, Lambda: 8, SegmentBytes: 4096, Metrics: obs.NewRegistry(),
-	})
+	st2, err := store.Open(dir, store.Options{SegmentBytes: 4096, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
