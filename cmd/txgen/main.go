@@ -12,7 +12,7 @@
 //	txgen -lambda 100,400 -conc 1,4,16        # λ × concurrency grid
 //	txgen -node http://host:8791 -lambda 0    # drive a remote node
 //	txgen -out BENCH_load.json                # write the JSON artefact
-//	txgen -assert                             # exit 1 unless every row spent, dropped no spans and reconciles
+//	txgen -assert                             # exit 1 unless every row spent, dropped no spans, reconciles and refused nothing it should not
 //
 // -arrival is a comma list; each model contributes its own grid points to the
 // one report. Closed loop sweeps the -conc list (fixed worker populations — a
@@ -20,9 +20,9 @@
 // first -conc entry as the outstanding-request bound. Each in-process run gets a fresh node (spends
 // mutate the ledger), built at each λ of the -lambda list; remote runs use the
 // node as-is and λ is recorded as 0. In-process runs include the per-stage
-// breakdown (queue-wait/sample/sign/verify-sig/verify/commit deltas over the
-// measured window) and the window's stale-epoch retries; remote ones cannot,
-// their traces live in the server — see its /debug/traces. The report
+// breakdown (queue-wait/batch-wait/sample/sign/verify-sig/verify/commit
+// deltas over the measured window); remote ones cannot, their traces live in
+// the server — see its /debug/traces. The report
 // records the commit it was measured at.
 package main
 
@@ -96,7 +96,7 @@ func main() {
 		maxInF     = flag.Int("max-inflight", 4, "in-process admission gate: concurrent requests (0 disables)")
 		maxQueue   = flag.Int("max-queue", 8, "in-process admission gate: waiting room")
 		out        = flag.String("out", "", "write the JSON report to this path")
-		assertFlag = flag.Bool("assert", false, "exit 1 unless every grid point completed spends, dropped no spans and its stage counts reconcile (CI smoke)")
+		assertFlag = flag.Bool("assert", false, "exit 1 unless every grid point completed spends, dropped no spans, reconciles its stage counts and, on a uniform in-process stream at η = 0, refused none (CI smoke)")
 	)
 	flag.Parse()
 
@@ -220,6 +220,12 @@ func main() {
 				if err := reconcile(r.Result, *pattern); err != nil {
 					fail(fmt.Errorf("grid point λ=%d conc=%d rate=%g: %w", r.Lambda, r.Concurrency, r.Rate, err))
 				}
+				// A uniform stream spends each target once, and η = 0 refuses
+				// nothing for liveness: a 422 there is an ordering artefact.
+				if *pattern == "uniform" && *eta == 0 && r.Rejected > 0 {
+					fail(fmt.Errorf("grid point λ=%d conc=%d rate=%g: %d spends of a uniform stream refused at η = 0",
+						r.Lambda, r.Concurrency, r.Rate, r.Rejected))
+				}
 			}
 		}
 		fmt.Println("assert: every grid point completed spends, dropped no spans and reconciles")
@@ -229,9 +235,8 @@ func main() {
 // reconcile checks that an in-process row's stage counts account for its
 // outcomes, following node.spend's control flow:
 //
-//   - every attempt runs one sample, and a spend attempts again only after
-//     a stale-epoch retry, so sample = ok + rejected + errors + retries;
-//   - an attempt that selected a ring signs it and verifies the signature,
+//   - every spend runs one sample, so sample = ok + rejected + errors;
+//   - a spend that selected a ring signs it and verifies the signature,
 //     so sign = verify-sig;
 //   - it then commits unless its key image is already used, and every ok
 //     spend committed once, so commit ≥ ok. A uniform stream draws each
@@ -255,7 +260,7 @@ func reconcile(r loadgen.Result, pattern string) error {
 		}
 		return nil
 	}
-	if err := check("sample vs ok+rejected+errors+retries", count("sample"), r.OK+r.Rejected+r.Errors+r.Retries); err != nil {
+	if err := check("sample vs ok+rejected+errors", count("sample"), r.OK+r.Rejected+r.Errors); err != nil {
 		return err
 	}
 	if err := check("sign vs verify-sig", count("sign"), count("verify-sig")); err != nil {
@@ -278,7 +283,7 @@ func reconcile(r loadgen.Result, pattern string) error {
 
 // topLevelStages are the spans directly under a spend's root span; the
 // Step-3 "verify" runs inside "commit", so it is not summed again.
-var topLevelStages = []string{"queue-wait", "sample", "sign", "verify-sig", "commit"}
+var topLevelStages = []string{"queue-wait", "batch-wait", "sample", "sign", "verify-sig", "commit"}
 
 // claimTolerance bounds |claimedShare − 1| on an in-process row. The
 // unclaimed rest is HTTP and JSON on both ends of the loopback call, plus
@@ -290,7 +295,7 @@ const claimTolerance = 0.15
 // claimedShare returns the share of a row's mean latency that its
 // top-level stages claim: Σ(stage mean × count) over topLevelStages,
 // divided by the completed requests (ok + rejected + errors, the requests
-// whose attempts the stages counted), over the mean latency. It is 0 for a
+// whose stages were counted), over the mean latency. It is 0 for a
 // row without latency.
 func claimedShare(r loadgen.Result) float64 {
 	completed := r.OK + r.Rejected + r.Errors
@@ -315,14 +320,14 @@ func printRow(r Row) {
 		us(r.Latency.P50), us(r.Latency.P99), r.ShedRate*100,
 		r.OK, r.Rejected, r.Errors, r.Skipped)
 	if len(r.Stages) > 0 {
-		order := []string{"queue-wait", "sample", "sign", "verify-sig", "verify", "commit"}
+		order := []string{"queue-wait", "batch-wait", "sample", "sign", "verify-sig", "verify", "commit"}
 		parts := make([]string, 0, len(order))
 		for _, name := range order {
 			if st, ok := r.Stages[name]; ok {
 				parts = append(parts, fmt.Sprintf("%s %s×%d", name, us(st.MeanUS), st.Count))
 			}
 		}
-		fmt.Printf("  stages: %s  dropped=%d retries=%d claimed=%.1f%%\n", strings.Join(parts, "  "), r.DroppedSpans, r.Retries, 100*claimedShare(r.Result))
+		fmt.Printf("  stages: %s  dropped=%d claimed=%.1f%%\n", strings.Join(parts, "  "), r.DroppedSpans, 100*claimedShare(r.Result))
 	}
 }
 

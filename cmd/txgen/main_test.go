@@ -8,16 +8,17 @@ import (
 )
 
 // reconciled is a closed-loop row at two clients whose stage counts
-// reconcile exactly: 161 ok spends and 76 stale-epoch retries are 237
-// attempts, each selected, signed, verified and committed. Its top-level
-// stages claim 13.72 ms per spend (161×0.1 + 237×(5 + 2 + 2 + 0.25) ms
-// over 161), 98% of its 14 ms mean latency.
+// reconcile exactly: 237 ok spends, each waited for its batch, selected,
+// signed, verified and committed once. Its top-level stages claim 13.65 ms
+// per spend (0.1 + 4.3 + 5 + 2 + 2 + 0.25 ms), 97.5% of its 14 ms mean
+// latency.
 func reconciled() loadgen.Result {
 	return loadgen.Result{
-		Arrival: "closed", Concurrency: 2, OK: 161, Retries: 76,
+		Arrival: "closed", Concurrency: 2, OK: 237,
 		Latency: loadgen.Latency{MeanUS: 14000},
 		Stages: map[string]loadgen.StageStat{
-			"queue-wait": {Count: 161, MeanUS: 100},
+			"queue-wait": {Count: 237, MeanUS: 100},
+			"batch-wait": {Count: 237, MeanUS: 4300},
 			"sample":     {Count: 237, MeanUS: 5000},
 			"sign":       {Count: 237, MeanUS: 2000},
 			"verify-sig": {Count: 237, MeanUS: 2000},
@@ -51,8 +52,8 @@ func TestReconcile(t *testing.T) {
 			setCount(r, "verify-sig", 239)
 			setCount(r, "commit", 239)
 		}), "uniform", ""},
-		{"errors and rejections are attempts", edit(func(r *loadgen.Result) {
-			r.OK, r.Rejected, r.Errors = 150, 7, 4
+		{"errors and rejections ran a sample", edit(func(r *loadgen.Result) {
+			r.OK, r.Rejected, r.Errors = 226, 7, 4
 		}), "uniform", ""},
 		{"missing commit stage", edit(func(r *loadgen.Result) {
 			delete(r.Stages, "commit")
@@ -68,17 +69,22 @@ func TestReconcile(t *testing.T) {
 		{"samples beyond the edge allowance", edit(func(r *loadgen.Result) {
 			setCount(r, "sample", 240)
 		}), "uniform", "sample"},
-		{"retries not counted", edit(func(r *loadgen.Result) {
-			r.Retries = 0
+		{"a spend sampled twice", edit(func(r *loadgen.Result) {
+			r.OK = 160
 		}), "uniform", "sample"},
+		{"batch-wait is claimed", edit(func(r *loadgen.Result) {
+			delete(r.Stages, "batch-wait")
+		}), "uniform", "do not add up to latency"},
 		{"double spends skip commit under zipf", edit(func(r *loadgen.Result) {
+			r.OK, r.Rejected = 200, 37
 			setCount(r, "commit", 200)
 		}), "zipf", ""},
 		{"uniform spends never skip commit", edit(func(r *loadgen.Result) {
+			r.OK, r.Rejected = 200, 37
 			setCount(r, "commit", 200)
 		}), "uniform", "commit vs verify-sig"},
 		{"stages claim the tolerance's edge", edit(func(r *loadgen.Result) {
-			r.Latency.MeanUS = 13716.5 / (1 - claimTolerance + 0.001)
+			r.Latency.MeanUS = 13650 / (1 - claimTolerance + 0.001)
 		}), "uniform", ""},
 		{"missing sign and verify-sig stages under zipf", edit(func(r *loadgen.Result) {
 			delete(r.Stages, "sign")
@@ -88,10 +94,10 @@ func TestReconcile(t *testing.T) {
 			r.Stages["sample"] = loadgen.StageStat{Count: 237}
 		}), "uniform", "do not add up to latency"},
 		{"latency no stage claims", edit(func(r *loadgen.Result) {
-			r.Latency.MeanUS = 13716.5 / (1 - claimTolerance - 0.001)
+			r.Latency.MeanUS = 13650 / (1 - claimTolerance - 0.001)
 		}), "uniform", "do not add up to latency"},
 		{"stages claim more than latency", edit(func(r *loadgen.Result) {
-			r.Latency.MeanUS = 13716.5 / (1 + claimTolerance + 0.001)
+			r.Latency.MeanUS = 13650 / (1 + claimTolerance + 0.001)
 		}), "uniform", "do not add up to latency"},
 		{"nested verify is not summed", edit(func(r *loadgen.Result) {
 			// Same claim as the fixture, but summing verify would add 30%.

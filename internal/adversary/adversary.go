@@ -300,9 +300,6 @@ func provablyConsumed(rings []chain.RingRecord) chain.TokenSet {
 	return rsgraph.FromRecords(rings).Decompose().ProvablyConsumed()
 }
 
-// ConsumedCount returns μ, the number of tokens provably consumed so far.
-func (ns *NeighborSets) ConsumedCount() int { return len(ns.Consumed()) }
-
 // RingCount returns i, the number of rings recorded.
 func (ns *NeighborSets) RingCount() int { return len(ns.rings) }
 

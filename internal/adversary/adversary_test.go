@@ -176,23 +176,23 @@ func TestSummarise(t *testing.T) {
 
 func TestNeighborSets(t *testing.T) {
 	ns := NewNeighborSets()
-	if ns.RingCount() != 0 || ns.ConsumedCount() != 0 {
+	if ns.RingCount() != 0 || len(ns.Consumed()) != 0 {
 		t.Fatal("fresh NeighborSets should be empty")
 	}
 	ns.Append(rec(0, 1, 2))
-	if ns.ConsumedCount() != 0 {
-		t.Fatalf("one 2-ring proves nothing, μ = %d", ns.ConsumedCount())
+	if len(ns.Consumed()) != 0 {
+		t.Fatalf("one 2-ring proves nothing, μ = %d", len(ns.Consumed()))
 	}
 	// Appending the twin closes the set {1,2}: μ = 2.
 	if got := ns.WouldConsume(rec(1, 1, 2)); got != 2 {
 		t.Fatalf("WouldConsume = %d, want 2", got)
 	}
-	if ns.ConsumedCount() != 0 {
+	if len(ns.Consumed()) != 0 {
 		t.Fatal("WouldConsume must not mutate")
 	}
 	ns.Append(rec(1, 1, 2))
-	if ns.ConsumedCount() != 2 || ns.RingCount() != 2 {
-		t.Fatalf("μ = %d rings = %d", ns.ConsumedCount(), ns.RingCount())
+	if len(ns.Consumed()) != 2 || ns.RingCount() != 2 {
+		t.Fatalf("μ = %d rings = %d", len(ns.Consumed()), ns.RingCount())
 	}
 	if !ns.Consumed().Equal(chain.NewTokenSet(1, 2)) {
 		t.Fatalf("Consumed = %v", ns.Consumed())
@@ -200,8 +200,8 @@ func TestNeighborSets(t *testing.T) {
 }
 
 // NeighborSets computes μ on demand. Over random ring sequences, after every
-// Append and across Clones that then diverge, WouldConsume, ConsumedCount
-// and Consumed must equal a from-scratch closure of the rings each set was
+// Append and across Clones that then diverge, WouldConsume and Consumed
+// must equal a from-scratch closure of the rings each set was
 // fed, so neither laziness nor the shared backing array of a clone can leak
 // one set's rings into another.
 func TestNeighborSetsMatchFromScratch(t *testing.T) {
@@ -240,9 +240,9 @@ func TestNeighborSetsMatchFromScratch(t *testing.T) {
 				if got := s.ns.Consumed(); !got.Equal(want) {
 					t.Fatalf("seed %d step %d set %d: Consumed = %v, want %v", seed, step, i, got, want)
 				}
-				if s.ns.ConsumedCount() != len(want) || s.ns.RingCount() != len(s.rings) {
+				if len(s.ns.Consumed()) != len(want) || s.ns.RingCount() != len(s.rings) {
 					t.Fatalf("seed %d step %d set %d: μ = %d rings = %d, want %d and %d",
-						seed, step, i, s.ns.ConsumedCount(), s.ns.RingCount(), len(want), len(s.rings))
+						seed, step, i, len(s.ns.Consumed()), s.ns.RingCount(), len(want), len(s.rings))
 				}
 			}
 		}

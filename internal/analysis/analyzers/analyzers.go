@@ -23,16 +23,6 @@ func All() []*analysis.Analyzer {
 	}
 }
 
-// ByName resolves one analyzer; nil when unknown.
-func ByName(name string) *analysis.Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // calleeFunc resolves the *types.Func a call invokes, or nil (builtins,
 // conversions, calls through function-typed variables).
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {

@@ -83,7 +83,12 @@ func parseWants(t *testing.T, dir string) []*want {
 func runFixture(t *testing.T, dir, importPath, analyzer string) []analysis.Diagnostic {
 	t.Helper()
 	l := loader(t)
-	a := analyzers.ByName(analyzer)
+	var a *analysis.Analyzer
+	for _, cand := range analyzers.All() {
+		if cand.Name == analyzer {
+			a = cand
+		}
+	}
 	if a == nil {
 		t.Fatalf("unknown analyzer %q", analyzer)
 	}

@@ -39,9 +39,6 @@ type Options struct {
 	Headroom bool
 }
 
-// DefaultOptions returns a CI-scale configuration.
-func DefaultOptions() Options { return Options{Instances: 50, Seed: 1, Headroom: true} }
-
 // Cell is one measured approach at one sweep point. Means reproduce the
 // paper's panels; the P95 tails are a strict extension of the harness (the
 // paper reports means only).

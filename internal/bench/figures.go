@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -198,18 +197,4 @@ func Figure10(opts Options) (Series, error) {
 		s.Points = append(s.Points, Point{X: nf, Cells: cells})
 	}
 	return s, nil
-}
-
-// AllFigures runs every sweep figure (5–10) with the given options.
-func AllFigures(opts Options) ([]Series, error) {
-	runs := []func(Options) (Series, error){Figure5, Figure6, Figure7, Figure8, Figure9, Figure10}
-	out := make([]Series, 0, len(runs))
-	for _, run := range runs {
-		s, err := run(opts)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", s.Name, err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }

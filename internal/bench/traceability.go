@@ -172,59 +172,3 @@ func summarisePoint(name string, committed int, d *workload.Dataset) (Traceabili
 		CascadeConsumed:  cm.ConsumedTokens,
 	}, nil
 }
-
-// SideInfoResilience measures Theorem 6.2 empirically over committed rings:
-// for each ring, the number of revealed pairs an adversary needs before the
-// exact analysis pins the ring's HT, compared with the theorem's bound
-// |r| − q_M. Rings the adversary never pins (even after revealing a pair of
-// every other ring) are counted in measured but do not lower minObserved —
-// they are maximally resilient. minObserved is −1 when no ring was ever
-// pinned.
-func SideInfoResilience(rings []chain.RingRecord, origin func(chain.TokenID) chain.TxID) (minObserved, minBound, measured int) {
-	minObserved, minBound = -1, -1
-	for _, r := range rings {
-		bound := adversary.SideInfoThreshold(r.Tokens, origin)
-		if minBound == -1 || bound < minBound {
-			minBound = bound
-		}
-		measured++
-		// Observed: reveal other rings' pairs one at a time (greedy, in id
-		// order) until the target ring's HT becomes known.
-		si := adversary.SideInfo{}
-		observed := 0
-		pinned := false
-		for {
-			a := adversary.ChainReaction(rings, si, origin)
-			for _, o := range a.Observations {
-				if o.Ring == r.ID && o.HTKnown {
-					pinned = true
-					break
-				}
-			}
-			if pinned {
-				break
-			}
-			// Reveal one more pair, if any ring remains unrevealed.
-			revealed := false
-			for _, other := range rings {
-				if other.ID == r.ID {
-					continue
-				}
-				if _, done := si[other.ID]; done {
-					continue
-				}
-				si[other.ID] = other.Tokens[0]
-				observed++
-				revealed = true
-				break
-			}
-			if !revealed {
-				break // adversary exhausted: ring is resilient
-			}
-		}
-		if pinned && (minObserved == -1 || observed < minObserved) {
-			minObserved = observed
-		}
-	}
-	return minObserved, minBound, measured
-}

@@ -122,6 +122,9 @@ var (
 	ErrEmptyRing    = errors.New("chain: ring signature must contain at least one token")
 	ErrBadOp        = errors.New("chain: malformed ledger op")
 	ErrOpSeq        = errors.New("chain: op sequence does not match ledger epoch")
+	// ErrJournal wraps a failed journal append: an I/O fault of the node,
+	// not a verdict on the op, which was not applied.
+	ErrJournal = errors.New("chain: journal append")
 )
 
 // SetJournal installs the mutation journal. Install it before the ledger is
@@ -145,7 +148,7 @@ func (l *Ledger) Epoch() uint64 { return l.view.Load().epoch }
 func (l *Ledger) publish(v *View, op Op, build func() *View) error {
 	if l.journal != nil {
 		if err := l.journal.Append(op); err != nil {
-			return fmt.Errorf("chain: journal append: %w", err)
+			return fmt.Errorf("%w: %w", ErrJournal, err)
 		}
 	}
 	nv := build()

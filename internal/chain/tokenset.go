@@ -212,14 +212,3 @@ func (s TokenSet) Equal(t TokenSet) bool {
 	}
 	return true
 }
-
-// IsSorted reports whether the sorted/duplicate-free invariant holds; used by
-// tests and debug assertions.
-func (s TokenSet) IsSorted() bool {
-	for i := 1; i < len(s); i++ {
-		if s[i-1] >= s[i] {
-			return false
-		}
-	}
-	return true
-}

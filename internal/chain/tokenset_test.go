@@ -192,3 +192,13 @@ func TestTokenSetDisjointMatchesIntersect(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// IsSorted reports whether the sorted/duplicate-free invariant holds.
+func (s TokenSet) IsSorted() bool {
+	for i := 1; i < len(s); i++ {
+		if s[i-1] >= s[i] {
+			return false
+		}
+	}
+	return true
+}

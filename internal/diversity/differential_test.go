@@ -338,3 +338,33 @@ func FuzzHistogramDifferential(f *testing.F) {
 		checkAgainstModel(t, -1, h, m)
 	})
 }
+
+// Frequencies, MaxCount and MinCount read the histogram's count-of-counts
+// index back for the model checks.
+//
+// Frequencies returns the counts sorted in non-increasing order
+// (q₁ ≥ q₂ ≥ … ≥ q_θ), materialised from the count-of-counts index without
+// sorting.
+func (h *Histogram) Frequencies() []int {
+	qs := make([]int, 0, h.classes)
+	for c := h.max; c >= 1; c-- {
+		for i := 0; i < h.freq[c]; i++ {
+			qs = append(qs, c)
+		}
+	}
+	return qs
+}
+
+// MaxCount returns q₁ (0 for an empty histogram). This is the q_M of
+// Theorems 6.2/6.5/6.7. O(1): the maximum is maintained incrementally.
+func (h *Histogram) MaxCount() int { return h.max }
+
+// MinCount returns q_θ (0 for an empty histogram); the paper's q_min.
+func (h *Histogram) MinCount() int {
+	for c := 1; c <= h.max; c++ {
+		if h.freq[c] > 0 {
+			return c
+		}
+	}
+	return 0
+}

@@ -216,33 +216,6 @@ func (h *Histogram) Each(f func(cls, n int) bool) {
 	}
 }
 
-// Frequencies returns the counts sorted in non-increasing order
-// (q₁ ≥ q₂ ≥ … ≥ q_θ), materialised from the count-of-counts index without
-// sorting.
-func (h *Histogram) Frequencies() []int {
-	qs := make([]int, 0, h.classes)
-	for c := h.max; c >= 1; c-- {
-		for i := 0; i < h.freq[c]; i++ {
-			qs = append(qs, c)
-		}
-	}
-	return qs
-}
-
-// MaxCount returns q₁ (0 for an empty histogram). This is the q_M of
-// Theorems 6.2/6.5/6.7. O(1): the maximum is maintained incrementally.
-func (h *Histogram) MaxCount() int { return h.max }
-
-// MinCount returns q_θ (0 for an empty histogram); the paper's q_min.
-func (h *Histogram) MinCount() int {
-	for c := 1; c <= h.max; c++ {
-		if h.freq[c] > 0 {
-			return c
-		}
-	}
-	return 0
-}
-
 // Satisfies reports whether the histogram satisfies recursive
 // (c, ℓ)-diversity: q₁ < c·(q_ℓ + … + q_θ). When θ < ℓ the tail sum is
 // empty, so a non-empty histogram always fails (q₁ ≥ 1 > 0 = c·0); an empty
@@ -404,16 +377,6 @@ func (h *Histogram) SlackWithout(req Requirement, cls int) float64 {
 		k -= n
 	}
 	return float64(q1) - req.C*float64(total-head)
-}
-
-// DistinctHTsNeeded is a quick lower bound helper: a multiset can only
-// satisfy (c, ℓ) when it spans at least ℓ distinct HTs. (With θ ≥ ℓ the tail
-// is non-empty; with θ < ℓ it can never pass.)
-func (h *Histogram) DistinctHTsNeeded(req Requirement) int {
-	if missing := req.L - h.Classes(); missing > 0 {
-		return missing
-	}
-	return 0
 }
 
 // SatisfiesTokens is a convenience wrapper: it builds the histogram of the

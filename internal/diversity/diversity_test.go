@@ -206,18 +206,6 @@ func TestMonotoneInL(t *testing.T) {
 	}
 }
 
-func TestDistinctHTsNeeded(t *testing.T) {
-	h := NewHistogram(3)
-	h.Add(1)
-	h.Add(2)
-	if got := h.DistinctHTsNeeded(Requirement{C: 1, L: 5}); got != 3 {
-		t.Fatalf("needed = %d, want 3", got)
-	}
-	if got := h.DistinctHTsNeeded(Requirement{C: 1, L: 2}); got != 0 {
-		t.Fatalf("needed = %d, want 0", got)
-	}
-}
-
 func TestSatisfiesTokens(t *testing.T) {
 	origin := originFromSlice([]chain.TxID{0, 1, 2, 3})
 	if !SatisfiesTokens(chain.NewTokenSet(0, 1, 2, 3), origin, Requirement{C: 0.5, L: 2}) {

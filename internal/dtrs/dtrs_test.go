@@ -311,3 +311,38 @@ func TestClosedFormMatchesExactOnSaturatedSuperRing(t *testing.T) {
 		}
 	}
 }
+
+// ClosedForm is one Theorem-6.1 DTRS token set: revealing the consumption of
+// every token in Psi determines that the target ring's consumed token came
+// from HT.
+type ClosedForm struct {
+	HT  chain.TxID
+	Psi chain.TokenSet
+}
+
+// ClosedFormSets applies Theorem 6.1 set by set: the token-set oracle that
+// AllSatisfyClosedForm's histogram evaluation is checked against. ringTokens is the target ring's token
+// set; subsetCount is v, the number of rings (including the super ring
+// itself) recorded as subsets of the ring's super ring. For each HT h_j
+// appearing in the ring, a DTRS with token set ψ = ring \ T̃(h_j) exists iff
+// v ≥ |ring| − |T̃(h_j)| + 1.
+func ClosedFormSets(ringTokens chain.TokenSet, subsetCount int, origin func(chain.TokenID) chain.TxID) []ClosedForm {
+	byHT := make(map[chain.TxID]chain.TokenSet)
+	var order []chain.TxID
+	for _, t := range ringTokens {
+		h := origin(t)
+		if _, ok := byHT[h]; !ok {
+			order = append(order, h)
+		}
+		byHT[h] = append(byHT[h], t) // ring iterated sorted → stays sorted
+	}
+	var out []ClosedForm
+	for _, h := range order {
+		same := byHT[h]
+		if subsetCount < len(ringTokens)-len(same)+1 {
+			continue // Theorem 6.1: no DTRS can determine h
+		}
+		out = append(out, ClosedForm{HT: h, Psi: ringTokens.Minus(same)})
+	}
+	return out
+}

@@ -34,7 +34,6 @@ import (
 
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/nodesvc"
-	"tokenmagic/internal/obs"
 	"tokenmagic/internal/obs/trace"
 	"tokenmagic/internal/workload"
 )
@@ -72,9 +71,7 @@ type Config struct {
 
 	// Stages, when non-nil, is the trace collector of the node under test
 	// (in-process runs only): the per-stage breakdown is the delta of its
-	// aggregates over the measured window. Such a node reports to the
-	// process-wide registry (obs.Default), which is where Run reads the
-	// window's retry count.
+	// aggregates over the measured window.
 	Stages *trace.Collector
 }
 
@@ -125,10 +122,6 @@ type Result struct {
 	// per-trace budget; stages past the budget are missing from Stages.
 	// Always 0 without cfg.Stages.
 	DroppedSpans int64 `json:"dropped_spans"`
-	// Retries counts the window's stale-epoch re-selections
-	// (node.spend.retry.stale_epoch): each one is an extra sample, sign and
-	// verify-sig beyond the completed spends. Always 0 without cfg.Stages.
-	Retries int64 `json:"retries"`
 }
 
 // counters aggregates the measured window. Latency lands in an obs histogram
@@ -227,24 +220,20 @@ func Run(cfg Config) (Result, error) {
 	warmupEnd := start.Add(cfg.Warmup)
 	deadline := warmupEnd.Add(cfg.Duration)
 
-	// Stage aggregates, the dropped-span total and the retry count are
-	// snapshotted at the warmup boundary (not run start) so the delta matches
-	// the measured window; the channel hand-off makes the boundary
-	// goroutine's write visible to the read at the end of Run.
+	// Stage aggregates and the dropped-span total are snapshotted at the
+	// warmup boundary (not run start) so the delta matches the measured
+	// window; the channel hand-off makes the boundary goroutine's write
+	// visible to the read at the end of Run.
 	type collectorState struct {
-		stages           map[string]trace.StageStats
-		dropped, retries int64
+		stages  map[string]trace.StageStats
+		dropped int64
 	}
-	var (
-		before  chan collectorState
-		retries *obs.Counter
-	)
+	var before chan collectorState
 	if cfg.Stages != nil {
-		retries = obs.Default().Counter("node.spend.retry.stale_epoch")
 		before = make(chan collectorState, 1)
 		go func() {
 			time.Sleep(time.Until(warmupEnd))
-			before <- collectorState{cfg.Stages.StageSnapshot(), cfg.Stages.DroppedSpans(), retries.Value()}
+			before <- collectorState{cfg.Stages.StageSnapshot(), cfg.Stages.DroppedSpans()}
 		}()
 	}
 
@@ -336,7 +325,6 @@ func Run(cfg Config) (Result, error) {
 		b := <-before
 		res.Stages = stageDelta(b.stages, cfg.Stages.StageSnapshot())
 		res.DroppedSpans = cfg.Stages.DroppedSpans() - b.dropped
-		res.Retries = retries.Value() - b.retries
 	}
 	return res, nil
 }

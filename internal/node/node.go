@@ -58,11 +58,20 @@ const (
 )
 
 // Node is a validating miner. Safe for concurrent use.
+//
+// Lock order: order, then a batch mutex, then mu. A spend holds order shared
+// and its batch's mutex from before selection until after commit; MineCtx
+// holds order exclusively. So no spend or mine of this node commits into a
+// batch between another spend's selection and that spend's commit.
 type Node struct {
-	mu     sync.Mutex
-	ledger *chain.Ledger
-	fw     *itm.Framework
-	images map[string]chain.RSID
+	order sync.RWMutex
+	mu    sync.Mutex
+	// batchMu holds one mutex per batch, keyed by chain.Batch.Index (stable,
+	// since blocks are only appended). Guarded by mu.
+	batchMu map[int]*sync.Mutex
+	ledger  *chain.Ledger
+	fw      *itm.Framework
+	images  map[string]chain.RSID
 	// unsignedSpent maps each target a keyless Spend consumed to its ring:
 	// the double-spend check for spends that carry no key image.
 	unsignedSpent map[chain.TokenID]chain.RSID
@@ -78,7 +87,7 @@ type Node struct {
 	metrics *obs.Registry
 	// testHookAfterSelect, when non-nil, runs between ring selection and
 	// commit in spendOnce — a test seam for deterministically interleaving a
-	// sibling commit into the selection/commit window.
+	// sibling spend or mine into the selection/commit window.
 	testHookAfterSelect func()
 }
 
@@ -141,6 +150,7 @@ func New(ledger *chain.Ledger, cfg Config) (*Node, error) {
 		engine.Hp.Precompute(pubs)
 	}
 	return &Node{
+		batchMu:       make(map[int]*sync.Mutex),
 		ledger:        ledger,
 		fw:            fw,
 		images:        make(map[string]chain.RSID),
@@ -271,7 +281,8 @@ func (n *Node) Mine(maxRings int) ([]MinedRing, error) {
 }
 
 // MineCtx is Mine with the request's trace threaded through; each committed
-// ring lands in a "commit" span.
+// ring lands in a "commit" span. It waits for every spend in flight to
+// commit, and no spend selects while it runs.
 //
 // Before anything is committed, the block template's signatures are
 // re-validated as one VerifyBatch — the paper's Step-4 "every block
@@ -280,6 +291,8 @@ func (n *Node) Mine(maxRings int) ([]MinedRing, error) {
 // fails (possible only if the mempool was corrupted, since admission
 // already verified it) is dropped rather than mined.
 func (n *Node) MineCtx(ctx context.Context, maxRings int) ([]MinedRing, error) {
+	n.order.Lock()
+	defer n.order.Unlock()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if maxRings <= 0 || len(n.mempool) == 0 {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/diversity"
@@ -52,16 +53,23 @@ func spendReason(err error) string {
 // Spend runs the paper's full client+miner pipeline inside the node: select a
 // ring for target (Algorithm 1), sign it with the target's key while
 // verifying the signature (ringsig.Engine.SignVerifiedCtx), and commit under
-// the Step-3 checks. Every stage lands in the trace carried by ctx (sample,
-// sign, verify-sig, verify, commit), so this is the end-to-end path the load
-// generator drives.
+// the Step-3 checks. Every stage lands in the trace carried by ctx
+// (batch-wait, sample, sign, verify-sig, verify, commit), so this is the
+// end-to-end path the load generator drives.
 //
-// Ring selection runs outside the node mutex — concurrent Spends solve in
-// parallel and only serialise for the double-spend check and commit. The
-// check and the commit happen under one hold, so two racing spends of the
-// same token cannot both land. A signed spend is checked by key image; a
-// node without keys (AllowUnsigned) signs nothing and refuses a second
-// spend of the same target instead.
+// Every Step-3 check is a check against the rings of the ring's batch, so
+// the spends of one batch are ordered: a spend holds its batch's lock from
+// before selection until after commit, and Mine waits for it. No spend or
+// mine of this node can then invalidate a ring between its selection and
+// its commit, and spends of different batches still select and sign in
+// parallel. A writer that bypasses the node (a direct Framework.Commit or
+// Ledger.AppendRS) is outside this order: a ring it invalidates comes back
+// as the Step-3 error it is.
+//
+// The double-spend check and the commit happen under one hold of the node
+// mutex, so two racing spends of the same token cannot both land. A signed
+// spend is checked by key image; a node without keys (AllowUnsigned) signs
+// nothing and refuses a second spend of the same target instead.
 func (n *Node) Spend(ctx context.Context, target chain.TokenID, req diversity.Requirement) (SpendResult, error) {
 	res, _, err := n.spend(ctx, target, req, nil)
 	return res, err
@@ -76,51 +84,53 @@ func (n *Node) SpendRelaxed(ctx context.Context, target chain.TokenID, req diver
 	return n.spend(ctx, target, req, &policy)
 }
 
-// maxStaleRetries bounds the regenerate-and-retry loop below. Each retry
-// re-selects against the then-current epoch, so one pass per concurrently
-// landed commit suffices; eight absorbs heavy contention while keeping a
-// genuinely unspendable token's failure latency bounded.
-const maxStaleRetries = 8
-
-// staleRetryable reports whether a commit failure may be an artefact of the
-// chain moving between ring selection and commit — the Step-3 classes that
-// depend on the ring population — rather than a verdict about the token
-// itself. Double spends and signature failures are terminal.
-func staleRetryable(err error) bool {
-	return errors.Is(err, itm.ErrConfig) ||
-		errors.Is(err, itm.ErrDiversity) ||
-		errors.Is(err, itm.ErrLiveness)
-}
-
-// spend runs spendOnce and, when the commit lost a race — the framework
-// epoch advanced past the one the ring was selected against and the failure
-// is selection-dependent — re-selects against the new epoch and retries.
-// Without this, concurrent spends of distinct tokens could surface spurious
-// rejections (HTTP 422 through nodesvc) purely from commit ordering. Each
-// attempt opens its own stages in the request's trace; a spend that retried
-// also annotates the trace with attempts=<n>. The outcome is counted in
-// node.spend.accepted or node.spend.reject.<reason>.
+// spend runs spendOnce under the target's batch lock. The outcome is counted
+// in node.spend.accepted, node.spend.fault.io (a journal failure: the
+// server's fault, not the spend's) or node.spend.reject.<reason>.
 func (n *Node) spend(ctx context.Context, target chain.TokenID, req diversity.Requirement, policy *itm.RelaxationPolicy) (res SpendResult, achieved diversity.Requirement, err error) {
 	defer func() {
-		if err != nil {
-			n.metrics.Counter("node.spend.reject." + spendReason(err)).Inc()
-		} else {
+		switch {
+		case err == nil:
 			n.metrics.Counter("node.spend.accepted").Inc()
+		case errors.Is(err, chain.ErrJournal):
+			n.metrics.Counter("node.spend.fault.io").Inc()
+		default:
+			n.metrics.Counter("node.spend.reject." + spendReason(err)).Inc()
 		}
 	}()
 	if n.verifySigs && n.keys == nil {
 		return SpendResult{}, req, ErrNoSpendKeys
 	}
-	for attempt := 1; ; attempt++ {
-		epoch := n.fw.Epoch()
-		res, achieved, err = n.spendOnce(ctx, target, req, policy)
-		if err == nil || attempt > maxStaleRetries || !staleRetryable(err) || n.fw.Epoch() == epoch {
-			if attempt > 1 {
-				trace.FromContext(ctx).AnnotateInt("attempts", int64(attempt))
-			}
-			return res, achieved, err
-		}
-		n.metrics.Counter("node.spend.retry.stale_epoch").Inc()
+	_, batches, err := n.fw.Snapshot()
+	if err != nil {
+		return SpendResult{}, req, err
+	}
+	b, err := batches.BatchOf(target)
+	if err != nil {
+		return SpendResult{}, req, err
+	}
+	defer n.lockBatch(ctx, b.Index)()
+	return n.spendOnce(ctx, target, req, policy)
+}
+
+// lockBatch takes a spend's side of the node's lock order for batch idx —
+// order shared, then the batch's mutex — in a "batch-wait" span, and
+// returns the matching unlock.
+func (n *Node) lockBatch(ctx context.Context, idx int) (unlock func()) {
+	_, sp := trace.StartSpan(ctx, "batch-wait")
+	defer sp.End()
+	n.mu.Lock()
+	m := n.batchMu[idx]
+	if m == nil {
+		m = new(sync.Mutex)
+		n.batchMu[idx] = m
+	}
+	n.mu.Unlock()
+	n.order.RLock()
+	m.Lock()
+	return func() {
+		m.Unlock()
+		n.order.RUnlock()
 	}
 }
 

@@ -1,19 +1,17 @@
 package node
 
-// Regression for the concurrent-spend commit race: ring selection runs
-// outside the node mutex, so a spend can select against epoch E while a
-// sibling's commit publishes E+1; the first commit then sees rings it never
-// selected around and fails the practical-configuration check. Before the
-// stale-epoch retry in spend(), this surfaced as spurious rejections (HTTP
-// 422 through nodesvc) for perfectly spendable tokens. The retry re-selects
-// against the advanced epoch, so concurrent spends of distinct tokens must
-// all land.
+// Spends of one batch are ordered by the batch's lock, held from before
+// selection until after commit, and Mine waits for every spend in flight.
+// So a sibling spend or a mine started inside a spend's selection/commit
+// window (through testHookAfterSelect) commits after it, never under it:
+// every spend selects once and lands.
 
 import (
 	"context"
-	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/diversity"
@@ -22,13 +20,32 @@ import (
 	itm "tokenmagic/internal/tokenmagic"
 )
 
-// siblingRaceNode builds a one-batch node whose test hook lands a
-// conflicting ring in the window between a spend's first ring selection and
-// its commit. The sibling's ring is every batch token except target: it
-// cannot contain any ring that includes the target, and any ring with the
-// target plus ≥1 mixin overlaps it — so whatever ring the spend selected
-// against the pre-sibling epoch is guaranteed to conflict.
-func siblingRaceNode(t *testing.T, target chain.TokenID, req diversity.Requirement) (*Node, *obs.Registry) {
+// raceGrace is how long a test hook waits for the spend or mine it started
+// inside a selection/commit window. Without the batch order the started
+// operation finishes well within it and commits under the waiting spend;
+// with the order it cannot finish until the hook returns, and the grace
+// just runs out.
+const raceGrace = 200 * time.Millisecond
+
+// runWithin starts fn and waits for it to finish or for raceGrace to pass,
+// returning a channel closed when fn has finished.
+func runWithin(fn func()) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(raceGrace):
+	}
+	return done
+}
+
+// oneBatchNode builds an unsigned node over one 32-token batch (16
+// two-output transactions) with η off, so every refusal would be an
+// ordering artefact.
+func oneBatchNode(t *testing.T) (*Node, *obs.Registry) {
 	t.Helper()
 	l := chain.NewLedger()
 	b := l.BeginBlock()
@@ -48,90 +65,155 @@ func siblingRaceNode(t *testing.T, target chain.TokenID, req diversity.Requireme
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sibling []chain.TokenID
-	for i := 0; i < l.NumTokens(); i++ {
-		if chain.TokenID(i) != target {
-			sibling = append(sibling, chain.TokenID(i))
-		}
-	}
-	fired := false
-	n.testHookAfterSelect = func() {
-		if fired {
-			return
-		}
-		fired = true
-		if _, cerr := n.fw.Commit(chain.NewTokenSet(sibling...), req); cerr != nil {
-			t.Errorf("sibling commit: %v", cerr)
-		}
-	}
 	return n, reg
 }
 
-// TestSpendRetriesAfterSiblingCommit reproduces the race deterministically:
-// the first commit attempt must fail (its ring partially overlaps the
-// sibling's), and the retry — re-selecting against the advanced epoch —
-// must land. Without the retry this spend surfaced the sibling's commit as
-// a spurious rejection.
-func TestSpendRetriesAfterSiblingCommit(t *testing.T) {
-	req := diversity.Requirement{C: 1, L: 2}
-	const target = chain.TokenID(5)
-	n, reg := siblingRaceNode(t, target, req)
+// tracedSpend spends target under its own trace and returns the number of
+// spans of each stage it opened.
+func tracedSpend(n *Node, target chain.TokenID, req diversity.Requirement) (map[string]int, SpendResult, error) {
+	col := trace.NewCollector()
+	ctx, tr := trace.New(context.Background(), col, "test.spend")
+	res, err := n.Spend(ctx, target, req)
+	tr.Finish("200")
+	count := map[string]int{}
+	for _, sp := range col.Snapshot("", 1).Recent[0].Spans {
+		count[sp.Name]++
+	}
+	return count, res, err
+}
 
-	res, err := n.Spend(context.Background(), target, req)
-	if err != nil {
-		t.Fatalf("spend spuriously rejected after sibling commit: %v", err)
+// TestSiblingSpendsInTheWindowWaitForTheBatch: N spends of one batch, each
+// started from inside the previous one's selection/commit window. Each
+// sibling must wait for the spend that started it, so every spend lands and
+// selects exactly once.
+func TestSiblingSpendsInTheWindowWaitForTheBatch(t *testing.T) {
+	const spends = 4
+	n, reg := oneBatchNode(t)
+	req := diversity.Requirement{C: 1, L: 2}
+	targets := []chain.TokenID{0, 9, 18, 27}
+
+	type outcome struct {
+		samples map[string]int
+		res     SpendResult
+		err     error
 	}
-	if !res.Ring.Contains(target) {
-		t.Fatalf("ring %v misses target", res.Ring)
+	var (
+		started  atomic.Int32 // spends started so far
+		outcomes = make([]outcome, spends)
+		wg       sync.WaitGroup
+	)
+	spend := func(i int) {
+		defer wg.Done()
+		c, res, err := tracedSpend(n, targets[i], req)
+		outcomes[i] = outcome{c, res, err}
 	}
-	if got := reg.Counter("node.spend.retry.stale_epoch").Value(); got == 0 {
-		t.Fatal("retry counter did not fire: the race was not exercised")
+	n.testHookAfterSelect = func() {
+		// Start the next sibling, if any are left, from this window.
+		next := int(started.Add(1))
+		if next >= spends {
+			return
+		}
+		wg.Add(1)
+		runWithin(func() { spend(next) })
 	}
-	if got := reg.Counter("node.spend.reject.config").Value(); got != 0 {
-		t.Fatalf("spurious config rejections: %d", got)
+	wg.Add(1)
+	spend(0)
+	wg.Wait()
+
+	for i, o := range outcomes {
+		if o.err != nil {
+			t.Errorf("spend of %d refused: %v", targets[i], o.err)
+			continue
+		}
+		if !o.res.Ring.Contains(targets[i]) {
+			t.Errorf("ring %v misses target %d", o.res.Ring, targets[i])
+		}
+		if o.samples["sample"] != 1 || o.samples["batch-wait"] != 1 {
+			t.Errorf("spend of %d ran %d sample and %d batch-wait spans, want one each", targets[i], o.samples["sample"], o.samples["batch-wait"])
+		}
+	}
+	if got := n.ChainRings(); got != spends {
+		t.Fatalf("%d rings on chain, want %d", got, spends)
+	}
+	if got := reg.Counter("node.spend.accepted").Value(); got != spends {
+		t.Fatalf("node.spend.accepted = %d, want %d", got, spends)
 	}
 }
 
-// A retried spend is visible in its trace: the request carries
-// attempts=<n>, and each attempt opened its own sample, verify and commit
-// stages. A spend that did not retry carries no attempts annotation.
-func TestSpendRetryAnnotatesTrace(t *testing.T) {
+// TestMineInTheWindowWaitsForTheSpend: a pending submission conflicts with
+// every ring of the target but the whole batch, and Mine starts inside the
+// spend's selection/commit window. Mine must wait: the spend lands with
+// the ring it selected, and Mine then drops the pending entry, which the
+// spend's ring has invalidated.
+func TestMineInTheWindowWaitsForTheSpend(t *testing.T) {
+	n, reg := oneBatchNode(t)
 	req := diversity.Requirement{C: 1, L: 2}
 	const target = chain.TokenID(5)
-	n, reg := siblingRaceNode(t, target, req)
-	col := trace.NewCollector()
+	var rest []chain.TokenID
+	for i := 0; i < 32; i++ {
+		if chain.TokenID(i) != target {
+			rest = append(rest, chain.TokenID(i))
+		}
+	}
+	if _, err := n.Submit(Submission{Tokens: chain.NewTokenSet(rest...), Req: req, Fee: 1}); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
 
+	var mined <-chan struct{}
+	var mineErr error
+	n.testHookAfterSelect = func() {
+		if mined == nil {
+			mined = runWithin(func() { _, mineErr = n.Mine(10) })
+		}
+	}
+	count, res, err := tracedSpend(n, target, req)
+	if err != nil {
+		t.Fatalf("spend refused: %v", err)
+	}
+	<-mined
+	if mineErr != nil {
+		t.Fatalf("mine: %v", mineErr)
+	}
+	if count["sample"] != 1 {
+		t.Fatalf("spend ran %d sample spans, want 1", count["sample"])
+	}
+	if !res.Ring.Contains(target) || len(res.Ring) == 32 {
+		t.Fatalf("ring %v: want the target's own ring, selected before the pending entry was mined", res.Ring)
+	}
+	if got := reg.Counter("node.mine.dropped").Value(); got != 1 {
+		t.Fatalf("node.mine.dropped = %d, want 1", got)
+	}
+	if n.PendingCount() != 0 || n.ChainRings() != 1 {
+		t.Fatalf("pending %d, chain rings %d; want 0 and 1", n.PendingCount(), n.ChainRings())
+	}
+}
+
+// TestSpendTraceHasOneSpanPerStage: a signed spend opens exactly one span of
+// each stage, batch-wait first and at the top level, and carries no
+// attempts annotation.
+func TestSpendTraceHasOneSpanPerStage(t *testing.T) {
+	n, _, _ := signedSpendNode(t, 10)
+	col := trace.NewCollector()
 	ctx, tr := trace.New(context.Background(), col, "test.spend")
-	if _, err := n.Spend(ctx, target, req); err != nil {
+	if _, err := n.Spend(ctx, 0, diversity.Requirement{C: 1, L: 3}); err != nil {
 		t.Fatalf("spend: %v", err)
 	}
 	tr.Finish("200")
 	got := col.Snapshot("", 1).Recent[0]
-	retries := reg.Counter("node.spend.retry.stale_epoch").Value()
-	if retries == 0 {
-		t.Fatal("retry counter did not fire: the race was not exercised")
-	}
-	if want := strconv.FormatInt(retries+1, 10); got.Annotations["attempts"] != want {
-		t.Fatalf("trace attempts = %q, want %s (annotations %v)", got.Annotations["attempts"], want, got.Annotations)
-	}
-	count := map[string]int64{}
+	count := map[string]int{}
 	for _, sp := range got.Spans {
 		count[sp.Name]++
 	}
-	for _, stage := range []string{"sample", "commit", "verify"} {
-		if count[stage] != retries+1 {
-			t.Errorf("%s spans = %d, want one per attempt (%d)", stage, count[stage], retries+1)
+	for _, stage := range []string{"batch-wait", "sample", "sign", "verify-sig", "commit", "verify"} {
+		if count[stage] != 1 {
+			t.Errorf("%s spans = %d, want 1 (spans %v)", stage, count[stage], count)
 		}
 	}
-
-	// The sibling hook fires once; the next spend lands first time.
-	ctx, tr = trace.New(context.Background(), col, "test.spend")
-	if _, err := n.Spend(ctx, chain.TokenID(6), req); err != nil {
-		t.Fatalf("second spend: %v", err)
+	if first := got.Spans[0]; first.Name != "batch-wait" || first.Parent != -1 {
+		t.Errorf("first span %q under %d, want a top-level batch-wait", first.Name, first.Parent)
 	}
-	tr.Finish("200")
-	if a, ok := col.Snapshot("", 1).Recent[0].Annotations["attempts"]; ok {
-		t.Fatalf("first-time spend annotated attempts=%s", a)
+	if a, ok := got.Annotations["attempts"]; ok {
+		t.Errorf("spend annotated attempts=%s", a)
 	}
 }
 
@@ -150,7 +232,7 @@ func TestConcurrentSpendsOfDistinctTokensNeverSpuriouslyReject(t *testing.T) {
 	reg := obs.NewRegistry()
 	n, err := New(l, Config{
 		Framework: itm.Config{
-			// η off: this test isolates the epoch race; the liveness guard
+			// η off: this test isolates spend ordering; the liveness guard
 			// legitimately rejects late spends in a drained batch.
 			Lambda: 16, Eta: 0, Headroom: true,
 			Algorithm: itm.Progressive, Randomize: true,
@@ -187,12 +269,6 @@ func TestConcurrentSpendsOfDistinctTokensNeverSpuriouslyReject(t *testing.T) {
 	}
 	if n.ChainRings() != spenders {
 		t.Fatalf("%d rings on chain, want %d", n.ChainRings(), spenders)
-	}
-	// The retry path is exercised opportunistically (the race may not fire
-	// on a given run); what must hold is that retries never exceed the
-	// bound and rejects stayed at zero.
-	if v := reg.Counter("node.spend.retry.stale_epoch").Value(); v > spenders*maxStaleRetries {
-		t.Fatalf("retry counter implausible: %d", v)
 	}
 	for _, reason := range []string{"config", "diversity", "liveness"} {
 		if v := reg.Counter("node.spend.reject." + reason).Value(); v != 0 {

@@ -15,12 +15,14 @@
 // runs the whole select→sign→verify→commit pipeline server-side (the node
 // must hold the token keys, node.Config.Keys) — it exists for load generation
 // (cmd/txgen), where one request exercises every pipeline stage and the
-// request trace shows the full breakdown.
+// request trace shows the full breakdown. A refused spend answers 422; a
+// spend the node could not journal (chain.ErrJournal) answers 500.
 package nodesvc
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -196,7 +198,13 @@ func (s *Server) handleSpend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := s.node.Spend(r.Context(), req.Target, diversity.Requirement{C: req.C, L: req.L})
-	if err != nil {
+	switch {
+	case errors.Is(err, chain.ErrJournal):
+		// The node could not write the chain: a server fault, as on
+		// /v1/mine. Not 503, which load clients read as admission shed.
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	case err != nil:
 		// Same contract as /v1/submit: deterministic validation failures
 		// (double spend, η guard, no candidate) are client errors.
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)

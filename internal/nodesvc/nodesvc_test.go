@@ -2,6 +2,7 @@ package nodesvc
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/diversity"
 	"tokenmagic/internal/node"
+	"tokenmagic/internal/obs"
 	"tokenmagic/internal/ringsig"
 	"tokenmagic/internal/selector"
 	itm "tokenmagic/internal/tokenmagic"
@@ -216,5 +218,50 @@ func TestVerifyOverHTTP(t *testing.T) {
 	}
 	if !res.OK || res.CacheHits != 1 {
 		t.Fatalf("cached verify: ok=%v hits=%d", res.OK, res.CacheHits)
+	}
+}
+
+// failingJournal refuses every append, as a full disk would.
+type failingJournal struct{}
+
+func (failingJournal) Append(chain.Op) error { return errors.New("test: disk full") }
+func (failingJournal) Committed(*chain.View) {}
+
+// TestSpendJournalFaultIsServerError: a spend whose commit cannot be
+// journaled is the node's fault. /v1/spend answers 500 (not 422, a client
+// error, nor 503, admission shed), the node counts node.spend.fault.io
+// instead of a reject, and nothing lands.
+func TestSpendJournalFaultIsServerError(t *testing.T) {
+	l := chain.NewLedger()
+	b := l.BeginBlock()
+	for i := 0; i < 10; i++ {
+		if _, err := l.AddTx(b, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	n, err := node.New(l, node.Config{
+		Framework:     itm.Config{Lambda: 1000, Headroom: true, Algorithm: itm.Progressive, Metrics: reg},
+		AllowUnsigned: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.SetJournal(failingJournal{})
+	ts := httptest.NewServer(NewServer(n).Handler())
+	t.Cleanup(ts.Close)
+
+	_, err = NewClient(ts.URL, ts.Client()).Spend(SpendRequest{Target: 0, C: 1, L: 3})
+	if err == nil || !strings.Contains(err.Error(), "500") || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("spend over a failing journal: %v, want a 500 naming the fault", err)
+	}
+	if got := reg.Counter("node.spend.fault.io").Value(); got != 1 {
+		t.Fatalf("node.spend.fault.io = %d, want 1", got)
+	}
+	if got := reg.Counter("node.spend.reject.other").Value(); got != 0 {
+		t.Fatalf("node.spend.reject.other = %d, want 0", got)
+	}
+	if n.ChainRings() != 0 {
+		t.Fatalf("%d rings landed through a failing journal", n.ChainRings())
 	}
 }

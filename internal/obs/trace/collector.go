@@ -48,16 +48,18 @@ func (s StageStats) MeanUS() float64 {
 	return float64(s.TotalUS) / float64(s.Count)
 }
 
-// maxSpans is the per-trace span budget. The worst legitimate request is a
-// spend that uses up node.spend's stale-epoch retries: maxStaleRetries+1 = 9
-// attempts of five spans each (sample, sign, verify-sig, commit and the
-// verify under it), plus one queue-wait — 46 spans. 64 leaves headroom;
-// a trace past it drops the rest and counts them.
+// maxSpans is the per-trace span budget. A spend opens one span per stage:
+// queue-wait, batch-wait, sample, sign, verify-sig, commit and the verify
+// under it — 7. The largest legitimate request is a /v1/mine at its default
+// of 100 rings: queue-wait and verify-batch, then a commit and its verify
+// for each entry it tries — 202 spans, plus two per entry the moved chain
+// drops. 256 leaves room for 27 of those; a trace past it drops the rest
+// and counts them.
 //
 // The ring and exemplar counts bound retention to 32 recent traces plus 5
 // per route.
 const (
-	maxSpans         = 64
+	maxSpans         = 256
 	defaultRingSize  = 32
 	defaultExemplars = 5
 )

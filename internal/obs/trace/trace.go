@@ -3,18 +3,18 @@
 //
 // A Trace is created once per request (by the HTTP middleware, or by a load
 // generator) and rides the context; instrumented code opens named spans
-// against it — queue-wait, sample, sign, verify-sig, verify, commit — with
-// monotonic durations and small key/value annotations (ring size, η-guard
-// verdict, solve tallies). When no trace is in the context every span
-// operation is a no-op costing one context lookup, so tracing disabled is
-// effectively free.
+// against it — queue-wait, batch-wait, sample, sign, verify-sig, verify,
+// commit — with monotonic durations and small key/value annotations (ring
+// size, η-guard verdict, solve tallies). When no trace is in the context
+// every span operation is a no-op costing one context lookup, so tracing
+// disabled is effectively free.
 //
 // A span marks a pipeline stage, not a unit of work inside one: Algorithm 1's
 // per-candidate solves are counted and timed by the framework's solve
-// histogram and summed onto their sample span. A request therefore opens a
-// handful of spans per attempt, all from its own goroutine, and a trace is a
-// plain slice of records under one mutex. The span budget (maxSpans) bounds
-// what a runaway request can retain; spans past it are dropped and counted.
+// histogram and summed onto their sample span. A spend therefore opens one
+// span per stage, all from its own goroutine, and a trace is a plain slice
+// of records under one mutex. The span budget (maxSpans) bounds what a
+// runaway request can retain; spans past it are dropped and counted.
 //
 // Finished traces land in a Collector: a bounded ring buffer of recent
 // traces, the N slowest exemplars per route (full span trees retained), and
@@ -124,8 +124,8 @@ func FromContext(ctx context.Context) *Trace {
 	return ref(ctx).t
 }
 
-// Annotate attaches a root-level key/value to the trace (shed reason,
-// retry attempts). No-op on a nil trace.
+// Annotate attaches a root-level key/value to the trace (shed reason).
+// No-op on a nil trace.
 func (t *Trace) Annotate(key, val string) {
 	if t == nil {
 		return

@@ -387,11 +387,6 @@ func (d *DM) TracedRings() []int {
 	return out
 }
 
-// EffectiveSize returns the effective anonymity-set size of ring i: the
-// number of admissible consumed tokens that survive the decomposition
-// (CoinMagic's measure, instead of the binary traced/untraced verdict).
-func (d *DM) EffectiveSize(i int) int { return len(d.feasible[i]) }
-
 // UnderRings counts rings in the underconstrained region.
 func (d *DM) UnderRings() int {
 	n := 0

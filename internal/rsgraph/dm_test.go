@@ -97,8 +97,8 @@ func TestDMTracedSingleton(t *testing.T) {
 	if !d.Feasible()[1].Equal(chain.NewTokenSet(1, 2)) {
 		t.Fatalf("ring 1 feasible = %v", d.Feasible()[1])
 	}
-	if d.EffectiveSize(0) != 1 || d.EffectiveSize(1) != 2 {
-		t.Fatalf("effective sizes = %d, %d", d.EffectiveSize(0), d.EffectiveSize(1))
+	if len(d.feasible[0]) != 1 || len(d.feasible[1]) != 2 {
+		t.Fatalf("effective sizes = %d, %d", len(d.feasible[0]), len(d.feasible[1]))
 	}
 }
 
@@ -121,8 +121,8 @@ func TestDMSquareCycleStaysAmbiguous(t *testing.T) {
 		t.Fatalf("square blocks = %d, want 1", d.SquareBlocks)
 	}
 	for i := range in.Rings {
-		if d.EffectiveSize(i) != 2 {
-			t.Fatalf("ring %d effective size = %d", i, d.EffectiveSize(i))
+		if len(d.feasible[i]) != 2 {
+			t.Fatalf("ring %d effective size = %d", i, len(d.feasible[i]))
 		}
 	}
 }

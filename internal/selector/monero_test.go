@@ -82,7 +82,7 @@ func TestMoneroSampleDistinctTokens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Tokens.IsSorted() {
+		if !res.Tokens.Equal(chain.NewTokenSet(res.Tokens...)) {
 			t.Fatalf("ring has duplicates or disorder: %v", res.Tokens)
 		}
 		if res.Size() != 8 {

@@ -105,8 +105,7 @@ func TestProgressiveApproximationBound(t *testing.T) {
 		for i := 1; i <= p.Req.L; i++ {
 			eps += 1 / float64(i)
 		}
-		hist := diversity.HistogramOf(unionAll(p, cands), p.Origin)
-		qM := float64(hist.MaxCount())
+		qM := float64(maxHTCount(unionAll(p, cands), p.Origin))
 		zM := 0.0
 		for _, m := range append([]Module{p.Mandatory}, cands...) {
 			if !m.Fresh && float64(m.Size()) > zM {
@@ -150,8 +149,7 @@ func TestGamePoABound(t *testing.T) {
 		}
 		checked++
 
-		hist := diversity.HistogramOf(unionAll(p, cands), p.Origin)
-		qM := float64(hist.MaxCount())
+		qM := float64(maxHTCount(unionAll(p, cands), p.Origin))
 		zM := 0.0
 		for _, m := range append([]Module{p.Mandatory}, cands...) {
 			if !m.Fresh && float64(m.Size()) > zM {
@@ -203,6 +201,17 @@ func unionAll(p *Problem, cands []Module) chain.TokenSet {
 		u = u.Union(m.Tokens)
 	}
 	return u
+}
+
+// maxHTCount returns q_M, the most tokens any one HT contributes to toks.
+func maxHTCount(toks chain.TokenSet, origin func(chain.TokenID) chain.TxID) int {
+	count := map[chain.TxID]int{}
+	qM := 0
+	for _, t := range toks {
+		count[origin(t)]++
+		qM = max(qM, count[origin(t)])
+	}
+	return qM
 }
 
 // gammaOf returns 10^γ where γ is the smallest integer making 10^γ·c an

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tokenmagic/internal/chain"
@@ -87,4 +89,62 @@ func TestReplayCancelled(t *testing.T) {
 			t.Fatalf("outcome %d succeeded under a cancelled context", i)
 		}
 	}
+}
+
+// Request is one replayed generation: consume Target under Req.
+type Request struct {
+	Target chain.TokenID
+	Req    diversity.Requirement
+}
+
+// Outcome is the result of one replayed request, at the same index as its
+// Request.
+type Outcome struct {
+	Target chain.TokenID
+	Tokens chain.TokenSet
+	Err    error
+}
+
+// Replay is the parallel request replay the determinism tests drive: it
+// runs every request against f and returns outcomes position-aligned with
+// reqs. Request i derives its seed from the batch seed
+// (itm.DeriveSeed(seed, itm.ReplayStreamBase+i)), so the outcome list is a
+// pure function of (framework state, requests, seed). Replay only generates
+// (no commits), which is what makes the requests independent. workers bounds the pool (≤ 1 runs sequentially); each
+// GenerateRSSeeded call runs its candidate sweep on its worker's goroutine.
+// If ctx dies, unstarted requests report its error.
+func Replay(ctx context.Context, f *itm.Framework, reqs []Request, seed int64, workers int) []Outcome {
+	out := make([]Outcome, len(reqs))
+	run := func(i int) {
+		r := reqs[i]
+		reqSeed := itm.DeriveSeed(seed, itm.ReplayStreamBase+uint64(i))
+		res, err := f.GenerateRSSeeded(ctx, r.Target, r.Req, reqSeed)
+		out[i] = Outcome{Target: r.Target, Tokens: res.Tokens, Err: err}
+	}
+	if workers <= 1 || len(reqs) <= 1 {
+		for i := range reqs {
+			run(i)
+		}
+		return out
+	}
+	if workers > len(reqs) {
+		workers = len(reqs)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(reqs) {
+					return
+				}
+				run(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }

@@ -334,9 +334,8 @@ func (f *Framework) publishEpoch(e *fwEpoch) {
 
 // Epoch returns the sequence number of the framework's current published
 // generation; it advances by one on every Commit and on every catch-up
-// after the ledger grew directly. The node's spend pipeline compares epochs
-// to tell a genuinely invalid ring from one that verified against stale
-// state.
+// after the ledger grew directly, so comparing two readings tells whether
+// the chain moved between them.
 func (f *Framework) Epoch() uint64 { return f.epoch.Load().seq }
 
 // currentEpoch pins the published epoch for a reader, first catching up if
