@@ -15,9 +15,7 @@
 //   - Side information: an adversary seeded with revealed token-RS pairs
 //     (Definition 3) runs the same analyses with rings pinned.
 //
-// The package also provides the per-token neighbour-set bookkeeping the
-// TokenMagic framework uses for its η liveness guard, and anonymity metrics
-// for the experiment harness.
+// The package also provides anonymity metrics for the experiment harness.
 package adversary
 
 import (
@@ -261,48 +259,3 @@ func Summarise(a Analysis) Metrics {
 	}
 	return m
 }
-
-// NeighborSets maintains the per-batch ring history and exposes the number
-// of provably-consumed tokens μ used by the η liveness guard (Section 4).
-// Feed it rings in proposal order. Appending is O(1); the consumed-token
-// closure is computed only when asked for, since the guard reads only
-// WouldConsume and RingCount.
-type NeighborSets struct {
-	rings []chain.RingRecord
-}
-
-// NewNeighborSets returns empty bookkeeping.
-func NewNeighborSets() *NeighborSets { return &NeighborSets{} }
-
-// Append records one more ring.
-func (ns *NeighborSets) Append(r chain.RingRecord) {
-	ns.rings = append(ns.rings, r)
-}
-
-// Clone returns a copy that can be Appended to without disturbing the
-// receiver: the ring slice is re-capped so the clone's first append
-// reallocates instead of scribbling into the shared backing array.
-// tokenmagic uses this to publish copy-on-write guard state per epoch.
-func (ns *NeighborSets) Clone() *NeighborSets {
-	return &NeighborSets{rings: ns.rings[:len(ns.rings):len(ns.rings)]}
-}
-
-// WouldConsume reports how many tokens would be provably consumed if r were
-// appended, without mutating state. The η guard calls this before admitting
-// a candidate ring.
-func (ns *NeighborSets) WouldConsume(r chain.RingRecord) int {
-	return len(provablyConsumed(append(ns.rings[:len(ns.rings):len(ns.rings)], r)))
-}
-
-// provablyConsumed is the exact consumed-token closure of rings, read off
-// the Dulmage–Mendelsohn decomposition.
-func provablyConsumed(rings []chain.RingRecord) chain.TokenSet {
-	return rsgraph.FromRecords(rings).Decompose().ProvablyConsumed()
-}
-
-// RingCount returns i, the number of rings recorded.
-func (ns *NeighborSets) RingCount() int { return len(ns.rings) }
-
-// Consumed returns the provably-consumed token set, computed afresh from
-// the recorded rings.
-func (ns *NeighborSets) Consumed() chain.TokenSet { return provablyConsumed(ns.rings) }

@@ -1,7 +1,6 @@
 package adversary
 
 import (
-	"math/rand"
 	"testing"
 
 	"tokenmagic/internal/chain"
@@ -171,81 +170,6 @@ func TestSummarise(t *testing.T) {
 	}
 	if m.ConsumedTokens != 3 {
 		t.Fatalf("ConsumedTokens = %d", m.ConsumedTokens)
-	}
-}
-
-func TestNeighborSets(t *testing.T) {
-	ns := NewNeighborSets()
-	if ns.RingCount() != 0 || len(ns.Consumed()) != 0 {
-		t.Fatal("fresh NeighborSets should be empty")
-	}
-	ns.Append(rec(0, 1, 2))
-	if len(ns.Consumed()) != 0 {
-		t.Fatalf("one 2-ring proves nothing, μ = %d", len(ns.Consumed()))
-	}
-	// Appending the twin closes the set {1,2}: μ = 2.
-	if got := ns.WouldConsume(rec(1, 1, 2)); got != 2 {
-		t.Fatalf("WouldConsume = %d, want 2", got)
-	}
-	if len(ns.Consumed()) != 0 {
-		t.Fatal("WouldConsume must not mutate")
-	}
-	ns.Append(rec(1, 1, 2))
-	if len(ns.Consumed()) != 2 || ns.RingCount() != 2 {
-		t.Fatalf("μ = %d rings = %d", len(ns.Consumed()), ns.RingCount())
-	}
-	if !ns.Consumed().Equal(chain.NewTokenSet(1, 2)) {
-		t.Fatalf("Consumed = %v", ns.Consumed())
-	}
-}
-
-// NeighborSets computes μ on demand. Over random ring sequences, after every
-// Append and across Clones that then diverge, WouldConsume and Consumed
-// must equal a from-scratch closure of the rings each set was
-// fed, so neither laziness nor the shared backing array of a clone can leak
-// one set's rings into another.
-func TestNeighborSetsMatchFromScratch(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		randRing := func(id int) chain.RingRecord {
-			toks := make([]chain.TokenID, 1+rng.Intn(4))
-			for i := range toks {
-				toks[i] = chain.TokenID(rng.Intn(10))
-			}
-			return rec(id, toks...)
-		}
-		type tracked struct {
-			ns    *NeighborSets
-			rings []chain.RingRecord
-		}
-		sets := []tracked{{ns: NewNeighborSets()}}
-		for step := 0; step < 12; step++ {
-			k := rng.Intn(len(sets))
-			if rng.Intn(4) == 0 {
-				c := sets[k]
-				sets = append(sets, tracked{ns: c.ns.Clone(), rings: append([]chain.RingRecord(nil), c.rings...)})
-			}
-			r := randRing(step)
-			for i := range sets {
-				s := &sets[i]
-				next := append(append([]chain.RingRecord(nil), s.rings...), r)
-				if got, want := s.ns.WouldConsume(r), len(provablyConsumed(next)); got != want {
-					t.Fatalf("seed %d step %d set %d: WouldConsume = %d, want %d", seed, step, i, got, want)
-				}
-			}
-			sets[k].ns.Append(r)
-			sets[k].rings = append(sets[k].rings, r)
-			for i, s := range sets {
-				want := provablyConsumed(append([]chain.RingRecord(nil), s.rings...))
-				if got := s.ns.Consumed(); !got.Equal(want) {
-					t.Fatalf("seed %d step %d set %d: Consumed = %v, want %v", seed, step, i, got, want)
-				}
-				if len(s.ns.Consumed()) != len(want) || s.ns.RingCount() != len(s.rings) {
-					t.Fatalf("seed %d step %d set %d: μ = %d rings = %d, want %d and %d",
-						seed, step, i, len(s.ns.Consumed()), s.ns.RingCount(), len(want), len(s.rings))
-				}
-			}
-		}
 	}
 }
 

@@ -285,11 +285,15 @@ func (n *Node) Mine(maxRings int) ([]MinedRing, error) {
 // commit, and no spend selects while it runs.
 //
 // Before anything is committed, the block template's signatures are
-// re-validated as one VerifyBatch — the paper's Step-4 "every block
+// re-validated through VerifyBatchCtx — the paper's Step-4 "every block
 // validation re-verifies many" workload. Entries admitted through Submit
 // hit the engine's transcript cache and cost a hash each; a signature that
 // fails (possible only if the mempool was corrupted, since admission
 // already verified it) is dropped rather than mined.
+//
+// A commit that cannot be journaled (chain.ErrJournal) stops the block:
+// MineCtx returns the rings mined so far with that error, keeps the entry
+// and every entry not yet tried pending, and counts node.mine.fault.io.
 func (n *Node) MineCtx(ctx context.Context, maxRings int) ([]MinedRing, error) {
 	n.order.Lock()
 	defer n.order.Unlock()
@@ -311,42 +315,37 @@ func (n *Node) MineCtx(ctx context.Context, maxRings int) ([]MinedRing, error) {
 		return entries[a].sub.Fee > entries[b].sub.Fee
 	})
 
-	// Block validation: batch re-verify the signed entries up front.
-	badSig := make(map[int]bool)
+	// Block validation: batch re-verify the entries' signatures up front.
+	var verdicts []error
 	if n.verifySigs {
-		reqs := make([]ringsig.VerifyRequest, 0, len(entries))
-		idxs := make([]int, 0, len(entries))
+		subs := make([]Submission, len(entries))
 		for i, e := range entries {
-			if e.sub.Signature != nil {
-				reqs = append(reqs, ringsig.VerifyRequest{
-					Sig:  e.sub.Signature,
-					Ring: e.sub.Keys,
-					Msg:  Message(e.sub.Tokens),
-				})
-				idxs = append(idxs, i)
-			}
+			subs[i] = e.sub
 		}
-		res := n.engine.VerifyBatchCtx(ctx, reqs)
-		for k, err := range res.Errs {
-			if err != nil {
-				badSig[idxs[k]] = true
-			}
-		}
+		verdicts = n.VerifyBatchCtx(ctx, subs).Errs
 	}
 
 	var mined []MinedRing
 	var leftover []pendingEntry
+	var fault error
 	dropped, invalidSig := 0, 0
 	for i, e := range entries {
-		if badSig[i] {
+		if verdicts != nil && verdicts[i] != nil {
 			invalidSig++
 			continue
 		}
-		if len(mined) >= maxRings {
+		if fault != nil || len(mined) >= maxRings {
 			leftover = append(leftover, e)
 			continue
 		}
 		id, err := n.fw.CommitCtx(ctx, e.sub.Tokens, e.sub.Req)
+		if errors.Is(err, chain.ErrJournal) {
+			// The node could not write the chain: not a verdict on the
+			// entry, so it stays pending with every entry not yet tried.
+			fault = err
+			leftover = append(leftover, e)
+			continue
+		}
 		if err != nil {
 			// The chain moved under this entry (e.g. a mined superset made
 			// it overlap-invalid): drop it; the client resubmits.
@@ -364,7 +363,10 @@ func (n *Node) MineCtx(ctx context.Context, maxRings int) ([]MinedRing, error) {
 	n.metrics.Counter("node.mine.dropped").Add(int64(dropped))
 	n.metrics.Counter("node.mine.invalid_sig").Add(int64(invalidSig))
 	n.metrics.Gauge("node.mempool.pending").Set(int64(len(n.mempool)))
-	return mined, nil
+	if fault != nil {
+		n.metrics.Counter("node.mine.fault.io").Inc()
+	}
+	return mined, fault
 }
 
 // VerifyBatchCtx checks the ring signatures of a batch of submissions

@@ -20,6 +20,22 @@ import (
 // testSetup builds a chain with keys, a node, an HTTP server and a client.
 func testSetup(t *testing.T) (*Client, *chain.Ledger, map[chain.TokenID]*ringsig.PrivateKey) {
 	t.Helper()
+	l, keys := keyedChain(t)
+	n, err := node.New(l, node.Config{Framework: itm.Config{
+		Lambda: 1000, Eta: 0.1, Headroom: true, Algorithm: itm.Progressive,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(n).Handler())
+	t.Cleanup(ts.Close)
+	return NewClient(ts.URL, ts.Client()), l, keys
+}
+
+// keyedChain builds a one-block chain of ten 2-output txs and a key per
+// token.
+func keyedChain(t *testing.T) (*chain.Ledger, map[chain.TokenID]*ringsig.PrivateKey) {
+	t.Helper()
 	l := chain.NewLedger()
 	b := l.BeginBlock()
 	keys := make(map[chain.TokenID]*ringsig.PrivateKey)
@@ -40,15 +56,7 @@ func testSetup(t *testing.T) (*Client, *chain.Ledger, map[chain.TokenID]*ringsig
 			keys[tok] = k
 		}
 	}
-	n, err := node.New(l, node.Config{Framework: itm.Config{
-		Lambda: 1000, Eta: 0.1, Headroom: true, Algorithm: itm.Progressive,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewServer(n).Handler())
-	t.Cleanup(ts.Close)
-	return NewClient(ts.URL, ts.Client()), l, keys
+	return l, keys
 }
 
 // prepareSpend builds a signed SubmitRequest for a target token.
@@ -263,5 +271,51 @@ func TestSpendJournalFaultIsServerError(t *testing.T) {
 	}
 	if n.ChainRings() != 0 {
 		t.Fatalf("%d rings landed through a failing journal", n.ChainRings())
+	}
+}
+
+// TestMineJournalFaultKeepsTheSpend: a block whose commit cannot be
+// journaled is the node's fault, not the entry's. /v1/mine answers 500,
+// the submission stays pending, nothing is counted as dropped and the
+// fault is counted in node.mine.fault.io.
+func TestMineJournalFaultKeepsTheSpend(t *testing.T) {
+	l, keys := keyedChain(t)
+	reg := obs.NewRegistry()
+	n, err := node.New(l, node.Config{Framework: itm.Config{
+		Lambda: 1000, Eta: 0.1, Headroom: true, Algorithm: itm.Progressive, Metrics: reg,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(n).Handler())
+	t.Cleanup(ts.Close)
+	client := NewClient(ts.URL, ts.Client())
+
+	if _, err := client.Submit(prepareSpend(t, l, keys, 0)); err != nil {
+		t.Fatal(err)
+	}
+	l.SetJournal(failingJournal{})
+	mined, err := client.Mine(10)
+	if err == nil || !strings.Contains(err.Error(), "500") || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("mine over a failing journal: mined %+v, err %v; want a 500 naming the fault", mined, err)
+	}
+	st, err := client.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Pending != 1 || st.ChainRings != 0 {
+		t.Fatalf("status after the failed mine = %+v, want the spend still pending and no ring", st)
+	}
+	for name, want := range map[string]int64{
+		"node.mine.dropped":  0,
+		"node.mine.rings":    0,
+		"node.mine.fault.io": 1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := reg.Gauge("node.mempool.pending").Value(); got != 1 {
+		t.Fatalf("node.mempool.pending = %d, want 1", got)
 	}
 }

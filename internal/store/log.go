@@ -77,7 +77,8 @@ type Log struct {
 	sealed      []sealedSeg
 	// failed is set when an append did not complete (ENOSPC, I/O error):
 	// the active segment may end in partial bytes, so the log refuses
-	// further appends until a reopen repairs the file.
+	// further appends until a reopen repairs the file. store.sealed
+	// reports it.
 	failed bool
 
 	snapMu  sync.Mutex    // serialises snapshot writes (committer vs snapshotter)
@@ -87,6 +88,7 @@ type Log struct {
 	mBytes     *obs.Counter
 	mSegments  *obs.Gauge
 	mEpoch     *obs.Gauge
+	mSealed    *obs.Gauge
 	mSnaps     *obs.Counter
 	mSnapErrs  *obs.Counter
 	mSnapLat   *obs.Histogram
@@ -99,6 +101,8 @@ func (s *Log) initMetrics() {
 	s.mBytes = r.Counter("store.append_bytes")
 	s.mSegments = r.Gauge("store.segments")
 	s.mEpoch = r.Gauge("store.epoch")
+	s.mSealed = r.Gauge("store.sealed")
+	s.mSealed.Set(0)
 	s.mSnaps = r.Counter("store.snapshots")
 	s.mSnapErrs = r.Counter("store.snapshot.errors")
 	s.mSnapLat = r.Histogram("store.snapshot.latency_us", obs.LatencyBucketsUS)

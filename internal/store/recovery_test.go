@@ -572,10 +572,13 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // TestFailedAppendPoisonsLog: after an append fails partway, the log
 // must refuse further appends — writing past the partial bytes would bury a
 // torn tail mid-segment, which recovery treats as ErrCorrupt rather than a
-// repairable crash artifact.
+// repairable crash artifact. The store.sealed gauge reports the sealed log
+// and reads 0 again once a reopen has repaired it.
 func TestFailedAppendPoisonsLog(t *testing.T) {
 	dir := t.TempDir()
-	st := openT(t, dir, testOpts(Options{}))
+	opts := testOpts(Options{})
+	sealed := opts.Metrics.Gauge("store.sealed")
+	st := openT(t, dir, opts)
 	applyScript(t, st.Ledger, 10, 42)
 	want := digestLedger(t, st.Ledger)
 
@@ -590,10 +593,16 @@ func TestFailedAppendPoisonsLog(t *testing.T) {
 	if _, err := st.Ledger.AddTxAmounts(0, []uint64{2}); !errors.Is(err, errAppendFailed) {
 		t.Fatalf("append after failed append: got %v, want errAppendFailed", err)
 	}
+	if got := sealed.Value(); got != 1 {
+		t.Fatalf("store.sealed = %d after a failed append, want 1", got)
+	}
 	_ = st.Log.Close() // active fd already closed; only the flock matters
 
 	// Reopen repairs whatever the failed write left and resumes cleanly.
-	st2 := openT(t, dir, testOpts(Options{}))
+	st2 := openT(t, dir, opts)
+	if got := sealed.Value(); got != 0 {
+		t.Fatalf("store.sealed = %d after a reopen, want 0", got)
+	}
 	defer func() {
 		if err := st2.Close(); err != nil {
 			t.Fatal(err)

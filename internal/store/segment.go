@@ -105,7 +105,7 @@ func (s *Log) writeRecord(payload []byte, seq uint64) (int, error) {
 		// would bury the torn bytes mid-segment, turning a recoverable
 		// tail into ErrCorrupt. Seal the log and try to cut the file back
 		// to the last good record boundary.
-		s.failed = true
+		s.seal()
 		_ = s.active.Truncate(s.activeSize)
 		return 0, fmt.Errorf("store: append record: %w", err)
 	}
@@ -114,7 +114,7 @@ func (s *Log) writeRecord(payload []byte, seq uint64) (int, error) {
 			// After a failed fsync the kernel may drop the dirty pages, so
 			// the record's durability is unknown; seal the log rather than
 			// append after a possibly-lost record.
-			s.failed = true
+			s.seal()
 			return 0, fmt.Errorf("store: sync segment: %w", err)
 		}
 	}
@@ -122,6 +122,13 @@ func (s *Log) writeRecord(payload []byte, seq uint64) (int, error) {
 	s.activeMax = seq
 	s.activeCount++
 	return len(buf), nil
+}
+
+// seal refuses every later append until a reopen repairs the log, and
+// reports it in the store.sealed gauge.
+func (s *Log) seal() {
+	s.failed = true
+	s.mSealed.Set(1)
 }
 
 // segRecord is one decoded record with its physical position, kept during

@@ -28,12 +28,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tokenmagic/internal/adversary"
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/diversity"
 	"tokenmagic/internal/dtrs"
 	"tokenmagic/internal/obs"
 	"tokenmagic/internal/obs/trace"
+	"tokenmagic/internal/rsgraph"
 	"tokenmagic/internal/selector"
 )
 
@@ -100,14 +100,13 @@ func DefaultConfig() Config {
 	return Config{Lambda: 800, Eta: 0.1, Headroom: true, Algorithm: Progressive}
 }
 
-// Framework wires a ledger, its batch list and the per-batch liveness
-// bookkeeping together.
+// Framework wires a ledger and its batch list together.
 //
 // Concurrency: a Framework is safe for concurrent use, and readers never
 // contend with writers. Commit, and the catch-up a reader makes after the
 // ledger grew directly, serialise on writeMu and publish a fresh immutable
-// fwEpoch — ledger view, batch partition, copy-on-write guard state — via
-// one atomic store. Read paths (GenerateRS, VerifyRS, Snapshot, Batches) pin
+// fwEpoch — ledger view, batch partition, origin lookup — via one atomic
+// store. Read paths (GenerateRS, VerifyRS, Snapshot, Batches) pin
 // the current epoch with one atomic load and run entirely against that
 // snapshot: the candidate sweep and the Step-3 checks all see a single
 // consistent generation even while commits land concurrently.
@@ -128,29 +127,15 @@ type Framework struct {
 	metrics fwMetrics
 }
 
-// fwEpoch is one immutable generation of the framework's derived state.
-// seq increases by one per publish; readers pin a whole generation with a
-// single atomic load, so a pinned epoch keeps working — against its own
-// ledger view, batches and guards — no matter how many writes land after.
+// fwEpoch is one immutable generation of the framework's derived state: a
+// ledger view, the batch partition of that view and its origin lookup.
+// Readers pin a whole generation with a single atomic load, so a pinned
+// epoch keeps working — against its own view and batches — no matter how
+// many writes land after. The η guard reads its batch's rings from the view.
 type fwEpoch struct {
-	seq     uint64
 	view    *chain.View
 	batches *chain.BatchList
 	origin  func(chain.TokenID) chain.TxID
-	// guards is copy-on-write: Commit clones the map and the one mutated
-	// entry, so a published epoch's guard state never changes.
-	guards map[int]*adversary.NeighborSets
-}
-
-// guard returns the batch's liveness guard. The map is pre-populated for
-// every batch index when the epoch is built; the fallback only covers an
-// index the batch list does not know (defensive — BatchOf would have failed
-// first) and does not write the map, so epochs stay immutable.
-func (e *fwEpoch) guard(batch int) *adversary.NeighborSets {
-	if g := e.guards[batch]; g != nil {
-		return g
-	}
-	return adversary.NewNeighborSets()
 }
 
 // fwMetrics holds the registry handles the framework reports to. They are
@@ -166,7 +151,6 @@ type fwMetrics struct {
 	rejDiversity  *obs.Counter
 	rejOther      *obs.Counter
 	epochGauge    *obs.Gauge
-	epochAdvance  *obs.Histogram
 }
 
 // Registry names of the framework's counters, shared by newFWMetrics (the
@@ -195,7 +179,6 @@ func newFWMetrics(reg *obs.Registry, algo Algorithm) fwMetrics {
 		rejDiversity:  reg.Counter(metricRejDiversity),
 		rejOther:      reg.Counter(metricRejOther),
 		epochGauge:    reg.Gauge("framework.epoch"),
-		epochAdvance:  reg.Histogram("framework.epoch.advance_us", obs.LatencyBucketsUS),
 	}
 }
 
@@ -295,48 +278,30 @@ func New(ledger *chain.Ledger, cfg Config, rng *rand.Rand) (*Framework, error) {
 	return f, nil
 }
 
-// rebuildEpoch derives batches, origin and guard state from the ledger's
-// current view and publishes them as a fresh epoch. Callers hold writeMu
-// (or own the framework exclusively, as New does).
+// rebuildEpoch derives batches and origin from the ledger's current view
+// and publishes them as a fresh epoch. Callers hold writeMu (or own the
+// framework exclusively, as New does).
 func (f *Framework) rebuildEpoch() error {
 	v := f.ledger.View()
 	batches, err := chain.BuildBatchesView(v, f.cfg.Lambda)
 	if err != nil {
 		return err
 	}
-	guards := make(map[int]*adversary.NeighborSets, batches.Len())
-	for i := 0; i < batches.Len(); i++ {
-		guards[i] = adversary.NewNeighborSets()
-	}
-	for _, r := range v.Rings() {
-		if b, berr := batches.BatchOf(r.Tokens[0]); berr == nil {
-			guards[b.Index].Append(r)
-		}
-	}
-	f.publishEpoch(&fwEpoch{
-		view:    v,
-		batches: batches,
-		origin:  v.OriginFunc(),
-		guards:  guards,
-	})
+	f.publishEpoch(&fwEpoch{view: v, batches: batches, origin: v.OriginFunc()})
 	return nil
 }
 
-// publishEpoch stamps the next sequence number onto e and makes it the
-// current generation. Callers hold writeMu.
+// publishEpoch makes e the current generation. Callers hold writeMu.
 func (f *Framework) publishEpoch(e *fwEpoch) {
-	if old := f.epoch.Load(); old != nil {
-		e.seq = old.seq + 1
-	}
 	f.epoch.Store(e)
-	f.metrics.epochGauge.Set(int64(e.seq))
+	f.metrics.epochGauge.Set(int64(e.view.Epoch()))
 }
 
-// Epoch returns the sequence number of the framework's current published
-// generation; it advances by one on every Commit and on every catch-up
-// after the ledger grew directly, so comparing two readings tells whether
-// the chain moved between them.
-func (f *Framework) Epoch() uint64 { return f.epoch.Load().seq }
+// Epoch returns the ledger epoch of the framework's current published
+// view (chain.View.Epoch: one per applied ledger op). It advances on every
+// Commit and on every catch-up after the ledger grew directly, so comparing
+// two readings tells whether the chain moved between them.
+func (f *Framework) Epoch() uint64 { return f.epoch.Load().view.Epoch() }
 
 // currentEpoch pins the published epoch for a reader, first catching up if
 // the underlying ledger moved past it — which only happens when something
@@ -563,15 +528,14 @@ func (f *Framework) Commit(tokens chain.TokenSet, req diversity.Requirement) (ch
 // CommitCtx is Commit with the request's trace threaded through: the whole
 // exclusive section lands in a "commit" span, with the embedded Step-3 check
 // as a child "verify" span. ctx carries only the trace — commit itself never
-// aborts on cancellation (a half-applied append would corrupt the guard
-// state).
+// aborts on cancellation, so a verified ring is either appended and
+// published or not appended at all.
 func (f *Framework) CommitCtx(ctx context.Context, tokens chain.TokenSet, req diversity.Requirement) (chain.RSID, error) {
 	ctx, sp := trace.StartSpan(ctx, "commit")
 	defer sp.End()
 	sp.AnnotateInt("ring_size", int64(len(tokens)))
 	f.writeMu.Lock()
 	defer f.writeMu.Unlock()
-	start := time.Now()
 	e := f.epoch.Load() // writers serialise, so this IS the latest state
 	if e.view.Epoch() != f.ledger.Epoch() {
 		// The ledger moved outside the framework (another writer appended
@@ -592,38 +556,17 @@ func (f *Framework) CommitCtx(ctx context.Context, tokens chain.TokenSet, req di
 	nv := f.ledger.View()
 	if nv.Epoch() != e.view.Epoch()+1 {
 		// Another writer appended to the ledger between the check and this
-		// append; the incremental update below would publish batches and
-		// guards that miss its op, so derive the epoch afresh.
+		// append; e's batches may miss its op, so derive the epoch afresh.
 		if err := f.rebuildEpoch(); err != nil {
 			return -1, err
 		}
-		f.metrics.epochAdvance.ObserveSince(start)
 		return id, nil
-	}
-	rec, _ := nv.RS(id)
-	// Copy-on-write: clone the guard map and the one entry this ring lands
-	// in, leaving the previous epoch's guard state untouched for its
-	// pinned readers.
-	guards := e.guards
-	if b, berr := e.batches.BatchOf(tokens[0]); berr == nil {
-		guards = make(map[int]*adversary.NeighborSets, len(e.guards))
-		for k, v := range e.guards {
-			guards[k] = v
-		}
-		g := adversary.NewNeighborSets()
-		if old := e.guards[b.Index]; old != nil {
-			g = old.Clone()
-		}
-		g.Append(rec)
-		guards[b.Index] = g
 	}
 	f.publishEpoch(&fwEpoch{
 		view:    nv,
 		batches: e.batches, // a commit appends a ring; boundaries are unchanged
 		origin:  e.origin,  // and so is the token population
-		guards:  guards,
 	})
-	f.metrics.epochAdvance.ObserveSince(start)
 	return id, nil
 }
 
@@ -631,7 +574,7 @@ func (f *Framework) CommitCtx(ctx context.Context, tokens chain.TokenSet, req di
 // practical configuration (superset-or-disjoint with every existing ring,
 // all tokens in one batch), the declared diversity with headroom, the
 // closed-form DTRS diversity, and the η liveness guard. Safe for concurrent
-// use; it shares mu's read side with GenerateRS.
+// use: like GenerateRS, it runs lock-free against the pinned epoch.
 func (f *Framework) VerifyRS(tokens chain.TokenSet, req diversity.Requirement) error {
 	return f.VerifyRSCtx(context.Background(), tokens, req)
 }
@@ -712,15 +655,19 @@ func (f *Framework) verifyRS(e *fwEpoch, tokens chain.TokenSet, req diversity.Re
 	}
 
 	if f.cfg.Eta > 0 {
-		g := e.guard(b.Index)
 		effSize := len(b.Tokens)
 		if effSize < f.cfg.Lambda {
 			// Trailing under-full batch: the paper scores |T| as λ+λ'−1
 			// because more tokens will land in the batch before it closes.
 			effSize = f.cfg.Lambda + effSize - 1
 		}
-		i := g.RingCount() + 1
-		mu := g.WouldConsume(chain.RingRecord{ID: chain.RSID(e.view.NumRS()), Tokens: tokens})
+		// i counts the batch's rings with the candidate; μ is the size of
+		// the Theorem-4.1 closure of those rings, read off their DM
+		// decomposition. RingsOver returns a fresh slice, so the append
+		// cannot reach the view.
+		i := len(rings) + 1
+		cand := chain.RingRecord{ID: chain.RSID(e.view.NumRS()), Tokens: tokens}
+		mu := len(rsgraph.FromRecords(append(rings, cand)).Decompose().ProvablyConsumed())
 		// Section 4: the number of inferable consumed tokens must not
 		// exceed i − η·(|T| − i). The bound is clamped at zero so early
 		// rings that prove nothing (μ = 0) are always admissible.
