@@ -21,8 +21,10 @@ import (
 	"expvar"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -277,8 +279,12 @@ func (r *Registry) Snapshot() Snapshot {
 // p50/p99 are Quantile estimates (interpolated within buckets). Histogram
 // bucket fields are non-cumulative; only non-empty buckets print.
 func (r *Registry) WriteText(w io.Writer) error {
+	return r.writeText(w, nil)
+}
+
+// writeText is WriteText with extra lines sorted in among the registry's.
+func (r *Registry) writeText(w io.Writer, lines []string) error {
 	s := r.Snapshot()
-	var lines []string
 	for name, v := range s.Counters {
 		lines = append(lines, fmt.Sprintf("counter %s %d", name, v))
 	}
@@ -309,12 +315,67 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return nil
 }
 
-// Handler serves the plain-text dump (GET /debug/metrics).
+// Handler serves the plain-text dump (GET /debug/metrics): the registry,
+// plus the process's run-queue and heap gauges read from runtime/metrics
+// at scrape time (see runtimeLines).
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = r.WriteText(w)
+		_ = r.writeText(w, runtimeLines())
 	})
+}
+
+// runtimeLines reads the Go runtime's own view of the process, which no
+// registry records: live goroutines, how long runnable goroutines waited
+// for a CPU (p50/p99 in µs since the process started), and the heap that
+// the last GC found live (0 before the first GC). They are process-wide,
+// so they are read per scrape rather than stored in a registry; nothing
+// on the request path pays for them.
+func runtimeLines() []string {
+	samples := []metrics.Sample{
+		{Name: "/sched/goroutines:goroutines"},
+		{Name: "/sched/latencies:seconds"},
+		{Name: "/gc/heap/live:bytes"},
+	}
+	metrics.Read(samples)
+	var lines []string
+	if v := samples[0].Value; v.Kind() == metrics.KindUint64 {
+		lines = append(lines, fmt.Sprintf("gauge runtime.goroutines %d", v.Uint64()))
+	}
+	if v := samples[1].Value; v.Kind() == metrics.KindFloat64Histogram {
+		h := v.Float64Histogram()
+		lines = append(lines,
+			fmt.Sprintf("gauge runtime.sched.latency_us.p50 %.0f", runtimeQuantile(h, 0.50)*1e6),
+			fmt.Sprintf("gauge runtime.sched.latency_us.p99 %.0f", runtimeQuantile(h, 0.99)*1e6))
+	}
+	if v := samples[2].Value; v.Kind() == metrics.KindUint64 {
+		lines = append(lines, fmt.Sprintf("gauge runtime.heap.live_bytes %d", v.Uint64()))
+	}
+	return lines
+}
+
+// runtimeQuantile returns the upper bound of the bucket that holds the
+// q-quantile of h (its lower bound when that bucket is open above), or 0
+// for an empty histogram.
+func runtimeQuantile(h *metrics.Float64Histogram, q float64) float64 {
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := uint64(math.Ceil(q * float64(total)))
+	var seen uint64
+	for i, c := range h.Counts {
+		if seen += c; seen >= rank {
+			if hi := h.Buckets[i+1]; !math.IsInf(hi, 1) {
+				return hi
+			}
+			return h.Buckets[i]
+		}
+	}
+	return h.Buckets[len(h.Buckets)-1]
 }
 
 var publishOnce sync.Once

@@ -3,7 +3,11 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http/httptest"
+	"regexp"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -240,5 +244,60 @@ func TestOperatorMux(t *testing.T) {
 	}
 	if _, ok := vars["tokenmagic"]; !ok {
 		t.Fatalf("/debug/vars missing tokenmagic var: %v", vars)
+	}
+}
+
+// TestHandlerRuntimeGauges: a scrape of /debug/metrics carries the
+// runtime's goroutine, run-queue latency and live-heap gauges, read at
+// scrape time, while WriteText stays the registry alone.
+func TestHandlerRuntimeGauges(t *testing.T) {
+	r := NewRegistry()
+	runtime.GC() // the live heap is the last GC's reading
+	srv := httptest.NewServer(r.Handler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := string(body)
+	for _, pattern := range []string{
+		`(?m)^gauge runtime\.goroutines [1-9][0-9]*$`,
+		`(?m)^gauge runtime\.sched\.latency_us\.p50 [0-9]+$`,
+		`(?m)^gauge runtime\.sched\.latency_us\.p99 [0-9]+$`,
+		`(?m)^gauge runtime\.heap\.live_bytes [1-9][0-9]*$`,
+	} {
+		if !regexp.MustCompile(pattern).MatchString(dump) {
+			t.Errorf("scrape missing %q:\n%s", pattern, dump)
+		}
+	}
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() != 0 {
+		t.Fatalf("WriteText of an empty registry printed %q", b.String())
+	}
+}
+
+// TestRuntimeQuantile: the quantile is the upper bound of the bucket that
+// reaches the rank, the lower bound of an open top bucket, and 0 when
+// nothing was observed.
+func TestRuntimeQuantile(t *testing.T) {
+	h := &metrics.Float64Histogram{
+		Counts:  []uint64{1, 8, 0, 1},
+		Buckets: []float64{math.Inf(-1), 1e-6, 1e-5, 1e-4, math.Inf(1)},
+	}
+	for _, tc := range []struct{ q, want float64 }{{0.05, 1e-6}, {0.5, 1e-5}, {0.9, 1e-5}, {0.99, 1e-4}} {
+		if got := runtimeQuantile(h, tc.q); got != tc.want {
+			t.Errorf("q=%v: got %v, want %v", tc.q, got, tc.want)
+		}
+	}
+	if got := runtimeQuantile(&metrics.Float64Histogram{Counts: []uint64{0}, Buckets: []float64{0, 1}}, 0.5); got != 0 {
+		t.Errorf("empty histogram: got %v, want 0", got)
 	}
 }

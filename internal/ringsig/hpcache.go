@@ -64,7 +64,9 @@ func (c *HpCache) hashPoint(p Point) Point {
 }
 
 func (c *HpCache) fill(k hpKey, p Point) Point {
-	v := hashToPoint(p)
+	s := new(pointSlot)
+	s.set(hashToPoint(p))
+	v := s.point()
 	c.mu.Lock()
 	c.m[k] = v
 	c.mu.Unlock()
@@ -76,9 +78,10 @@ func (c *HpCache) fill(k hpKey, p Point) Point {
 // Each distinct, non-zero key the memo lacks is hashed once, on up to
 // GOMAXPROCS workers (inline when only one is missing), and the results go
 // in under one write lock: the memo ends up exactly as a sequential pass
-// would leave it. Concurrent hashPoint readers stay safe throughout;
-// one that fills a key first stores the same point. On a nil memo it does
-// nothing.
+// would leave it. The new entries share one exact-width slab (see
+// pointSlot), and a single miss that fill stores gets a slot of its own.
+// Concurrent hashPoint readers stay safe throughout; one that fills a key
+// first stores the same point. On a nil memo it does nothing.
 func (c *HpCache) Precompute(keys []Point) {
 	if c == nil {
 		return
@@ -104,13 +107,13 @@ func (c *HpCache) Precompute(keys []Point) {
 	}
 	c.mu.RUnlock()
 
-	hps := make([]Point, len(pts))
+	slab := make([]pointSlot, len(pts))
 	parallelFor(runtime.GOMAXPROCS(0), len(pts), func(i int) {
-		hps[i] = hashToPoint(pts[i])
+		slab[i].set(hashToPoint(pts[i]))
 	})
 	c.mu.Lock()
 	for i, k := range ks {
-		c.m[k] = hps[i]
+		c.m[k] = slab[i].point()
 	}
 	c.mu.Unlock()
 }

@@ -23,6 +23,7 @@ import (
 	"hash"
 	"io"
 	"math/big"
+	"math/bits"
 	"runtime"
 )
 
@@ -87,22 +88,79 @@ func GenerateKey(rng io.Reader) (*PrivateKey, error) {
 // GOMAXPROCS workers: they are independent, and a node keying its whole
 // ledger spends almost all of its start-up here. x is secret, so it only
 // ever meets the stock constant-time ScalarBaseMult, fixed-width encoded.
+// All n keys live in one exact-width slab (see keySlot).
 func GenerateKeys(rng io.Reader, n int) ([]*PrivateKey, error) {
+	slab := make([]keySlot, n)
 	keys := make([]*PrivateKey, n)
-	for i := range keys {
+	for i := range slab {
 		d, err := randScalar(rng)
 		if err != nil {
 			return nil, fmt.Errorf("ringsig: keygen: %w", err)
 		}
-		keys[i] = &PrivateKey{D: d}
+		var b [32]byte
+		d.FillBytes(b[:])
+		s := &slab[i]
+		setWindow(&s.d, s.dw[:0:words256], &b)
+		s.key.D = &s.d
+		keys[i] = &s.key
 	}
 	parallelFor(runtime.GOMAXPROCS(0), n, func(i int) {
+		s := &slab[i]
 		var d [32]byte
-		keys[i].D.FillBytes(d[:])
+		s.d.FillBytes(d[:])
 		x, y := Curve.ScalarBaseMult(d[:])
-		keys[i].Public = Point{X: x, Y: y}
+		s.pub.set(Point{X: x, Y: y})
+		s.key.Public = s.pub.point()
 	})
 	return keys, nil
+}
+
+// Exact-width storage. A key or Hp memo entry lives as long as the node,
+// and each of its 256-bit values would cost 96 B as a math/big result: a
+// 32-B header plus a separately allocated 8-word array, because math/big
+// pads every fresh array by 4 words. A slab element instead holds the
+// headers and exactly the words they use, one allocation per registry.
+// Each big.Int is backed by its own window of the element's array, cut with
+// a full slice expression, so an in-place op that outgrows 256 bits
+// reallocates instead of writing into the next value. A slab is never
+// copied or grown after it is filled, and any key or entry still held
+// keeps its whole slab alive.
+
+// words256 is the width of one value's window.
+const words256 = 256 / bits.UintSize
+
+// setWindow sets z to the 32-byte big-endian value b, stored in w, a
+// zero-length window with room for exactly words256 words.
+func setWindow(z *big.Int, w []big.Word, b *[32]byte) {
+	z.SetBits(w)
+	z.SetBytes(b[:])
+}
+
+// pointSlot is one point's exact-width storage.
+type pointSlot struct {
+	x, y big.Int
+	w    [2 * words256]big.Word
+}
+
+// set copies p into the slot, fixed-width encoded.
+func (s *pointSlot) set(p Point) {
+	var b [32]byte
+	p.X.FillBytes(b[:])
+	setWindow(&s.x, s.w[:0:words256], &b)
+	p.Y.FillBytes(b[:])
+	setWindow(&s.y, s.w[words256:words256:2*words256], &b)
+}
+
+// point returns the stored point; its coordinates are the slot's own.
+func (s *pointSlot) point() Point { return Point{X: &s.x, Y: &s.y} }
+
+// keySlot is one key's exact-width storage: the PrivateKey that
+// GenerateKeys hands out, its scalar and its public point.
+type keySlot struct {
+	key PrivateKey
+	d   big.Int
+	dw  [words256]big.Word
+	pub pointSlot
 }
 
 // KeyImage computes I = x·Hp(P), the linkability tag. Two signatures by the

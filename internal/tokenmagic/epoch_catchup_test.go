@@ -97,3 +97,40 @@ func TestGuardsCountForeignRings(t *testing.T) {
 		t.Fatalf("VerifyRS over a chain with a foreign singleton: got %v, want ErrLiveness", err)
 	}
 }
+
+// TestBatchesCatchUpWithExternalBlocks: Batches reads the same generation
+// as Snapshot, so a block appended to the ledger directly shows up in both.
+func TestBatchesCatchUpWithExternalBlocks(t *testing.T) {
+	const lambda = 12
+	led := chain.NewLedger()
+	addBlock := func() {
+		b := led.BeginBlock()
+		for i := 0; i < lambda/2; i++ {
+			if _, err := led.AddTx(b, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	addBlock()
+	addBlock()
+	f, err := New(led, Config{
+		Lambda: lambda, Headroom: true, Algorithm: Progressive, Metrics: obs.NewRegistry(),
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Batches().Len(); got != 2 {
+		t.Fatalf("Batches().Len() = %d before the external block, want 2", got)
+	}
+	addBlock()
+	if got := f.Batches().Len(); got != 3 {
+		t.Fatalf("Batches().Len() = %d after an external block, want 3", got)
+	}
+	_, snap, err := f.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Len() != 3 {
+		t.Fatalf("Snapshot's batch list has %d batches, want 3", snap.Len())
+	}
+}

@@ -338,10 +338,16 @@ func (f *Framework) Snapshot() (*chain.View, *chain.BatchList, error) {
 	return e.view, e.batches, nil
 }
 
-// Batches exposes the current epoch's batch list. The returned list is an
-// immutable snapshot; writers publish a new one rather than mutating.
+// Batches returns the current epoch's batch list, catching up first like
+// Snapshot. The returned list is an immutable snapshot; writers publish a
+// new one rather than mutating. A catch-up fails only on a non-positive λ,
+// which New already refused, so that error is an invariant break.
 func (f *Framework) Batches() *chain.BatchList {
-	return f.epoch.Load().batches
+	_, batches, err := f.Snapshot()
+	if err != nil {
+		panic("tokenmagic: batch catch-up: " + err.Error())
+	}
+	return batches
 }
 
 // effectiveReq applies the headroom configuration.
