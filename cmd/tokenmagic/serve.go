@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"time"
 
@@ -13,7 +14,9 @@ import (
 	"tokenmagic/internal/node"
 	"tokenmagic/internal/nodesvc"
 	"tokenmagic/internal/obs"
+	"tokenmagic/internal/obs/operator"
 	"tokenmagic/internal/obs/trace"
+	"tokenmagic/internal/ringsig"
 	"tokenmagic/internal/selector"
 	"tokenmagic/internal/store"
 	"tokenmagic/internal/tokenmagic"
@@ -29,9 +32,9 @@ type fullNode struct {
 
 // newFullNode composes the public protocol handler. The two service muxes
 // own disjoint routes, so the outer mux just dispatches whole paths. With
-// spendKeys set the node generates one keypair per token and serves the
+// keys set the node holds one keypair per token and serves the
 // server-signed /v1/spend pipeline (load generation and experiments).
-func newFullNode(led *chain.Ledger, lambda int, eta float64, allowUnsigned, spendKeys bool) (*fullNode, error) {
+func newFullNode(led *chain.Ledger, lambda int, eta float64, allowUnsigned bool, keys map[chain.TokenID]*ringsig.PrivateKey) (*fullNode, error) {
 	cfg := node.Config{
 		Framework: tokenmagic.Config{
 			Lambda:    lambda,
@@ -41,13 +44,7 @@ func newFullNode(led *chain.Ledger, lambda int, eta float64, allowUnsigned, spen
 			Randomize: true,
 		},
 		AllowUnsigned: allowUnsigned,
-	}
-	if spendKeys {
-		var err error
-		cfg.Keys, err = node.GenerateKeys(nil, led)
-		if err != nil {
-			return nil, err
-		}
+		Keys:          keys,
 	}
 	nd, err := node.New(led, cfg)
 	if err != nil {
@@ -65,11 +62,23 @@ func newFullNode(led *chain.Ledger, lambda int, eta float64, allowUnsigned, spen
 	return &fullNode{node: nd, handler: mux}, nil
 }
 
+// spendKeySalt separates the spend-key stream from the other draws a seed
+// drives (the data set), so no key repeats a data-set draw.
+const spendKeySalt = 0x6b657973 // "keys"
+
+// seededSpendKeys derives one keypair per token of led from seed, so every
+// start of a node with the same -seed, a restart over its data dir
+// included, holds the same keys. The keys are as secret as the seed: this
+// is for load generation and experiments only.
+func seededSpendKeys(led *chain.Ledger, seed int64) (map[chain.TokenID]*ringsig.PrivateKey, error) {
+	return node.GenerateKeys(rand.New(rand.NewSource(seed^spendKeySalt)), led)
+}
+
 // serveOperator mounts the telemetry endpoints (/debug/vars, /debug/metrics
 // and optionally /debug/pprof/) on their own listener so profiling and
 // metrics never share a port with untrusted protocol traffic.
 func serveOperator(addr string, withPprof bool) {
-	mux := obs.OperatorMux(obs.Default(), withPprof)
+	mux := operator.Mux(obs.Default(), withPprof)
 	hs := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() {
 		slog.Info("operator endpoints up", "addr", addr, "pprof", withPprof)
@@ -93,7 +102,7 @@ func cmdServe(args []string) error {
 	withPprof := fs.Bool("pprof", true, "mount net/http/pprof on the -metrics port")
 	logLevel := fs.String("log-level", "info", "slog level: debug|info|warn|error")
 	allowUnsigned := fs.Bool("allow-unsigned", false, "accept submissions without ring signatures (experiments only)")
-	spendKeys := fs.Bool("spend-keys", false, "generate per-token keys and serve the server-signed /v1/spend pipeline (load testing only)")
+	spendKeys := fs.Bool("spend-keys", false, "derive per-token keys from -seed and serve the server-signed /v1/spend pipeline (load testing only)")
 	traces := fs.Bool("traces", true, "record request traces (export on the -metrics port at /debug/traces)")
 	sf := registerStoreFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -137,7 +146,13 @@ func cmdServe(args []string) error {
 		}
 		led = st.Ledger
 	}
-	fn, err := newFullNode(led, *lambda, *eta, *allowUnsigned, *spendKeys)
+	var keys map[chain.TokenID]*ringsig.PrivateKey
+	if *spendKeys {
+		if keys, err = seededSpendKeys(led, *seed); err != nil {
+			return err
+		}
+	}
+	fn, err := newFullNode(led, *lambda, *eta, *allowUnsigned, keys)
 	if err != nil {
 		return err
 	}

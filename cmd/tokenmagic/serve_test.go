@@ -15,6 +15,8 @@ import (
 	"tokenmagic/internal/diversity"
 	"tokenmagic/internal/nodesvc"
 	"tokenmagic/internal/obs"
+	"tokenmagic/internal/obs/operator"
+	"tokenmagic/internal/ringsig"
 	"tokenmagic/internal/selector"
 	"tokenmagic/internal/tokenmagic"
 )
@@ -30,13 +32,13 @@ func TestServeFullLoopTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, err := newFullNode(d.Ledger, d.Ledger.NumTokens(), 0.1, true, false)
+	fn, err := newFullNode(d.Ledger, d.Ledger.NumTokens(), 0.1, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	public := httptest.NewServer(fn.handler)
 	defer public.Close()
-	operator := httptest.NewServer(obs.OperatorMux(obs.Default(), true))
+	operator := httptest.NewServer(operator.Mux(obs.Default(), true))
 	defer operator.Close()
 	// The HTTP counters live in the process-wide registry, which other tests
 	// (and -count reruns) also advance: count this test's requests as deltas.
@@ -198,7 +200,7 @@ func TestServeBatchReadsFollowChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, err := newFullNode(d.Ledger, d.Ledger.NumTokens(), 0.1, true, false)
+	fn, err := newFullNode(d.Ledger, d.Ledger.NumTokens(), 0.1, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,4 +283,34 @@ func TestServeBatchReadsFollowChain(t *testing.T) {
 		t.Fatal("no light-node submission was admitted")
 	}
 	t.Logf("light-node submissions: %d admitted, %d refused for the configuration", admitted, configRejects)
+}
+
+// TestSeededSpendKeysRepeatPerSeed: the -spend-keys keys follow -seed, so
+// two builds of the same data set with the same seed hold equal public
+// keys for every token, and another seed gives other keys.
+func TestSeededSpendKeysRepeatPerSeed(t *testing.T) {
+	build := func(seed int64) map[chain.TokenID]*ringsig.PrivateKey {
+		t.Helper()
+		d, err := loadDataset("small", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, err := seededSpendKeys(d.Ledger, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) != d.Ledger.NumTokens() {
+			t.Fatalf("%d keys for %d tokens", len(keys), d.Ledger.NumTokens())
+		}
+		return keys
+	}
+	a, b, other := build(7), build(7), build(8)
+	for tok, ka := range a {
+		if !ka.Public.Equal(b[tok].Public) {
+			t.Fatalf("token %v: seed 7 gave two different public keys", tok)
+		}
+		if ka.Public.Equal(other[tok].Public) {
+			t.Fatalf("token %v: seeds 7 and 8 gave the same public key", tok)
+		}
+	}
 }

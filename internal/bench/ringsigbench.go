@@ -14,7 +14,8 @@ package bench
 //
 //   - sign, verify:                 a cache-less Engine, cold Hp
 //   - sign_warm_hp, verify_warm_hp: an Engine whose Hp memo was precomputed
-//     from the key pool (a node knows its key universe ahead of time)
+//     from the key pool (a node's memo, which fills on first use, once its
+//     rings have used every key)
 //   - sign_verified_warm_hp:        SignVerifiedCtx on that Engine, the
 //     spend path's sign with its self-verification overlapped; compare it
 //     with sign_warm_hp + verify_warm_hp, the same work back to back

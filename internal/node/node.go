@@ -10,9 +10,10 @@
 //
 // holds valid submissions in a mempool, and periodically "mines" them: the
 // accepted rings are appended to the ledger in fee order, exactly like a
-// fee-market block template. Only Step 3 runs here; mixin selection and
-// signing (Steps 1–2) happen client-side, which is why TokenMagic's
-// selection cost never touches chain throughput.
+// fee-market block template. A submitted spend was selected and signed
+// (Steps 1–2) by its client; a node that holds the tokens' keys
+// (Config.Keys) can also run all three steps itself through Spend, the
+// path load generation and the System facade drive.
 package node
 
 import (
@@ -79,10 +80,10 @@ type Node struct {
 	// VerifySignatures can be disabled for pure selection experiments.
 	verifySigs bool
 	keys       map[chain.TokenID]*ringsig.PrivateKey
-	// engine amortises signature verification across the node's lifetime:
-	// its hash-to-point memo is pre-warmed from the key registry and its
-	// transcript cache lets block validation skip chains the admission
-	// check already walked.
+	// engine amortises signature work across the node's lifetime: its
+	// hash-to-point memo resolves each ring member's key once, on first
+	// use, and its transcript cache lets block validation skip chains the
+	// admission check already walked.
 	engine  *ringsig.Engine
 	metrics *obs.Registry
 	// testHookAfterSelect, when non-nil, runs between ring selection and
@@ -139,16 +140,10 @@ func New(ledger *chain.Ledger, cfg Config) (*Node, error) {
 	if reg == nil {
 		reg = obs.Default()
 	}
+	// The memo starts empty, with or without Keys: a key is hashed to a
+	// point the first time it appears in a ring, which is the only time a
+	// spend needs it, and most minted keys never do.
 	engine := &ringsig.Engine{Hp: ringsig.NewHpCache(), Seen: ringsig.NewSigCache(sigCacheEntries)}
-	if cfg.Keys != nil {
-		// The spendable key population is known up front: resolve every
-		// hash-to-point once now so no verification ever pays for it.
-		pubs := make([]ringsig.Point, 0, len(cfg.Keys))
-		for _, sk := range cfg.Keys {
-			pubs = append(pubs, sk.Public)
-		}
-		engine.Hp.Precompute(pubs)
-	}
 	return &Node{
 		batchMu:       make(map[int]*sync.Mutex),
 		ledger:        ledger,

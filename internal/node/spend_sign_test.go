@@ -173,20 +173,40 @@ func TestUnsignedSpendRefusesRepeatedTarget(t *testing.T) {
 	}
 }
 
-// TestNewMemoisesSpendKeys: New resolves every spend key's hash-to-point
-// once, and spends never grow the memo past the minted keys.
-func TestNewMemoisesSpendKeys(t *testing.T) {
-	n, keys, _ := signedSpendNode(t, 12)
-	if got := n.engine.Hp.Len(); got != len(keys) {
-		t.Fatalf("New memoised %d keys, want %d", got, len(keys))
+// TestSpendLeavesSigCacheForSubmissions: a Spend commits the signature it
+// has just self-verified and records nothing in the transcript cache, while
+// a submitted signature is recorded at admission, so the block validation
+// that mines it settles it from the cache.
+func TestSpendLeavesSigCacheForSubmissions(t *testing.T) {
+	n, keys, _ := signedSpendNode(t, 20)
+	req := diversity.Requirement{C: 1, L: 3}
+	if _, err := n.Spend(context.Background(), 0, req); err != nil {
+		t.Fatal(err)
 	}
-	for _, target := range []chain.TokenID{0, 5, 9, 14} {
-		if _, err := n.Spend(context.Background(), target, diversity.Requirement{C: 1, L: 3}); err != nil {
-			t.Fatal(err)
+	if got := n.engine.Seen.Len(); got != 0 {
+		t.Fatalf("a spend left %d transcripts in the cache, want 0", got)
+	}
+	if _, err := n.Submit(makeSubmission(t, n.ledger, keys, 9, req)); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.engine.Seen.Len(); got != 1 {
+		t.Fatalf("%d transcripts cached after one admitted submission, want 1", got)
+	}
+	col := trace.NewCollector()
+	ctx, tr := trace.New(context.Background(), col, "test.mine")
+	mined, err := n.MineCtx(ctx, 10)
+	tr.Finish("200")
+	if err != nil || len(mined) != 1 {
+		t.Fatalf("mine: %d rings, %v; want the submitted one", len(mined), err)
+	}
+	var hits []string
+	for _, sp := range col.Snapshot("", 1).Recent[0].Spans {
+		if sp.Name == "verify-batch" {
+			hits = append(hits, sp.Annotations["cache_hits"])
 		}
 	}
-	if got := n.engine.Hp.Len(); got != len(keys) {
-		t.Fatalf("memo grew to %d keys past the %d minted", got, len(keys))
+	if len(hits) != 1 || hits[0] != "1" {
+		t.Fatalf("block validation cache hits %v, want one verify-batch span with 1", hits)
 	}
 }
 

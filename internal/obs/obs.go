@@ -1,6 +1,6 @@
 // Package obs is the system's stdlib-only observability layer: a metrics
 // registry of atomic counters, gauges and fixed-bucket histograms, a
-// consistent snapshot API, and HTTP telemetry endpoints.
+// consistent snapshot API, and HTTP middleware that counts requests per route.
 //
 // Metrics are identified by dotted names ("node.submit.accepted",
 // "framework.solve.TM_P.latency_us"); lookups are get-or-create, so
@@ -8,29 +8,19 @@
 // are single atomic operations — safe for concurrent use and cheap enough
 // for the solver hot paths.
 //
-// Telemetry is exported three ways:
-//
-//   - expvar: PublishExpvar exposes the registry as one "tokenmagic" var
-//     (JSON under GET /debug/vars),
-//   - a plain-text dump: Registry.Handler serves GET /debug/metrics,
-//   - OperatorMux bundles both, plus net/http/pprof, into a mux meant for
-//     an operator port separate from the public protocol port.
+// A registry is read in-process through Snapshot or dumped as plain text
+// through WriteText. Serving it to an operator (expvar, /debug/metrics with
+// the runtime's own gauges, pprof) is package operator's job, so a library
+// user of obs links none of those packages.
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
-	"math"
-	"net/http"
-	"net/http/pprof"
-	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"tokenmagic/internal/obs/trace"
 )
 
 // Counter is a monotonically increasing metric.
@@ -277,13 +267,10 @@ func (r *Registry) Snapshot() Snapshot {
 //	histogram framework.solve.TM_P.latency_us count=6 sum=4521 mean=753.50 p50=312 p99=498 le250:2 le500:4 ...
 //
 // p50/p99 are Quantile estimates (interpolated within buckets). Histogram
-// bucket fields are non-cumulative; only non-empty buckets print.
-func (r *Registry) WriteText(w io.Writer) error {
-	return r.writeText(w, nil)
-}
-
-// writeText is WriteText with extra lines sorted in among the registry's.
-func (r *Registry) writeText(w io.Writer, lines []string) error {
+// bucket fields are non-cumulative; only non-empty buckets print. Extra
+// lines, if any, are sorted in among the registry's.
+func (r *Registry) WriteText(w io.Writer, extra ...string) error {
+	lines := append([]string(nil), extra...)
 	s := r.Snapshot()
 	for name, v := range s.Counters {
 		lines = append(lines, fmt.Sprintf("counter %s %d", name, v))
@@ -313,100 +300,4 @@ func (r *Registry) writeText(w io.Writer, lines []string) error {
 		}
 	}
 	return nil
-}
-
-// Handler serves the plain-text dump (GET /debug/metrics): the registry,
-// plus the process's run-queue and heap gauges read from runtime/metrics
-// at scrape time (see runtimeLines).
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = r.writeText(w, runtimeLines())
-	})
-}
-
-// runtimeLines reads the Go runtime's own view of the process, which no
-// registry records: live goroutines, how long runnable goroutines waited
-// for a CPU (p50/p99 in µs since the process started), and the heap that
-// the last GC found live (0 before the first GC). They are process-wide,
-// so they are read per scrape rather than stored in a registry; nothing
-// on the request path pays for them.
-func runtimeLines() []string {
-	samples := []metrics.Sample{
-		{Name: "/sched/goroutines:goroutines"},
-		{Name: "/sched/latencies:seconds"},
-		{Name: "/gc/heap/live:bytes"},
-	}
-	metrics.Read(samples)
-	var lines []string
-	if v := samples[0].Value; v.Kind() == metrics.KindUint64 {
-		lines = append(lines, fmt.Sprintf("gauge runtime.goroutines %d", v.Uint64()))
-	}
-	if v := samples[1].Value; v.Kind() == metrics.KindFloat64Histogram {
-		h := v.Float64Histogram()
-		lines = append(lines,
-			fmt.Sprintf("gauge runtime.sched.latency_us.p50 %.0f", runtimeQuantile(h, 0.50)*1e6),
-			fmt.Sprintf("gauge runtime.sched.latency_us.p99 %.0f", runtimeQuantile(h, 0.99)*1e6))
-	}
-	if v := samples[2].Value; v.Kind() == metrics.KindUint64 {
-		lines = append(lines, fmt.Sprintf("gauge runtime.heap.live_bytes %d", v.Uint64()))
-	}
-	return lines
-}
-
-// runtimeQuantile returns the upper bound of the bucket that holds the
-// q-quantile of h (its lower bound when that bucket is open above), or 0
-// for an empty histogram.
-func runtimeQuantile(h *metrics.Float64Histogram, q float64) float64 {
-	var total uint64
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	var seen uint64
-	for i, c := range h.Counts {
-		if seen += c; seen >= rank {
-			if hi := h.Buckets[i+1]; !math.IsInf(hi, 1) {
-				return hi
-			}
-			return h.Buckets[i]
-		}
-	}
-	return h.Buckets[len(h.Buckets)-1]
-}
-
-var publishOnce sync.Once
-
-// PublishExpvar exposes reg as the single expvar "tokenmagic" so the
-// standard /debug/vars JSON carries the whole registry. Only the first
-// registry published this way wins (expvar names are process-global).
-func PublishExpvar(reg *Registry) {
-	publishOnce.Do(func() {
-		expvar.Publish("tokenmagic", expvar.Func(func() any { return reg.Snapshot() }))
-	})
-}
-
-// OperatorMux assembles the operator-port telemetry mux: /debug/vars
-// (expvar JSON including the registry), /debug/metrics (plain-text dump),
-// /debug/traces (recent and slowest request traces with span trees, JSON)
-// and, when withPprof is set, the net/http/pprof handlers under
-// /debug/pprof/. Mount it on a port separate from the public protocol port;
-// it is not meant to be reachable by untrusted clients.
-func OperatorMux(reg *Registry, withPprof bool) *http.ServeMux {
-	PublishExpvar(reg)
-	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.Handle("/debug/metrics", reg.Handler())
-	mux.Handle("/debug/traces", trace.Default().Handler())
-	if withPprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	return mux
 }

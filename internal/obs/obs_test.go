@@ -2,12 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"io"
-	"math"
-	"net/http/httptest"
-	"regexp"
-	"runtime"
-	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -188,6 +182,23 @@ func TestTextDump(t *testing.T) {
 	if len(lines) != 3 || !strings.HasPrefix(lines[0], "counter") || !strings.HasPrefix(lines[2], "histogram") {
 		t.Fatalf("unexpected dump order: %q", lines)
 	}
+
+	// Extra lines are sorted in among the registry's, and the caller's
+	// slice is left as it was.
+	extra := make([]string, 2, 3)
+	extra[0], extra[1] = "gauge b.extra 7", "aaa first"
+	b.Reset()
+	if err := r.WriteText(&b, extra...); err != nil {
+		t.Fatal(err)
+	}
+	want := "aaa first\ncounter z.count 2\ngauge a.gauge -1\ngauge b.extra 7\n" +
+		"histogram m.h count=1 sum=50 mean=50.00 p50=50 p99=99 le100:1\n"
+	if b.String() != want {
+		t.Fatalf("dump with extra lines:\n%s\nwant:\n%s", b.String(), want)
+	}
+	if extra[0] != "gauge b.extra 7" || extra[1] != "aaa first" {
+		t.Fatalf("WriteText reordered the caller's lines: %q", extra)
+	}
 }
 
 func TestSnapshotJSONShape(t *testing.T) {
@@ -204,100 +215,5 @@ func TestSnapshotJSONShape(t *testing.T) {
 	}
 	if back.Counters["c"] != 1 || back.Histograms["h"].Count != 1 {
 		t.Fatalf("round-trip lost data: %s", data)
-	}
-}
-
-func TestOperatorMux(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("op.test").Inc()
-	mux := OperatorMux(r, true)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	for path, want := range map[string]string{
-		"/debug/metrics": "counter op.test 1",
-		"/debug/pprof/":  "profiles",
-	} {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != 200 || !strings.Contains(string(body), want) {
-			t.Fatalf("%s: status=%d body=%q", path, resp.StatusCode, body)
-		}
-	}
-	// /debug/vars serves JSON; the published registry may be the one from an
-	// earlier PublishExpvar call (process-global), so only check it parses.
-	resp, err := srv.Client().Get(srv.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var vars map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	if _, ok := vars["tokenmagic"]; !ok {
-		t.Fatalf("/debug/vars missing tokenmagic var: %v", vars)
-	}
-}
-
-// TestHandlerRuntimeGauges: a scrape of /debug/metrics carries the
-// runtime's goroutine, run-queue latency and live-heap gauges, read at
-// scrape time, while WriteText stays the registry alone.
-func TestHandlerRuntimeGauges(t *testing.T) {
-	r := NewRegistry()
-	runtime.GC() // the live heap is the last GC's reading
-	srv := httptest.NewServer(r.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dump := string(body)
-	for _, pattern := range []string{
-		`(?m)^gauge runtime\.goroutines [1-9][0-9]*$`,
-		`(?m)^gauge runtime\.sched\.latency_us\.p50 [0-9]+$`,
-		`(?m)^gauge runtime\.sched\.latency_us\.p99 [0-9]+$`,
-		`(?m)^gauge runtime\.heap\.live_bytes [1-9][0-9]*$`,
-	} {
-		if !regexp.MustCompile(pattern).MatchString(dump) {
-			t.Errorf("scrape missing %q:\n%s", pattern, dump)
-		}
-	}
-	var b strings.Builder
-	if err := r.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 0 {
-		t.Fatalf("WriteText of an empty registry printed %q", b.String())
-	}
-}
-
-// TestRuntimeQuantile: the quantile is the upper bound of the bucket that
-// reaches the rank, the lower bound of an open top bucket, and 0 when
-// nothing was observed.
-func TestRuntimeQuantile(t *testing.T) {
-	h := &metrics.Float64Histogram{
-		Counts:  []uint64{1, 8, 0, 1},
-		Buckets: []float64{math.Inf(-1), 1e-6, 1e-5, 1e-4, math.Inf(1)},
-	}
-	for _, tc := range []struct{ q, want float64 }{{0.05, 1e-6}, {0.5, 1e-5}, {0.9, 1e-5}, {0.99, 1e-4}} {
-		if got := runtimeQuantile(h, tc.q); got != tc.want {
-			t.Errorf("q=%v: got %v, want %v", tc.q, got, tc.want)
-		}
-	}
-	if got := runtimeQuantile(&metrics.Float64Histogram{Counts: []uint64{0}, Buckets: []float64{0, 1}}, 0.5); got != 0 {
-		t.Errorf("empty histogram: got %v, want 0", got)
 	}
 }

@@ -19,7 +19,7 @@
 // Finished traces land in a Collector: a bounded ring buffer of recent
 // traces, the N slowest exemplars per route (full span trees retained), and
 // per-stage aggregates, exported as JSON via the /debug/traces endpoint
-// (obs.OperatorMux) and summarised to slog at Debug level.
+// (operator.Mux) and summarised to slog at Debug level.
 //
 // The package deliberately imports nothing module-local: internal/obs wires
 // span durations into its registry histograms, so trace must stay below obs

@@ -1,11 +1,10 @@
 package ringsig
 
 // Hash-to-point memoisation. Hp(P) depends only on the public key bytes,
-// and verification workloads resolve the same keys over and over: every
-// member of every ring in a batch needs its Hp, rings drawn from one ledger
-// overlap heavily, and a node's key registry is known ahead of time. The
-// memo turns all but the first resolution of a key into a lock-cheap map
-// read.
+// and signing and verification resolve the same keys over and over: every
+// member of every ring in a batch needs its Hp, and rings drawn from one
+// ledger overlap heavily. The memo turns all but the first resolution of a
+// key into a lock-cheap map read.
 
 import (
 	"crypto/elliptic"
@@ -30,10 +29,13 @@ func makeHpKey(p Point) hpKey {
 // use. A nil *HpCache is valid and simply computes every request — callers
 // thread one through when they want amortisation and pass nil when they
 // don't. Lifetime is the owner's choice: VerifyBatch installs a fresh memo
-// per batch when the engine doesn't own a longer-lived one; a node owning
-// the key registry keeps a process-lifetime cache warmed by Precompute.
-// Entries are immutable once stored, so there is no invalidation to manage
-// — only growth, bounded by the number of distinct keys the owner feeds it.
+// per batch when the engine doesn't own a longer-lived one; a node keeps
+// one for its lifetime and fills it on demand, each key the first time it
+// appears in a ring, so the memo holds only keys some ring has used.
+// Precompute warms it ahead of time for callers that know their keys and
+// want no first-use cost. Entries are immutable once stored, so there is
+// no invalidation to manage — only growth, bounded by the number of
+// distinct keys the owner feeds it.
 type HpCache struct {
 	mu sync.RWMutex
 	m  map[hpKey]Point
@@ -73,8 +75,8 @@ func (c *HpCache) fill(k hpKey, p Point) Point {
 	return v
 }
 
-// Precompute warms the memo for a known key population (e.g. a node's key
-// registry), so later verifications never pay the hash-to-point search.
+// Precompute warms the memo for a known key population, so later signs
+// and verifications over those keys never pay the hash-to-point search.
 // Each distinct, non-zero key the memo lacks is hashed once, on up to
 // GOMAXPROCS workers (inline when only one is missing), and the results go
 // in under one write lock: the memo ends up exactly as a sequential pass

@@ -65,7 +65,10 @@ var (
 // signing. For the same rng stream the signature is byte-identical to
 // SignCtx's. Signing errors come back as they are; a signature that does
 // not verify comes back as a *SelfCheckError around Engine.Verify's error.
-// A verified transcript is recorded in e.Seen, as Verify records it.
+// Nothing is recorded in e.Seen: the cache is for signatures verified
+// again later (a submission re-validated at mine time), while a signer that
+// checks its own signature commits it at once, so a record would only
+// evict those.
 //
 // The trace in ctx gets a "sign" span that ends when the signature is
 // complete and a "verify-sig" span for the rest of the check, annotated
@@ -81,13 +84,13 @@ func (e *Engine) SignVerifiedCtx(ctx context.Context, rng io.Reader, sk *Private
 	sp.AnnotateInt("ring_size", int64(len(ring)))
 	sp.AnnotateInt("links_while_signing", ck.checked.Load())
 	if ck.finish() {
-		if e.Seen != nil {
-			e.Seen.Record(transcriptKey(ck.sig, ck.ring, ck.msg))
-		}
 		return ck.sig, nil
 	}
 	sp.Annotate("fallback", "verify")
-	if err := e.Verify(ck.sig, ck.ring, ck.msg); err != nil {
+	// The same verdict as e.Verify, through an engine without the
+	// transcript cache, so the fallback records nothing either.
+	uncached := Engine{Hp: e.Hp}
+	if err := uncached.Verify(ck.sig, ck.ring, ck.msg); err != nil {
 		sp.Annotate("outcome", "invalid")
 		return nil, &SelfCheckError{Err: err}
 	}

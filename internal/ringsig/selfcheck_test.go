@@ -57,8 +57,8 @@ func setHook[F any](t testing.TB, hook *F, fn F) {
 
 // TestSignVerifiedMatchesSignCtx: over ring sizes 2–16 and every signer
 // position, SignVerifiedCtx signs the bytes SignCtx signs from the same rng
-// stream, accepts them without falling back to Engine.Verify, and records
-// them in the transcript cache.
+// stream and accepts them without falling back to Engine.Verify. It records
+// nothing in the transcript cache.
 func TestSignVerifiedMatchesSignCtx(t *testing.T) {
 	keys, pool := genRing(t, 16)
 	e := &Engine{Hp: NewHpCache(), Seen: NewSigCache(1024)}
@@ -80,9 +80,44 @@ func TestSignVerifiedMatchesSignCtx(t *testing.T) {
 			if !bytes.Equal(sigBytes(t, got), sigBytes(t, want)) {
 				t.Fatalf("n=%d idx=%d: signature differs from SignCtx's", n, idx)
 			}
-			if !e.Seen.Seen(transcriptKey(got, ring, msg)) {
-				t.Fatalf("n=%d idx=%d: verified transcript not recorded", n, idx)
+			if e.Seen.Len() != 0 {
+				t.Fatalf("n=%d idx=%d: a self-verified transcript was recorded", n, idx)
 			}
+		}
+	}
+}
+
+// TestSignVerifiedColdMemoMatchesWarm: an engine whose Hp memo starts
+// empty and fills on first use signs and self-verifies the bytes a
+// Precompute-warmed engine signs from the same rng stream, over rings that
+// share keys, and ends up memoising exactly the keys its rings used.
+func TestSignVerifiedColdMemoMatchesWarm(t *testing.T) {
+	keys, pool := genRing(t, 12)
+	cold := &Engine{Hp: NewHpCache()}
+	warm := &Engine{Hp: NewHpCache()}
+	warm.Hp.Precompute(pool)
+	ctx := context.Background()
+	used := map[int]bool{}
+	for k, span := range [][2]int{{0, 4}, {2, 7}, {5, 12}, {0, 12}} {
+		ring := pool[span[0]:span[1]]
+		for idx := range ring {
+			used[span[0]+idx] = true
+			msg := []byte(fmt.Sprintf("cold-vs-warm %d/%d", k, idx))
+			label := fmt.Sprintf("cold-vs-warm-%d-%d", k, idx)
+			want, err := warm.SignVerifiedCtx(ctx, newDetReader(label), keys[span[0]+idx], ring, idx, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cold.SignVerifiedCtx(ctx, newDetReader(label), keys[span[0]+idx], ring, idx, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sigBytes(t, got), sigBytes(t, want)) {
+				t.Fatalf("ring %v signer %d: the cold engine's signature differs from the warm one's", span, idx)
+			}
+		}
+		if got := cold.Hp.Len(); got != len(used) {
+			t.Fatalf("after ring %v the cold memo holds %d keys, want the %d used", span, got, len(used))
 		}
 	}
 }
@@ -164,7 +199,8 @@ func TestSignVerifiedTamperMatchesVerify(t *testing.T) {
 }
 
 // TestSignVerifiedFallsBackOnLinkMismatch: a link check that reports a
-// mismatch sends the call to Engine.Verify, which accepts the signature.
+// mismatch sends the call to Engine.Verify's check, which accepts the
+// signature without recording it in the transcript cache.
 func TestSignVerifiedFallsBackOnLinkMismatch(t *testing.T) {
 	keys, ring := genRing(t, 7)
 	ctx := context.Background()
@@ -183,8 +219,8 @@ func TestSignVerifiedFallsBackOnLinkMismatch(t *testing.T) {
 		if !bytes.Equal(sigBytes(t, got), sigBytes(t, want)) {
 			t.Fatalf("link %d forced to mismatch: signature differs", bad)
 		}
-		if !e.Seen.Seen(transcriptKey(got, ring, msg)) {
-			t.Fatalf("link %d forced to mismatch: Verify's acceptance not recorded", bad)
+		if e.Seen.Len() != 0 {
+			t.Fatalf("link %d forced to mismatch: the fallback's acceptance was recorded", bad)
 		}
 	}
 }
